@@ -5,8 +5,9 @@ state to the separable set splits exactly into two legs: the distance to
 the state's Omega image (the charge-entanglement part, invisible to
 product observables) plus the distance from the Omega image to the
 separable set (the conventional part).  The closest separable state is
-known in closed form; a finite-difference gradient check certifies its
-minimality against random separable directions.
+known in closed form; its exact directional derivative toward random
+separable directions (the Daleckii-Krein derivative of the matrix log)
+certifies its minimality.
 """
 
 import numpy as np

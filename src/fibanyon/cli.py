@@ -51,13 +51,13 @@ def build_parser() -> _Parser:
 
     series = sub.add_parser("series", help="per-copy measure series as CSV")
     _add_state(series)
-    series.add_argument("--max-n", type=int, default=12, help="largest copy count")
+    series.add_argument("--max-n", type=_positive_int, default=12, help="largest copy count")
     _add_out(series)
     series.add_argument("--format", choices=("csv", "json"), default="csv")
 
     chsh = sub.add_parser("chsh", help="maximize the CHSH combination")
     _add_state(chsh)
-    chsh.add_argument("--copies", type=int, default=1)
+    chsh.add_argument("--copies", type=_positive_int, default=1)
     chsh.add_argument("--grid", type=int, default=64, help="grid points per angle")
     chsh.add_argument("--restarts", type=int, default=32, help="random involution draws")
     chsh.add_argument("--seed", type=int, default=42)
@@ -65,14 +65,24 @@ def build_parser() -> _Parser:
 
     certify = sub.add_parser("certify", help="separable certificate of locality")
     _add_state(certify)
-    certify.add_argument("--copies", type=int, default=1)
+    certify.add_argument("--copies", type=_positive_int, default=1)
     _add_out(certify)
 
     verify = sub.add_parser("verify", help="run the invariant suite")
     verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--cases", type=int, default=100, help="random states per check")
+    verify.add_argument("--cases", type=_positive_int, default=100, help="random states per check")
 
     return parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _add_state(parser: argparse.ArgumentParser) -> None:

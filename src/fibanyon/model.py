@@ -143,14 +143,3 @@ def fusion_space_dim(n: int, c: Charge) -> int:
         dim_vac, dim_tau = dim_tau, dim_vac + dim_tau
     return dim_tau if c is Charge.TAU else dim_vac
 
-
-def vacuum_bend_coefficient(a: Charge, b: Charge, c: Charge) -> float:
-    """Coefficient sqrt(d_c / (d_a * d_b)) of the vacuum-channel bend.
-
-    This is the basis-change weight that recouples a pair-created ``a``
-    line with a pair-created ``b`` line through internal channel ``c``.
-    Incompatible triples (``c`` not in ``a x dual(b)``) return 0.
-    """
-    if c not in fuse(a, dual(b)):
-        return 0.0
-    return math.sqrt(qdim_float(c) / (qdim_float(a) * qdim_float(b)))

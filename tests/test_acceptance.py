@@ -5,7 +5,6 @@ oracles (50-digit decimal evaluation of the closed forms, brute-force
 path enumeration, explicit-coefficient entropy sums) and frozen here.
 """
 
-import itertools
 import json
 import math
 import time
@@ -13,37 +12,18 @@ import time
 import numpy as np
 import pytest
 
-from fibanyon.bell import (
-    TSIRELSON,
-    chsh_value,
-    optimize_chsh,
-    random_involution_observable,
-    type_c_bound,
-)
+from fibanyon.bell import TSIRELSON, optimize_chsh, type_c_bound
 from fibanyon.cli import main
-from fibanyon.measures import (
-    closest_separable_candidate,
-    e_aree_pure,
-    embed,
-    measure_report,
-    minimality_gradient,
-    pythagorean_residual,
-    random_separable_direction,
-    relative_entropy,
-)
-from fibanyon.model import (
-    CHARGE_ORDER,
-    LOG2_PHI,
-    PHI,
-    PHI_EXACT,
-    Charge,
-    QSqrt5,
-    fuse,
-    fusion_space_dim,
-    qdim,
-)
+from fibanyon.model import PHI, Charge
 from fibanyon.multicopy import copy_series
 from fibanyon.states import new_schmidt_state, random_schmidt_state
+from fibanyon.verify import (
+    check_copy_series_trends,
+    check_decomposition,
+    check_model_identities,
+    check_separable_oracle,
+    check_tsirelson,
+)
 
 TAU_STATE_JSON = '{"sectors":{"tau":[1.0]}}'
 
@@ -61,6 +41,12 @@ def report(number, name, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"[{status}] acceptance {number}: {name}{suffix}")
     assert ok, f"acceptance criterion {number} ({name}) failed{suffix}"
+
+
+def report_checks(number, name, results):
+    """Report a criterion that is exactly a set of ``fibanyon verify`` checks."""
+    detail = "; ".join(f"{r.name}: {r.detail}" for r in results)
+    report(number, name, all(r.passed for r in results), detail)
 
 
 @pytest.fixture
@@ -134,73 +120,33 @@ def test_criterion_3_copy_series_reproduction():
     series = copy_series(tau, 12)
     elapsed = time.perf_counter() - start
 
-    aee_ok = all(abs(row[1] - LOG2_PHI) <= 1e-9 for row in series.rows)
-    ce_zero_ok = series.rows[0][4] == 0.0 and series.rows[1][4] == 0.0
-    ce_positive_ok = all(row[4] > 0.0 for row in series.rows[2:])
-    ace_ok = all(
-        series.rows[i][3] > series.rows[i + 1][3] for i in range(len(series.rows) - 1)
-    )
-    aree_bound_ok = all(
-        abs(row[2] - LOG2_PHI) <= LOG2_PHI / row[0] + 1e-12 for row in series.rows
-    )
+    [trends] = check_copy_series_trends(series)
     row3 = series.rows[2][1:]
     row3_ok = all(abs(a - b) < 1e-6 for a, b in zip(row3, ROW_N3))
 
-    ok = (
-        aee_ok
-        and ce_zero_ok
-        and ce_positive_ok
-        and ace_ok
-        and aree_bound_ok
-        and row3_ok
-        and elapsed < 10.0
-    )
     report(
         3,
         "copy-series reproduction n=1..12",
-        ok,
-        f"row3={tuple(round(v, 7) for v in row3)} runtime={elapsed:.2f}s",
+        trends.passed and row3_ok and elapsed < 10.0,
+        f"{trends.detail}; row3={tuple(round(v, 7) for v in row3)} "
+        f"runtime={elapsed:.2f}s",
     )
 
 
 def test_criterion_4_pythagorean_decomposition():
     rng = np.random.default_rng(42)
     states = [random_schmidt_state(rng) for _ in range(1000)]
-    closed_worst = max(
-        abs(r.aree - r.ace - r.ce) for r in (measure_report(s) for s in states)
-    )
-    numeric_worst = max(abs(pythagorean_residual(s)) for s in states[:100])
-    ok = closed_worst < 1e-9 and numeric_worst < 1e-8
-    report(
-        4,
-        "pythagorean decomposition",
-        ok,
-        f"closed={closed_worst:.2e} (1000 states) numeric={numeric_worst:.2e} (100 states)",
-    )
+    report_checks(4, "pythagorean decomposition", check_decomposition(states))
 
 
 def test_criterion_5_separable_minimum_oracle():
     rng = np.random.default_rng(43)
-    value_worst = 0.0
-    for _ in range(100):
-        state = random_schmidt_state(rng)
-        candidate = closest_separable_candidate(state).to_operator(state.ranks)
-        numeric = relative_entropy(embed(state), candidate)
-        value_worst = max(value_worst, abs(numeric - e_aree_pure(state)))
-
-    gradient_floor = math.inf
-    for _ in range(20):
-        state = random_schmidt_state(rng)
-        for _ in range(200):
-            direction = random_separable_direction(rng, state.ranks)
-            gradient_floor = min(gradient_floor, minimality_gradient(state, direction))
-
-    ok = value_worst < 1e-8 and gradient_floor >= -1e-6
-    report(
+    value_states = [random_schmidt_state(rng) for _ in range(100)]
+    gradient_states = [random_schmidt_state(rng) for _ in range(20)]
+    report_checks(
         5,
         "closest-separable oracle",
-        ok,
-        f"max_value_gap={value_worst:.2e} min_gradient={gradient_floor:.2e}",
+        check_separable_oracle(rng, value_states, gradient_states, 200),
     )
 
 
@@ -232,46 +178,9 @@ def test_criterion_6_plane_violation_formula():
 
 
 def test_criterion_7_model_identities():
-    phi = qdim(Charge.TAU)
-    golden_ok = phi * phi == phi + 1
-
-    dimension_ok = True
-    for n in range(1, 21):
-        total = QSqrt5.from_int(0)
-        for c in CHARGE_ORDER:
-            total = total + fusion_space_dim(n, c) * qdim(c)
-        dimension_ok &= total == PHI_EXACT**n
-
-    brute_ok = True
-    for n in range(1, 13):
-        for target in CHARGE_ORDER:
-            count = 0
-            for tail in itertools.product(CHARGE_ORDER, repeat=n - 1):
-                charges = (Charge.TAU,) + tail
-                valid = all(
-                    charges[i + 1] in fuse(charges[i], Charge.TAU)
-                    for i in range(n - 1)
-                )
-                if valid and charges[-1] is target:
-                    count += 1
-            brute_ok &= fusion_space_dim(n, target) == count
-
-    ok = golden_ok and dimension_ok and brute_ok
-    report(
-        7,
-        "exact model identities",
-        ok,
-        f"golden={golden_ok} dimensions={dimension_ok} brute_force={brute_ok}",
-    )
+    report_checks(7, "exact model identities", check_model_identities())
 
 
 def test_criterion_8_tsirelson_sanity():
     rng = np.random.default_rng(45)
-    worst = 0.0
-    for _ in range(100):
-        state = random_schmidt_state(rng)
-        for _ in range(100):
-            obs = [random_involution_observable(rng, state.ranks) for _ in range(4)]
-            worst = max(worst, abs(chsh_value(state, *obs)))
-    ok = worst <= TSIRELSON + 1e-9
-    report(8, "tsirelson sanity", ok, f"max |CHSH| = {worst:.10f} over 10000 draws")
+    report_checks(8, "tsirelson sanity", check_tsirelson(rng, 100, 100))

@@ -32,6 +32,7 @@ from fibanyon.measures import omega_project
 from fibanyon.model import PHI, Charge
 from fibanyon.multicopy import n_copy
 from fibanyon.states import new_schmidt_state, random_schmidt_state
+from fibanyon.verify import check_tsirelson
 
 TAU = Charge.TAU
 VAC = Charge.VACUUM
@@ -149,11 +150,8 @@ class TestChshValue:
             assert direct == pytest.approx(projected, abs=1e-10)
 
     def test_tsirelson_sweep(self):
-        rng = np.random.default_rng(78)
-        for _ in range(200):
-            state = random_schmidt_state(rng)
-            obs = [random_involution_observable(rng, state.ranks) for _ in range(4)]
-            assert abs(chsh_value(state, *obs)) <= TSIRELSON + 1e-9
+        [result] = check_tsirelson(np.random.default_rng(78), 200, 1)
+        assert result.passed, result.detail
 
 
 class TestTypeCBound:

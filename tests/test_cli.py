@@ -8,6 +8,29 @@ from fibanyon.cli import main
 
 TAU_STATE = {"sectors": {"tau": [1.0]}}
 
+#: ``verify --seed 42 --cases 3`` stdout.  Each detail depends on the seeded
+#: draws, so a change in the order in which the suite consumes its
+#: generator shows up here.
+VERIFY_SEED42_CASES3 = (
+    "PASS  golden-identity: d_tau**2 == d_tau + 1 in Q[sqrt(5)]\n"
+    "PASS  total-dimension: sum_c dim(n,c) d_c == d_tau**n for n <= 20\n"
+    "PASS  fusion-paths: dim matches brute-force enumeration for n <= 12\n"
+    "PASS  decomposition-closed-form: max |AREE - ACE - CE| = 2.220e-16 over 3 states\n"
+    "PASS  decomposition-numeric: max numeric residual = 4.441e-16 over 3 states\n"
+    "PASS  separable-oracle-value: max |numeric - closed| = 2.220e-16 over 3 states\n"
+    "PASS  separable-oracle-gradient: min gradient = 7.349e-01 over 2 states x 40 directions\n"
+    "PASS  aee-additivity: max |aee(n-copy) - n aee| = 3.553e-15\n"
+    "PASS  multicopy-closed-form: max |closed - constructed| = 5.329e-15 for n <= 6\n"
+    "PASS  omega-idempotence: max deviation = 0.000e+00\n"
+    "PASS  omega-from-joint: max |Omega(embed) - Omega| = 0.000e+00\n"
+    "PASS  omega-expectations: max product-observable deviation = 5.551e-17\n"
+    "PASS  tsirelson: max |CHSH| = 2.2913701359 over 1000 draws\n"
+    "PASS  chsh-omega-invariance: max deviation = 2.220e-16\n"
+    "PASS  copy-series-trends: aee drift 2.220e-16; CE zeros at n=1,2; ACE strictly decreasing\n"
+    "PASS  chsh-three-copies: n=3 optimum 2.632862 (target 2.632862); n<=2 stays local\n"
+    "16/16 checks passed\n"
+)
+
 
 @pytest.fixture
 def tau_file(tmp_path):
@@ -125,6 +148,11 @@ class TestVerify:
         assert "FAIL" not in out
         assert "checks passed" in out
 
+    def test_golden_transcript(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--seed", "42", "--cases", "3"])
+        assert code == 0
+        assert out == VERIFY_SEED42_CASES3
+
 
 class TestExitCodes:
     def test_validation_error_names_coefficient(self, tmp_path, capsys):
@@ -157,3 +185,21 @@ class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run(capsys, ["measures"])
         assert code == 64
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--cases", "0"],
+            ["verify", "--cases", "-2"],
+            ["chsh", "--copies", "0"],
+            ["certify", "--copies", "0"],
+            ["series", "--max-n", "0"],
+            ["series", "--max-n", "x"],
+        ],
+    )
+    def test_nonpositive_count_is_usage_error(self, capsys, tau_file, argv):
+        if argv[0] != "verify":
+            argv = [argv[0], "--state", tau_file, *argv[1:]]
+        code, _, err = run(capsys, argv)
+        assert code == 64
+        assert f"argument {argv[-2]}: must be a positive integer" in err

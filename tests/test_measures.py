@@ -1,5 +1,7 @@
 """Measure closed forms, the Omega projection, and the relative-entropy oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -228,7 +230,41 @@ class TestRelativeEntropy:
             relative_entropy(embed(one), omega_project(two))
 
 
+def forward_difference(state, direction, h):
+    """One-sided difference of x -> S(rho || (1-x) rho_0 + x rho') at x = 0."""
+    base = closest_separable_candidate(state)
+    terms = [((1.0 - h) * p, left, right) for p, left, right in base.terms]
+    terms += [(h * p, left, right) for p, left, right in direction.terms]
+    mixed = SeparableState(tuple(terms)).to_operator(state.ranks)
+    rho = embed(state)
+    f0 = relative_entropy(rho, base.to_operator(state.ranks))
+    return (relative_entropy(rho, mixed) - f0) / h
+
+
 class TestMinimalityGradient:
+    @pytest.mark.parametrize(
+        "sectors",
+        [
+            # A coefficient near 0.003 puts the curvature where step-size
+            # error of a finite difference exceeds 1e-4.
+            {TAU: [0.6, 0.3967, 0.0033]},
+            {VAC: [0.5], TAU: [0.497, 0.003]},
+            # Equal and nearly equal coefficients exercise L(a, a) and the
+            # log1p branch of the divided difference.
+            {TAU: [0.3, 0.3, 0.2 + 1e-12, 0.2 - 1e-12]},
+        ],
+    )
+    def test_matches_forward_difference(self, sectors):
+        state = new_schmidt_state(sectors)
+        rng = np.random.default_rng(2718)
+        for _ in range(5):
+            direction = random_separable_direction(rng, state.ranks)
+            exact = minimality_gradient(state, direction)
+            assert math.isfinite(exact)
+            assert exact == pytest.approx(
+                forward_difference(state, direction, 1e-8), abs=2e-5
+            )
+
     def test_stationary_in_own_direction(self):
         state = new_schmidt_state({TAU: [0.6, 0.4]})
         gradient = minimality_gradient(state, closest_separable_candidate(state))
