@@ -12,18 +12,17 @@ normalization)::
 
     <A B> = sum_c sum_{ik} sqrt(lambda_{c,i} lambda_{c,k}) A^c_{ik} B^c_{ik}
 
-The CHSH maximizer combines three deterministic-plus-seeded routes:
-exhaustive diagonal sign observables, a dense-grid + coordinate-ascent
-search of the one-plane rotation family, and random-restart draws of
-general involutions.
+The CHSH value of a joint n-copy state is computed in closed form: the
+plane bound of the top coefficient pair of its best rank->=2 sector, or
+2 when there is none.  It reads only the grouped Schmidt data; the dense
+witness observables that reach it are built only on request.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -54,13 +53,6 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 _INVOLUTION_TOL = 1e-9
 _VIOLATION_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
-#: Values within this of the incumbent count as ties, so the
-#: lexicographically smallest angle vector is kept.
-_TIE_TOL = 1e-12
-
-#: Largest total flat Schmidt rank for which explicit-matrix observable
-#: routes (random involutions) are attempted.
-_DENSE_RANK_LIMIT = 256
 
 #: Hard cap on the joint rank for which dense witness observables can be
 #: materialized at all (blocks are K x K dense matrices).
@@ -273,36 +265,52 @@ def type_c_bound(l1: float, l2: float, rest: float) -> tuple[float, tuple[float,
     return value, (0.0, 0.5 * math.pi, beta, -beta)
 
 
-def _family_value(
-    p: float, q: float, rest: float, angles: Sequence[float]
-) -> float:
-    """CHSH combination within the rotation family on a (p, q) plane."""
-    a1, a2, b1, b2 = angles
-
-    def corr(a: float, b: float) -> float:
-        return p * math.cos(a) * math.cos(b) + q * math.sin(a) * math.sin(b)
-
-    return corr(a1, b1) + corr(a1, b2) + corr(a2, b1) - corr(a2, b2) + 2.0 * rest
-
-
 # ---------------------------------------------------------------------------
-# CHSH maximization
+# CHSH value of the joint state
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CHSHResult:
-    """Best CHSH value found, with the witnesses that achieve it."""
+    """Closed-form CHSH value of a joint state, with the recipe of its witness.
+
+    ``value`` is the top-pair plane bound (:func:`type_c_bound` of the two
+    largest coefficients of the best rank->=2 sector), or 2 when no sector
+    has rank >= 2.  It is exact when it equals 2 sqrt(2), and when it is 2
+    because every sector has rank <= 1 (the state is then local);
+    otherwise it is a witnessed lower bound on the CHSH optimum.  The
+    witness is the rotation family of ``sector`` at ``angles`` (alpha1,
+    alpha2, beta1, beta2), or four identities when ``sector`` is None;
+    :meth:`witness` builds its dense observables on request.
+    """
 
     value: float
-    observables: tuple[Observable, Observable, Observable, Observable]
     angles: tuple[float, float, float, float] | None
     copies: int
     verdict: str
+    sector: Charge | None
+    ranks: Mapping[Charge, int] = field(repr=False)
 
     def __post_init__(self) -> None:
         if abs(self.value) > TSIRELSON + _VIOLATION_TOL:
             raise ValidationError(f"CHSH value {self.value!r} exceeds the quantum bound")
+
+    def witness(self) -> tuple[Observable, Observable, Observable, Observable]:
+        """The observables (A1, A2, B1, B2) that reach ``value`` on the joint state.
+
+        Blocks are dense K x K matrices, so joint ranks above 2048 are
+        refused with :class:`CopyLimitExceeded`.
+        """
+        total_rank = sum(self.ranks.values())
+        if total_rank > _MATERIALIZE_LIMIT:
+            raise CopyLimitExceeded(
+                f"joint rank {total_rank} exceeds {_MATERIALIZE_LIMIT}; "
+                "witness observables would not fit in dense blocks"
+            )
+        if self.sector is None:
+            identity = identity_observable(self.ranks)
+            return identity, identity, identity, identity
+        return tuple(rotation_observable(self.ranks, a, target=self.sector) for a in self.angles)
 
     def as_dict(self) -> dict:
         return {
@@ -317,159 +325,40 @@ def _verdict(value: float) -> str:
     return "violation" if value > 2.0 + _VIOLATION_TOL else "local-bound-respected"
 
 
-def _sign_route(state: SchmidtState) -> tuple[float, tuple]:
-    """Exhaustive diagonal +-1 observables; complete for rank-<=1 sectors."""
-    charges = state.charges
-    probs = np.array([state.sector_probability(c) for c in charges])
-    patterns = list(itertools.product((1.0, -1.0), repeat=len(charges)))
-    best = -math.inf
-    best_combo = None
-    for sa1, sa2, sb1, sb2 in itertools.product(patterns, repeat=4):
-        a1, a2 = np.array(sa1), np.array(sa2)
-        b1, b2 = np.array(sb1), np.array(sb2)
-        value = float(
-            probs @ (a1 * b1) + probs @ (a1 * b2) + probs @ (a2 * b1) - probs @ (a2 * b2)
-        )
-        if value > best:
-            best = value
-            best_combo = (sa1, sa2, sb1, sb2)
-    ranks = state.ranks
-    observables = tuple(
-        sign_observable(ranks, dict(zip(charges, signs))) for signs in best_combo
-    )
-    return best, observables
+def optimize_chsh(state: SchmidtState, copies: int = 1, *, n_max: int = N_MAX) -> CHSHResult:
+    """CHSH value of the joint ``copies``-fold state, in closed form.
 
-
-def _grid_argmax(p: float, q: float, rest: float, grid: int) -> tuple[float, list[float]]:
-    """Best grid point of the 4-angle family; first occurrence in lexicographic order."""
-    theta = _TWO_PI * np.arange(grid) / grid
-    corr = p * np.outer(np.cos(theta), np.cos(theta)) + q * np.outer(
-        np.sin(theta), np.sin(theta)
-    )
-    # S[a1,a2,b1,b2] = corr[a1,b1] + corr[a1,b2] + corr[a2,b1] - corr[a2,b2]
-    tail = corr[:, :, None] - corr[:, None, :]  # [a2, b1, b2]
-    best = -math.inf
-    best_idx = (0, 0, 0, 0)
-    for i1 in range(grid):
-        head = corr[i1][:, None] + corr[i1][None, :]  # [b1, b2]
-        slab = (head[None, :, :] + tail).reshape(-1)
-        top = float(slab.max())
-        if top > best + _TIE_TOL:
-            # First index within the tie band = lexicographically smallest angles.
-            flat = int(np.argmax(slab >= top - _TIE_TOL))
-            best = float(slab[flat])
-            i2, rem = divmod(flat, grid * grid)
-            j1, j2 = divmod(rem, grid)
-            best_idx = (i1, i2, j1, j2)
-    angles = [float(theta[i]) for i in best_idx]
-    return best + 2.0 * rest, angles
-
-
-def _coordinate_ascent(
-    p: float, q: float, rest: float, angles: list[float], step0: float, tol: float = 1e-8
-) -> tuple[float, list[float]]:
-    angles = [a % _TWO_PI for a in angles]
-    best = _family_value(p, q, rest, angles)
-    step = step0
-    while step > tol:
-        improved = False
-        for k in range(4):
-            for delta in (step, -step):
-                candidate = list(angles)
-                candidate[k] = (candidate[k] + delta) % _TWO_PI
-                value = _family_value(p, q, rest, candidate)
-                if value > best + _TIE_TOL:
-                    best, angles = value, candidate
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return best, angles
-
-
-def _rotation_route(
-    state: SchmidtState, grid: int
-) -> tuple[float, tuple, tuple[float, float, float, float]] | None:
-    """Grid + ascent over rotation families, one per rank->=2 sector."""
-    best = None
-    ranks = state.ranks
-    for c in state.charges:
-        if state.rank(c) < 2:
-            continue
-        coeffs = state.coefficients(c)
-        l1, l2 = float(coeffs[0]), float(coeffs[1])
-        p, q = l1 + l2, 2.0 * math.sqrt(l1 * l2)
-        rest = 1.0 - p
-        value, angles = _grid_argmax(p, q, rest, grid)
-        value, angles = _coordinate_ascent(p, q, rest, angles, _TWO_PI / grid)
-        if best is None or value > best[0]:
-            observables = tuple(
-                rotation_observable(ranks, a, target=c) for a in angles
-            )
-            best = (value, observables, tuple(angles))
-    return best
-
-
-def _random_route(
-    state: SchmidtState, restarts: int, seed: int
-) -> tuple[float, tuple] | None:
-    if restarts <= 0:
-        return None
-    if sum(state.ranks.values()) > _DENSE_RANK_LIMIT:
-        return None
-    rng = np.random.default_rng(seed)
-    ranks = state.ranks
-    best = None
-    for _ in range(restarts):
-        draws = tuple(random_involution_observable(rng, ranks) for _ in range(4))
-        value = chsh_value(state, *draws)
-        if best is None or value > best[0]:
-            best = (value, draws)
-    return best
-
-
-def optimize_chsh(
-    state: SchmidtState,
-    copies: int = 1,
-    *,
-    grid: int = 64,
-    restarts: int = 32,
-    seed: int = 42,
-    n_max: int = N_MAX,
-) -> CHSHResult:
-    """Maximize the CHSH combination over local involution observables.
-
-    Runs on the joint ``copies``-fold state.  Routes: exhaustive diagonal
-    signs, the dense-grid rotation family refined by coordinate ascent
-    (to step 1e-8) on each rank->=2 sector, and ``restarts`` seeded draws
-    of general involutions.  Ties prefer the rotation-family witness with
-    its lexicographically smallest grid angles.  Copy counts whose joint
-    rank is too large for dense witness observables are rejected.
+    Starts from 2, reached by identity observables.  Every sector of rank
+    >= 2 offers the rotation family on the plane of its two largest
+    coefficients, worth :func:`type_c_bound` of that pair (Horodecki et
+    al., Phys. Lett. A 200, 340 (1995)); the largest such bound wins if it
+    beats 2, ties going to the first sector.  The angles are (0, pi/2,
+    beta, 2 pi - beta).  The value is a witnessed lower bound on the CHSH
+    optimum unless it equals 2 sqrt(2) or every sector has rank <= 1.
+    Only the grouped Schmidt data is read, so every copy count up to
+    ``n_max`` works; the witness observables are built by
+    :meth:`CHSHResult.witness`.
     """
     joint = n_copy(state, copies, n_max)
-    total_rank = sum(joint.ranks.values())
-    if total_rank > _MATERIALIZE_LIMIT:
-        raise CopyLimitExceeded(
-            f"joint rank {total_rank} exceeds {_MATERIALIZE_LIMIT}; "
-            "witness observables would not fit in dense blocks"
-        )
-    value, observables = _sign_route(joint)
+    value = 2.0
     angles: tuple[float, float, float, float] | None = None
-
-    rotation = _rotation_route(joint, grid)
-    if rotation is not None and rotation[0] >= value:
-        value, observables, angles = rotation
-
-    random_best = _random_route(joint, restarts, seed)
-    if random_best is not None and random_best[0] > value:
-        value, observables = random_best
-        angles = None
-
+    sector: Charge | None = None
+    for c in joint.charges:
+        if joint.rank(c) < 2:
+            continue
+        values, mults = joint.grouped(c)
+        l1 = float(values[0])
+        l2 = l1 if mults[0] >= 2 else float(values[1])
+        bound, (a1, a2, b1, b2) = type_c_bound(l1, l2, 1.0 - l1 - l2)
+        if bound > value:
+            value, sector, angles = bound, c, (a1, a2, b1, b2 % _TWO_PI)
     return CHSHResult(
         value=value,
-        observables=observables,
         angles=angles,
         copies=copies,
         verdict=_verdict(value),
+        sector=sector,
+        ranks=joint.ranks,
     )
 
 

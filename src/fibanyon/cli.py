@@ -4,13 +4,14 @@ Commands::
 
     measures --state F [--out F2] [--format json|csv]
     series   --state F [--max-n N] [--out F2] [--format csv|json]
-    chsh     --state F --copies N [--grid G] [--restarts R] [--seed S] [--out F2]
+    chsh     --state F --copies N [--out F2]
     certify  --state F --copies N [--out F2]
     verify   [--seed S] [--cases M]
 
-States are JSON files ``{"sectors": {"1": [...], "tau": [...]}}``.  Exit
-codes: 0 success, 1 validation error, 2 verification-suite failure,
-64 usage error.  Numbers are emitted with fixed precision so identical
+States are JSON files ``{"sectors": {"1": [...], "tau": [...]}}``.
+Copy counts (``--copies``, ``--max-n``) run from 1 to 24.  Exit codes:
+0 success, 1 validation error, 2 verification-suite failure, 64 usage
+error.  Numbers are emitted with fixed precision so identical
 inputs and seeds produce byte-identical outputs.
 """
 
@@ -24,7 +25,7 @@ from typing import Sequence
 from .bell import CertificateRefusal, locality_certificate, optimize_chsh
 from .errors import ValidationError
 from .measures import measure_report
-from .multicopy import copy_series, n_copy
+from .multicopy import N_MAX, copy_series, n_copy
 from .states import SchmidtState, state_from_dict
 from .verify import run_suite
 
@@ -32,12 +33,14 @@ _USAGE_EXIT = 64
 
 
 class _UsageError(Exception):
-    pass
+    def __init__(self, message: str, usage: str):
+        super().__init__(message)
+        self.usage = usage
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise _UsageError(message, self.format_usage())
 
 
 def build_parser() -> _Parser:
@@ -51,21 +54,18 @@ def build_parser() -> _Parser:
 
     series = sub.add_parser("series", help="per-copy measure series as CSV")
     _add_state(series)
-    series.add_argument("--max-n", type=_positive_int, default=12, help="largest copy count")
+    series.add_argument("--max-n", type=_copy_count, default=12, help="largest copy count")
     _add_out(series)
     series.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    chsh = sub.add_parser("chsh", help="maximize the CHSH combination")
+    chsh = sub.add_parser("chsh", help="closed-form CHSH value of the joint state")
     _add_state(chsh)
-    chsh.add_argument("--copies", type=_positive_int, default=1)
-    chsh.add_argument("--grid", type=int, default=64, help="grid points per angle")
-    chsh.add_argument("--restarts", type=int, default=32, help="random involution draws")
-    chsh.add_argument("--seed", type=int, default=42)
+    chsh.add_argument("--copies", type=_copy_count, default=1)
     _add_out(chsh)
 
     certify = sub.add_parser("certify", help="separable certificate of locality")
     _add_state(certify)
-    certify.add_argument("--copies", type=_positive_int, default=1)
+    certify.add_argument("--copies", type=_copy_count, default=1)
     _add_out(certify)
 
     verify = sub.add_parser("verify", help="run the invariant suite")
@@ -82,6 +82,13 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _copy_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > N_MAX:
+        raise argparse.ArgumentTypeError(f"must be at most {N_MAX}, got {text!r}")
     return value
 
 
@@ -156,13 +163,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_chsh(args: argparse.Namespace) -> int:
-    result = optimize_chsh(
-        _load_state(args.state),
-        copies=args.copies,
-        grid=args.grid,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    result = optimize_chsh(_load_state(args.state), copies=args.copies)
     payload = {
         "value": _round12(result.value),
         "angles": (
@@ -221,7 +222,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        sys.stderr.write(parser.format_usage())
+        sys.stderr.write(exc.usage)
         sys.stderr.write(f"error: {exc}\n")
         return _USAGE_EXIT
     if args.command is None:

@@ -168,12 +168,17 @@ def from_grouped(
 ) -> SchmidtState:
     """Build a state from ``(value, multiplicity)`` groups, renormalizing.
 
-    Same contract as :func:`new_schmidt_state`: negatives rejected, zeros
-    stripped, and the total may deviate from 1 by at most 1e-9.
+    Same contract as :func:`new_schmidt_state`: negatives and non-finite
+    values rejected, zeros stripped, and the total may deviate from 1 by
+    at most 1e-9.
     """
     for c, entries in grouped.items():
         label = _as_charge(c).value
         for value, mult in entries:
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"non-finite Schmidt coefficient {value!r} in sector {label!r}"
+                )
             if value < 0.0:
                 raise ValidationError(
                     f"negative Schmidt coefficient {value!r} in sector {label!r}"
@@ -197,16 +202,23 @@ def from_grouped(
 def new_schmidt_state(sectors: Mapping[Charge | str, Sequence[float]]) -> SchmidtState:
     """Validate and canonicalize sector-indexed Schmidt coefficients.
 
-    Coefficients must be nonnegative with at least one positive entry and
-    total within 1e-9 of 1 (they are then renormalized exactly).  Zeros
-    are stripped; within each sector the list is sorted descending.
+    Coefficients must be finite, nonnegative numbers with at least one
+    positive entry and total within 1e-9 of 1 (they are then renormalized
+    exactly).  Zeros are stripped; within each sector the list is sorted
+    descending.
     """
     grouped: dict[Charge, list[tuple[float, int]]] = {}
     for key, values in sectors.items():
         c = _as_charge(key)
         entries: list[tuple[float, int]] = []
         for i, value in enumerate(values):
-            v = float(value)
+            try:
+                v = float(value)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"Schmidt coefficient {value!r} at sector {c.value!r} index {i} "
+                    "is not a number"
+                ) from None
             if v < 0.0:
                 raise ValidationError(
                     f"negative Schmidt coefficient {value!r} at sector {c.value!r} index {i}"

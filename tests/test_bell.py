@@ -222,14 +222,14 @@ class TestOptimizeChsh:
                     l1, l2 = float(coeffs[0]), float(coeffs[1])
                     bound, _ = type_c_bound(l1, l2, 1.0 - l1 - l2)
                     best_bound = max(best_bound, bound)
-            result = optimize_chsh(state, restarts=4)
-            assert result.value >= best_bound - 1e-6
+            result = optimize_chsh(state)
+            assert chsh_value(state, *result.witness()) >= best_bound - 1e-6
 
     def test_rank_one_states_never_violate(self):
         rng = np.random.default_rng(80)
         for _ in range(10):
             state = random_schmidt_state(rng, max_rank=1)
-            result = optimize_chsh(state, restarts=8)
+            result = optimize_chsh(state)
             assert result.value <= 2.0 + 1e-6
 
     def test_copy_limit(self):
@@ -237,10 +237,42 @@ class TestOptimizeChsh:
             optimize_chsh(tau_line(), copies=40)
 
     def test_dense_witness_limit(self):
-        # 20 joint copies keep grouped Schmidt data tiny, but the flat rank
-        # (a Fibonacci number) is too large for dense witness blocks.
+        # 20 joint copies keep grouped Schmidt data tiny, so the value needs
+        # no dense matrices; the flat rank (a Fibonacci number) is too large
+        # for dense witness blocks.
+        result = optimize_chsh(tau_line(), copies=20)
+        assert round(result.value, 12) == 2.000177222615
+        assert result.verdict == "violation"
+        assert sum(result.ranks.values()) > 2048
         with pytest.raises(CopyLimitExceeded):
-            optimize_chsh(tau_line(), copies=20)
+            result.witness()
+
+
+class TestWitness:
+    """The closed-form value, reproduced by its witness through ``chsh_value``."""
+
+    @pytest.mark.parametrize("copies", range(1, 13))
+    def test_tau_pair(self, copies):
+        result = optimize_chsh(tau_line(), copies=copies)
+        joint = n_copy(tau_line(), copies)
+        assert chsh_value(joint, *result.witness()) == pytest.approx(result.value, abs=1e-12)
+
+    def test_random_states(self):
+        rng = np.random.default_rng(81)
+        for _ in range(50):
+            state = random_schmidt_state(rng)
+            copies = int(rng.integers(1, 4))
+            result = optimize_chsh(state, copies=copies)
+            joint = n_copy(state, copies)
+            witnessed = chsh_value(joint, *result.witness())
+            assert witnessed == pytest.approx(result.value, abs=1e-12)
+
+    def test_local_witness_is_identity(self):
+        result = optimize_chsh(tau_line(), copies=2)
+        assert result.sector is None and result.angles is None
+        for obs in result.witness():
+            for c in obs.charges():
+                np.testing.assert_array_equal(obs.block(c), np.eye(obs.block(c).shape[0]))
 
 
 class TestLocalityCertificate:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fibanyon import verify
 from fibanyon.cli import main
 
 TAU_STATE = {"sectors": {"tau": [1.0]}}
@@ -30,6 +31,16 @@ VERIFY_SEED42_CASES3 = (
     "PASS  chsh-three-copies: n=3 optimum 2.632862 (target 2.632862); n<=2 stays local\n"
     "16/16 checks passed\n"
 )
+
+#: ``chsh --copies n`` stdout on the tau-pair for n = 1, 2, 3.
+CHSH_TAU_PAIR = {
+    1: '{"value":2.0,"angles":null,"copies":1,"verdict":"local-bound-respected"}\n',
+    2: '{"value":2.0,"angles":null,"copies":2,"verdict":"local-bound-respected"}\n',
+    3: (
+        '{"value":2.632862008901,"angles":[0.0,1.570796326795,0.785398163397,'
+        '5.497787143782],"copies":3,"verdict":"violation"}\n'
+    ),
+}
 
 
 @pytest.fixture
@@ -115,13 +126,21 @@ class TestChsh:
         assert payload["value"] <= 2.0 + 1e-6
 
     def test_deterministic_with_seed(self, capsys, tau_file):
-        _, out1, _ = run(
-            capsys, ["chsh", "--state", tau_file, "--copies", "3", "--seed", "7"]
-        )
-        _, out2, _ = run(
-            capsys, ["chsh", "--state", tau_file, "--copies", "3", "--seed", "7"]
-        )
+        # chsh draws no random numbers, so it takes no seed; runs repeat exactly.
+        _, out1, _ = run(capsys, ["chsh", "--state", tau_file, "--copies", "3"])
+        _, out2, _ = run(capsys, ["chsh", "--state", tau_file, "--copies", "3"])
         assert out1 == out2
+
+    @pytest.mark.parametrize("copies", sorted(CHSH_TAU_PAIR))
+    def test_golden_tau_pair(self, capsys, tau_file, copies):
+        code, out, _ = run(capsys, ["chsh", "--state", tau_file, "--copies", str(copies)])
+        assert code == 0
+        assert out == CHSH_TAU_PAIR[copies]
+
+    def test_largest_copy_count(self, capsys, tau_file):
+        code, out, _ = run(capsys, ["chsh", "--state", tau_file, "--copies", "24"])
+        assert code == 0
+        assert json.loads(out)["copies"] == 24
 
 
 class TestCertify:
@@ -152,6 +171,14 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--seed", "42", "--cases", "3"])
         assert code == 0
         assert out == VERIFY_SEED42_CASES3
+
+    def test_decomposition_violation_is_a_failed_check(self, capsys, monkeypatch):
+        real = verify.e_ce_pure
+        monkeypatch.setattr(verify, "e_ce_pure", lambda state: real(state) + 1e-6)
+        code, out, _ = run(capsys, ["verify", "--seed", "42", "--cases", "3"])
+        assert code == 2
+        assert "FAIL  decomposition-closed-form: max |AREE - ACE - CE| = 1.000e-06" in out
+        assert out.endswith("15/16 checks passed\n")
 
 
 class TestExitCodes:
@@ -203,3 +230,37 @@ class TestExitCodes:
         code, _, err = run(capsys, argv)
         assert code == 64
         assert f"argument {argv[-2]}: must be a positive integer" in err
+
+    def test_usage_line_names_the_subcommand(self, capsys):
+        code, _, err = run(capsys, ["verify", "--cases", "0"])
+        assert code == 64
+        assert err.startswith("usage: fibanyon verify")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chsh", "--copies", "30"],
+            ["certify", "--copies", "30"],
+            ["series", "--max-n", "30"],
+        ],
+    )
+    def test_copy_count_above_limit_is_usage_error(self, capsys, tau_file, argv):
+        code, _, err = run(capsys, [argv[0], "--state", tau_file, *argv[1:]])
+        assert code == 64
+        assert err.startswith(f"usage: fibanyon {argv[0]}")
+        assert f"argument {argv[1]}: must be at most 24, got '30'" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"sectors":{"tau":["abc"]}}', "is not a number"),
+            ('{"sectors":{"tau":[NaN,1.0]}}', "non-finite Schmidt coefficient nan"),
+        ],
+    )
+    def test_malformed_coefficient(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["measures", "--state", str(path)])
+        assert code == 1
+        assert out == ""
+        assert message in err
