@@ -40,7 +40,7 @@ for _ in range(5):
     for c in state.charges:
         if state.rank(c) >= 2:
             l1, l2 = (float(x) for x in state.coefficients(c)[:2])
-            bound, _ = fa.type_c_bound(l1, l2, 1.0 - l1 - l2)
+            bound, _ = fa.type_c_bound(l1, l2)
             best_bound = max(best_bound, bound)
     found = fa.chsh_value(state, *fa.optimize_chsh(state).witness())
     print(f"  bound {best_bound:.6f}  <=  witness {found:.6f}")

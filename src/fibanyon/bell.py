@@ -39,7 +39,7 @@ from .measures import (
     omega_project,
 )
 from .model import CHARGE_ORDER, Charge
-from .multicopy import N_MAX, n_copy
+from .multicopy import n_copy
 from .states import (
     KIND_JOINT,
     KIND_PRODUCT,
@@ -86,10 +86,6 @@ class Observable:
     def charges(self) -> tuple[Charge, ...]:
         return tuple(c for c in CHARGE_ORDER if c in self._blocks)
 
-    @property
-    def ranks(self) -> dict[Charge, int]:
-        return {c: m.shape[0] for c, m in self._blocks.items()}
-
 
 def identity_observable(ranks: Mapping[Charge, int]) -> Observable:
     return Observable(
@@ -97,44 +93,28 @@ def identity_observable(ranks: Mapping[Charge, int]) -> Observable:
     )
 
 
-def sign_observable(
-    ranks: Mapping[Charge, int], signs: Mapping[Charge, int]
-) -> Observable:
-    """+-identity per sector; the full observable set for rank-1 sectors."""
-    return Observable(
-        {
-            c: float(signs.get(c, 1)) * np.eye(int(k))
-            for c, k in ranks.items()
-            if int(k) > 0
-        }
-    )
-
-
 def rotation_observable(
-    ranks: Mapping[Charge, int],
-    angle: float,
-    target: Charge,
-    plane: tuple[int, int] = (0, 1),
+    ranks: Mapping[Charge, int], angle: float, target: Charge
 ) -> Observable:
-    """Planar rotation-reflection on a 2-plane of one sector, +1 elsewhere.
+    """Planar rotation-reflection on the first two basis vectors of one sector.
 
-    The target block is [[cos t, sin t], [sin t, -cos t]] on the chosen
-    basis pair; every other diagonal entry is pinned to +1.
+    The target block opens with [[cos t, sin t], [sin t, -cos t]]; every
+    other diagonal entry is pinned to +1.  Sectors list their coefficients
+    in descending order, so the plane is that of the sector's two largest.
     """
     ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
     k_target = ranks.get(target, 0)
-    i, j = plane
-    if k_target < 2 or not (0 <= i < k_target and 0 <= j < k_target) or i == j:
+    if k_target < 2:
         raise TargetRankError(
-            f"sector {target.value!r} has rank {k_target}, cannot host plane {plane!r}"
+            f"sector {target.value!r} has rank {k_target}, cannot host a rotation plane"
         )
     blocks = {c: np.eye(k) for c, k in ranks.items()}
     cos_t, sin_t = math.cos(angle), math.sin(angle)
     block = blocks[target]
-    block[i, i] = cos_t
-    block[j, j] = -cos_t
-    block[i, j] = sin_t
-    block[j, i] = sin_t
+    block[0, 0] = cos_t
+    block[1, 1] = -cos_t
+    block[0, 1] = sin_t
+    block[1, 0] = sin_t
     return Observable(blocks)
 
 
@@ -243,11 +223,11 @@ def chsh_value_operator(
 # ---------------------------------------------------------------------------
 
 
-def type_c_bound(l1: float, l2: float, rest: float) -> tuple[float, tuple[float, float, float, float]]:
+def type_c_bound(l1: float, l2: float) -> tuple[float, tuple[float, float, float, float]]:
     """CHSH value reachable on the 2-plane of two same-sector coefficients.
 
-    For coefficients l1, l2 sharing a sector (p = l1 + l2, remaining
-    probability ``rest`` pinned to +1 eigenvectors)::
+    For coefficients l1, l2 sharing a sector (p = l1 + l2 <= 1, the
+    remaining probability 1 - p pinned to +1 eigenvectors)::
 
         value = 2 p sqrt(1 + 4 l1 l2 / p**2) + 2 (1 - p)
 
@@ -256,8 +236,8 @@ def type_c_bound(l1: float, l2: float, rest: float) -> tuple[float, tuple[float,
     """
     if l1 <= 0.0 or l2 <= 0.0:
         raise DomainError(f"plane coefficients must be positive, got {l1!r}, {l2!r}")
-    if abs(l1 + l2 + rest - 1.0) > 1e-9:
-        raise DomainError(f"probabilities sum to {l1 + l2 + rest!r}, not 1")
+    if l1 + l2 > 1.0 + 1e-9:
+        raise DomainError(f"plane coefficients sum to {l1 + l2!r}, more than 1")
     p = l1 + l2
     q = 2.0 * math.sqrt(l1 * l2)
     value = 2.0 * math.sqrt(p * p + q * q) + 2.0 * (1.0 - p)
@@ -312,20 +292,12 @@ class CHSHResult:
             return identity, identity, identity, identity
         return tuple(rotation_observable(self.ranks, a, target=self.sector) for a in self.angles)
 
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "angles": list(self.angles) if self.angles is not None else None,
-            "copies": self.copies,
-            "verdict": self.verdict,
-        }
-
 
 def _verdict(value: float) -> str:
     return "violation" if value > 2.0 + _VIOLATION_TOL else "local-bound-respected"
 
 
-def optimize_chsh(state: SchmidtState, copies: int = 1, *, n_max: int = N_MAX) -> CHSHResult:
+def optimize_chsh(state: SchmidtState, copies: int = 1) -> CHSHResult:
     """CHSH value of the joint ``copies``-fold state, in closed form.
 
     Starts from 2, reached by identity observables.  Every sector of rank
@@ -335,11 +307,11 @@ def optimize_chsh(state: SchmidtState, copies: int = 1, *, n_max: int = N_MAX) -
     beats 2, ties going to the first sector.  The angles are (0, pi/2,
     beta, 2 pi - beta).  The value is a witnessed lower bound on the CHSH
     optimum unless it equals 2 sqrt(2) or every sector has rank <= 1.
-    Only the grouped Schmidt data is read, so every copy count up to
-    ``n_max`` works; the witness observables are built by
+    Only the grouped Schmidt data is read, so every copy count that
+    :func:`n_copy` accepts works; the witness observables are built by
     :meth:`CHSHResult.witness`.
     """
-    joint = n_copy(state, copies, n_max)
+    joint = n_copy(state, copies)
     value = 2.0
     angles: tuple[float, float, float, float] | None = None
     sector: Charge | None = None
@@ -349,7 +321,7 @@ def optimize_chsh(state: SchmidtState, copies: int = 1, *, n_max: int = N_MAX) -
         values, mults = joint.grouped(c)
         l1 = float(values[0])
         l2 = l1 if mults[0] >= 2 else float(values[1])
-        bound, (a1, a2, b1, b2) = type_c_bound(l1, l2, 1.0 - l1 - l2)
+        bound, (a1, a2, b1, b2) = type_c_bound(l1, l2)
         if bound > value:
             value, sector, angles = bound, c, (a1, a2, b1, b2 % _TWO_PI)
     return CHSHResult(

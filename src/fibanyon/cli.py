@@ -121,10 +121,13 @@ def _emit(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+                if not text.endswith("\n"):
+                    handle.write("\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write output file {out!r}: {exc}") from exc
 
 
 def _json_line(payload: dict) -> str:

@@ -11,7 +11,8 @@ Four measures are computed, all in bits:
 * CE   -- conventional entanglement, the AREE of the Omega image.
 
 For pure states AREE = ACE + CE holds exactly; :func:`measure_report`
-asserts it.  Closed forms (in terms of the Schmidt data) are paired with
+asserts it, and :func:`classify` sorts states into types A, B and C by
+their ACE and CE.  Closed forms (in terms of the Schmidt data) are paired with
 a fully numeric route through block relative entropies, so each side can
 oracle the other: :func:`pythagorean_residual` certifies the
 decomposition numerically, and :func:`minimality_gradient`, the exact
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from typing import Mapping
 
 import numpy as np
@@ -48,6 +50,7 @@ _EIG_ZERO = 1e-12
 _EIG_CLAMP = 1e-300
 _SUPPORT_TOL = 1e-10
 _DECOMP_TOL = 1e-9
+_CLASS_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -55,12 +58,22 @@ _DECOMP_TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 
-def e_aree_pure(state: SchmidtState) -> float:
-    """AREE of a pure state: H({lambda}) + 2 * p_tau * log2(d_tau)."""
+def _schmidt_entropy(state: SchmidtState) -> float:
+    """H({lambda_{c,i}}) in bits, summed group by group over the Schmidt data."""
     h = 0.0
     for _, value, mult in state.items():
         h -= mult * value * math.log2(value)
-    return h + 2.0 * state.p_tau * LOG2_PHI
+    return h
+
+
+def aee(state: SchmidtState) -> float:
+    """Anyonic entanglement entropy H({lambda_{c,i}}) + p_tau * log2(d_tau)."""
+    return _schmidt_entropy(state) + state.p_tau * LOG2_PHI
+
+
+def e_aree_pure(state: SchmidtState) -> float:
+    """AREE of a pure state: H({lambda}) + 2 * p_tau * log2(d_tau)."""
+    return _schmidt_entropy(state) + 2.0 * state.p_tau * LOG2_PHI
 
 
 def e_ace_pure(state: SchmidtState) -> float:
@@ -104,14 +117,35 @@ class MeasureReport:
 
 def measure_report(state: SchmidtState) -> MeasureReport:
     """All four closed-form measures; asserts AREE = ACE + CE before returning."""
-    from .states import aee
-
     return MeasureReport(
         aee=aee(state),
         aree=e_aree_pure(state),
         ace=e_ace_pure(state),
         ce=e_ce_pure(state),
     )
+
+
+class StateClass(Enum):
+    """Entanglement classes of pure anyonic states.
+
+    TYPE_A: no entanglement of any kind (product states).
+    TYPE_B: charge entanglement only; local, but multi-copy measurements
+        activate a Bell violation.
+    TYPE_C: nonzero conventional entanglement; violates CHSH outright.
+    """
+
+    TYPE_A = "A"
+    TYPE_B = "B"
+    TYPE_C = "C"
+
+
+def classify(state: SchmidtState) -> StateClass:
+    """Classify by the charge and conventional entanglement, each zero below 1e-10."""
+    if e_ce_pure(state) > _CLASS_TOL:
+        return StateClass.TYPE_C
+    if e_ace_pure(state) > _CLASS_TOL:
+        return StateClass.TYPE_B
+    return StateClass.TYPE_A
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +456,10 @@ def pythagorean_residual(state: SchmidtState) -> float:
 def random_separable_direction(
     rng: np.random.Generator,
     ranks: Mapping[Charge, int],
-    max_terms: int = 3,
 ) -> SeparableState:
-    """Random mixture of random product states on the given sector ranks."""
+    """Random mixture of one to three random product states on the given sector ranks."""
     ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
-    n_terms = int(rng.integers(1, max_terms + 1))
+    n_terms = int(rng.integers(1, 4))
     weights = rng.dirichlet(np.ones(n_terms))
     terms = []
     for w in weights:

@@ -18,22 +18,22 @@ import math
 from dataclasses import dataclass
 
 from .errors import CopyLimitExceeded
-from .measures import e_aree_pure, measure_report
+from .measures import _schmidt_entropy, measure_report
 from .model import CHARGE_ORDER, LOG2_PHI, PHI, Charge, fusion_space_dim, qdim_float
-from .states import SchmidtState, aee, from_grouped
+from .states import SchmidtState, from_grouped
 
-#: Default cap on copy counts; grouped sector data stays in the
+#: Cap on copy counts; grouped sector data stays in the
 #: hundred-thousand-entry range up to here.
 N_MAX = 24
 
 _CONSISTENCY_TOL = 1e-9
 
 
-def _check_copies(n: int, n_max: int) -> None:
+def _check_copies(n: int) -> None:
     if n < 1:
         raise ValueError(f"copy count must be positive, got {n}")
-    if n > n_max:
-        raise CopyLimitExceeded(f"n={n} exceeds the copy limit {n_max}")
+    if n > N_MAX:
+        raise CopyLimitExceeded(f"n={n} exceeds the copy limit {N_MAX}")
 
 
 def _paths(m_tau: int, c: Charge) -> int:
@@ -62,9 +62,9 @@ def _multinomial(n: int, counts: tuple[int, ...]) -> int:
     return out
 
 
-def n_copy(state: SchmidtState, n: int, n_max: int = N_MAX) -> SchmidtState:
-    """Joint n-copy of a pure state, as a pure state in Schmidt form."""
-    _check_copies(n, n_max)
+def n_copy(state: SchmidtState, n: int) -> SchmidtState:
+    """Joint n-copy of a pure state, as a pure state in Schmidt form; 1 <= n <= ``N_MAX``."""
+    _check_copies(n)
     if n == 1:
         return state
 
@@ -128,16 +128,14 @@ def e_aree_ncopy(state: SchmidtState, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"copy count must be positive, got {n}")
-    h_single = 0.0
-    for _, value, mult in state.items():
-        h_single -= mult * value * math.log2(value)
+    h_single = _schmidt_entropy(state)
     p_tau_n = _ncopy_sector_probability(state, n, Charge.TAU)
     return n * h_single + n * state.p_tau * LOG2_PHI + p_tau_n * LOG2_PHI
 
 
 @dataclass(frozen=True)
 class CopySeries:
-    """Per-copy averages of the four measures for n = 1..n_max."""
+    """Per-copy averages of the four measures, one row per copy count from 1."""
 
     rows: tuple[tuple[int, float, float, float, float], ...]
 
@@ -152,13 +150,12 @@ class CopySeries:
 
 
 def copy_series(state: SchmidtState, n_max: int = 12) -> CopySeries:
-    """Per-copy measure averages on constructed joint copies.
+    """Per-copy measure averages on constructed joint copies, n = 1..n_max.
 
     The AREE closed form is asserted against the constructed state for
     every row, so the series doubles as a consistency check.
     """
-    if not 1 <= n_max <= N_MAX:
-        raise CopyLimitExceeded(f"series length must be within 1..{N_MAX}, got {n_max}")
+    _check_copies(n_max)
     rows = []
     for n in range(1, n_max + 1):
         joint = n_copy(state, n)
@@ -172,9 +169,3 @@ def copy_series(state: SchmidtState, n_max: int = 12) -> CopySeries:
             (n, report.aee / n, report.aree / n, report.ace / n, report.ce / n)
         )
     return CopySeries(tuple(rows))
-
-
-def aee_additivity_check(state: SchmidtState, n: int, n_max: int = N_MAX) -> float:
-    """aee(n-copy) - n * aee(single copy); callers assert it vanishes."""
-    _check_copies(n, n_max)
-    return aee(n_copy(state, n, n_max)) - n * aee(state)

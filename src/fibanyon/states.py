@@ -23,7 +23,6 @@ The quantum trace of any of these is ``sum_blocks weight * tr(block)``.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
@@ -41,6 +40,8 @@ KIND_PRODUCT = "product"
 KIND_JOINT = "joint"
 
 _SUM_TOL = 1e-9
+#: No single coefficient of a state can exceed 1 by more than the sum tolerance.
+_COEFF_MAX = 1.0 + _SUM_TOL
 _STATE_TOL = 1e-10
 _PURITY_TOL = 1e-10
 _EIG_ZERO = 1e-12
@@ -168,20 +169,24 @@ def from_grouped(
 ) -> SchmidtState:
     """Build a state from ``(value, multiplicity)`` groups, renormalizing.
 
-    Same contract as :func:`new_schmidt_state`: negatives and non-finite
-    values rejected, zeros stripped, and the total may deviate from 1 by
-    at most 1e-9.
+    Same contract as :func:`new_schmidt_state`: negatives, non-finite
+    values and values above 1 + 1e-9 rejected, zeros stripped, and the
+    total may deviate from 1 by at most 1e-9.
     """
     for c, entries in grouped.items():
         label = _as_charge(c).value
         for value, mult in entries:
-            if not math.isfinite(value):
-                raise ValidationError(
-                    f"non-finite Schmidt coefficient {value!r} in sector {label!r}"
-                )
-            if value < 0.0:
-                raise ValidationError(
-                    f"negative Schmidt coefficient {value!r} in sector {label!r}"
+            if not 0.0 <= value <= _COEFF_MAX:
+                if not math.isfinite(value):
+                    raise ValidationError(
+                        f"non-finite Schmidt coefficient {value!r} in sector {label!r}"
+                    )
+                if value < 0.0:
+                    raise ValidationError(
+                        f"negative Schmidt coefficient {value!r} in sector {label!r}"
+                    )
+                raise NormalizationError(
+                    f"Schmidt coefficient {value!r} in sector {label!r} exceeds 1"
                 )
             if mult < 0:
                 raise ValidationError(f"negative multiplicity {mult!r} in sector {label!r}")
@@ -214,7 +219,7 @@ def new_schmidt_state(sectors: Mapping[Charge | str, Sequence[float]]) -> Schmid
         for i, value in enumerate(values):
             try:
                 v = float(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValidationError(
                     f"Schmidt coefficient {value!r} at sector {c.value!r} index {i} "
                     "is not a number"
@@ -229,12 +234,25 @@ def new_schmidt_state(sectors: Mapping[Charge | str, Sequence[float]]) -> Schmid
 
 
 def state_from_dict(payload: Mapping) -> SchmidtState:
-    """Parse the on-disk state format ``{"sectors": {"1": [...], "tau": [...]}}``."""
+    """Parse the on-disk state format ``{"sectors": {"1": [...], "tau": [...]}}``.
+
+    Each sector must be an array of JSON numbers; booleans, strings and
+    nested containers are rejected with :class:`ValidationError`.
+    """
     if not isinstance(payload, Mapping) or "sectors" not in payload:
         raise ValidationError('state file must be an object with a "sectors" key')
     sectors = payload["sectors"]
     if not isinstance(sectors, Mapping):
         raise ValidationError('"sectors" must map charge labels to coefficient arrays')
+    for label, values in sectors.items():
+        if not isinstance(values, list):
+            raise ValidationError(f"sector {label!r} must be an array of numbers, got {values!r}")
+        for i, value in enumerate(values):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValidationError(
+                    f"Schmidt coefficient {value!r} at sector {label!r} index {i} "
+                    "is not a number"
+                )
     return new_schmidt_state(sectors)
 
 
@@ -242,16 +260,6 @@ def state_to_dict(state: SchmidtState) -> dict:
     return {
         "sectors": {c.value: [float(v) for v in state.coefficients(c)] for c in state.charges}
     }
-
-
-def aee(state: SchmidtState) -> float:
-    """Anyonic entanglement entropy H({lambda_{c,i}}) + p_tau * log2(d_tau)."""
-    from .model import LOG2_PHI
-
-    h = 0.0
-    for _, value, mult in state.items():
-        h -= mult * value * math.log2(value)
-    return h + state.p_tau * LOG2_PHI
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +369,15 @@ class GradedDensityOperator:
             sum(self.weight(key) * np.trace(m).real for key, m in self._blocks.items())
         )
 
-    def is_hermitian(self, tol: float = _STATE_TOL) -> bool:
-        return all(
-            np.allclose(m, m.conj().T, atol=tol) for m in self._blocks.values()
-        )
-
-    def assert_state(self, tol: float = _STATE_TOL) -> None:
-        """Raise :class:`NotAState` unless Hermitian, PSD, and unit quantum trace."""
-        if not self.is_hermitian(tol):
+    def assert_state(self) -> None:
+        """Raise :class:`NotAState` unless Hermitian, PSD, and unit quantum trace, to 1e-10."""
+        if not all(np.allclose(m, m.conj().T, atol=_STATE_TOL) for m in self._blocks.values()):
             raise NotAState("operator is not Hermitian")
         for key, m in self._blocks.items():
-            if m.shape[0] and np.linalg.eigvalsh(m).min() < -tol:
+            if m.shape[0] and np.linalg.eigvalsh(m).min() < -_STATE_TOL:
                 raise NotAState(f"block {key!r} is not positive semidefinite")
         trace = self.quantum_trace()
-        if abs(trace - 1.0) > tol:
+        if abs(trace - 1.0) > _STATE_TOL:
             raise NotAState(f"quantum trace is {trace!r}, not 1")
 
     def __repr__(self) -> str:
@@ -412,31 +415,6 @@ def anyonic_entropy(op: GradedDensityOperator) -> float:
 def is_pure(op: GradedDensityOperator) -> bool:
     """True iff the anyonic entropy vanishes (below 1e-10)."""
     return anyonic_entropy(op) <= _PURITY_TOL
-
-
-class StateClass(Enum):
-    """Entanglement classes of pure anyonic states.
-
-    TYPE_A: no entanglement of any kind (product states).
-    TYPE_B: charge entanglement only; local, but multi-copy measurements
-        activate a Bell violation.
-    TYPE_C: nonzero conventional entanglement; violates CHSH outright.
-    """
-
-    TYPE_A = "A"
-    TYPE_B = "B"
-    TYPE_C = "C"
-
-
-def classify(state: SchmidtState, tol: float = _PURITY_TOL) -> StateClass:
-    """Classify by the charge-entanglement and conventional-entanglement measures."""
-    from .measures import e_ace_pure, e_ce_pure
-
-    if e_ce_pure(state) > tol:
-        return StateClass.TYPE_C
-    if e_ace_pure(state) > tol:
-        return StateClass.TYPE_B
-    return StateClass.TYPE_A
 
 
 def random_schmidt_state(

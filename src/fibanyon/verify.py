@@ -27,6 +27,7 @@ from .bell import (
     random_involution_observable,
 )
 from .measures import (
+    aee,
     closest_separable_candidate,
     e_ace_pure,
     e_aree_pure,
@@ -49,7 +50,7 @@ from .model import (
     fusion_space_dim,
     qdim,
 )
-from .multicopy import CopySeries, aee_additivity_check, copy_series, e_aree_ncopy, n_copy
+from .multicopy import CopySeries, copy_series, e_aree_ncopy, n_copy
 from .states import GradedDensityOperator, SchmidtState, new_schmidt_state, random_schmidt_state
 
 
@@ -188,7 +189,7 @@ def run_suite(seed: int = 42, cases: int = 100) -> list[CheckResult]:
     n_grad_states = max(2, min(10, cases // 10))
     results += check_separable_oracle(rng, states[:100], states[:n_grad_states], 40)
 
-    worst = max(abs(aee_additivity_check(s, n)) for s in states[:10] for n in (2, 3))
+    worst = max(abs(aee(n_copy(s, n)) - n * aee(s)) for s in states[:10] for n in (2, 3))
     record("aee-additivity", worst < 1e-9, f"max |aee(n-copy) - n aee| = {worst:.3e}")
 
     worst = max(

@@ -160,7 +160,7 @@ def test_criterion_6_plane_violation_formula():
             if state.rank(c) >= 2:
                 coeffs = state.coefficients(c)
                 l1, l2 = float(coeffs[0]), float(coeffs[1])
-                bound, _ = type_c_bound(l1, l2, 1.0 - l1 - l2)
+                bound, _ = type_c_bound(l1, l2)
                 best_bound = max(best_bound, bound)
         witnessed = chsh_value(state, *optimize_chsh(state).witness())
         shortfall = max(shortfall, best_bound - witnessed)

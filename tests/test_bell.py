@@ -18,7 +18,6 @@ from fibanyon.bell import (
     optimize_chsh,
     random_involution_observable,
     rotation_observable,
-    sign_observable,
     type_c_bound,
 )
 from fibanyon.errors import (
@@ -125,8 +124,8 @@ class TestChshValue:
         state = new_schmidt_state({VAC: [1.0]})
         for s1 in (1, -1):
             for s2 in (1, -1):
-                a1 = sign_observable(state.ranks, {VAC: s1})
-                a2 = sign_observable(state.ranks, {VAC: s2})
+                a1 = Observable({VAC: [[s1]]})
+                a2 = Observable({VAC: [[s2]]})
                 value = chsh_value(state, a1, a2, a1, a2)
                 assert -2.0 <= value <= 2.0
 
@@ -156,17 +155,17 @@ class TestChshValue:
 
 class TestTypeCBound:
     def test_bell_pair(self):
-        value, angles = type_c_bound(0.5, 0.5, 0.0)
+        value, angles = type_c_bound(0.5, 0.5)
         assert value == pytest.approx(2.8284271247, abs=1e-9)
         assert angles[2] == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_partial_plane(self):
-        value, _ = type_c_bound(0.3, 0.3, 0.4)
+        value, _ = type_c_bound(0.3, 0.3)
         assert value == pytest.approx(1.2 * math.sqrt(2.0) + 0.8, abs=1e-12)
         assert value == pytest.approx(2.4970562748, abs=1e-9)
 
     def test_boundary_approaches_two(self):
-        value, _ = type_c_bound(1e-12, 1e-12, 1.0 - 2e-12)
+        value, _ = type_c_bound(1e-12, 1e-12)
         assert value == pytest.approx(2.0, abs=1e-9)
 
     def test_angles_achieve_the_bound(self):
@@ -175,7 +174,7 @@ class TestTypeCBound:
         for l1, l2 in ((0.5, 0.3), (0.45, 0.15), (0.2, 0.1)):
             rest = 1.0 - l1 - l2
             state = new_schmidt_state({VAC: [l1, l2], TAU: [rest]})
-            value, angles = type_c_bound(l1, l2, rest)
+            value, angles = type_c_bound(l1, l2)
             obs = [
                 rotation_observable(state.ranks, a, target=VAC) for a in angles
             ]
@@ -183,11 +182,11 @@ class TestTypeCBound:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            type_c_bound(0.0, 0.5, 0.5)
+            type_c_bound(0.0, 0.5)
         with pytest.raises(DomainError):
-            type_c_bound(0.5, -0.1, 0.6)
+            type_c_bound(0.5, -0.1)
         with pytest.raises(DomainError):
-            type_c_bound(0.5, 0.4, 0.5)
+            type_c_bound(0.6, 0.5)
 
 
 class TestOptimizeChsh:
@@ -220,7 +219,7 @@ class TestOptimizeChsh:
                 if state.rank(c) >= 2:
                     coeffs = state.coefficients(c)
                     l1, l2 = float(coeffs[0]), float(coeffs[1])
-                    bound, _ = type_c_bound(l1, l2, 1.0 - l1 - l2)
+                    bound, _ = type_c_bound(l1, l2)
                     best_bound = max(best_bound, bound)
             result = optimize_chsh(state)
             assert chsh_value(state, *result.witness()) >= best_bound - 1e-6

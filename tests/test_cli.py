@@ -42,6 +42,43 @@ CHSH_TAU_PAIR = {
     ),
 }
 
+#: A state with a rank-2 vacuum sector and a tau sector.
+MIXED_STATE = {"sectors": {"1": [0.3, 0.2], "tau": [0.5]}}
+
+#: ``series --max-n 12`` stdout on the tau-pair.
+SERIES_TAU_PAIR = (
+    "n,aee,aree,ace,ce\n"
+    "1,0.694241913631,1.38848382726,1.38848382726,0\n"
+    "2,0.694241913631,0.90877446315,0.90877446315,0\n"
+    "3,0.694241913631,0.871026456692,0.616382449192,0.2546440075\n"
+    "4,0.694241913631,0.817158126965,0.463589941122,0.353568185844\n"
+    "5,0.694241913631,0.795530443776,0.371016112502,0.424514331275\n"
+    "6,0.694241913631,0.777708252698,0.309197962827,0.468510289871\n"
+    "7,0.694241913631,0.766092497343,0.265029043131,0.501063454212\n"
+    "8,0.694241913631,0.757008232076,0.231900696681,0.525107535395\n"
+    "9,0.694241913631,0.750069148214,0.206133989389,0.543935158825\n"
+    "10,0.694241913631,0.744474409492,0.185520595282,0.55895381421\n"
+    "11,0.694241913631,0.739911991161,0.168655087261,0.5712569039\n"
+    "12,0.694241913631,0.736104690531,0.154600496742,0.581504193789\n"
+)
+
+#: ``series --max-n 6`` stdout on ``MIXED_STATE``.
+SERIES_MIXED = (
+    "n,aee,aree,ace,ce\n"
+    "1,1.83259625404,2.17971721086,1.69424191363,0.485475297227\n"
+    "2,1.83259625404,2.05978986983,0.919375734297,1.14041413553\n"
+    "3,1.83259625404,1.99510769851,0.617862169721,1.37724552879\n"
+    "4,1.83259625404,1.95704059184,0.463762423379,1.49327816846\n"
+    "5,1.83259625404,1.93278477759,0.371038197773,1.56174657982\n"
+    "6,1.83259625404,1.91624971053,0.309200754977,1.60704895555\n"
+)
+
+#: ``measures`` stdout on ``MIXED_STATE``.
+MEASURES_MIXED = (
+    '{"aee":1.832596254043,"aree":2.179717210858,"ace":1.694241913631,'
+    '"ce":0.485475297227}\n'
+)
+
 
 @pytest.fixture
 def tau_file(tmp_path):
@@ -49,6 +86,13 @@ def tau_file(tmp_path):
     path.write_text(json.dumps(TAU_STATE), encoding="utf-8")
     return str(path)
 
+
+
+@pytest.fixture
+def mixed_file(tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(MIXED_STATE), encoding="utf-8")
+    return str(path)
 
 def run(capsys, argv):
     code = main(argv)
@@ -77,6 +121,18 @@ class TestMeasures:
         header, row = out.strip().splitlines()
         assert header == "aee,aree,ace,ce"
         assert float(row.split(",")[0]) == pytest.approx(0.6942419136, abs=1e-9)
+
+    def test_golden_mixed_state(self, capsys, mixed_file):
+        code, out, _ = run(capsys, ["measures", "--state", mixed_file])
+        assert code == 0
+        assert out == MEASURES_MIXED
+
+    def test_unwritable_output_file(self, tmp_path, capsys, tau_file):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, ["measures", "--state", tau_file, "--out", str(target)])
+        assert code == 1
+        assert out == ""
+        assert "cannot write output file" in err
 
 
 class TestSeries:
@@ -107,6 +163,16 @@ class TestSeries:
         )
         payload = json.loads(out)
         assert [row["n"] for row in payload["rows"]] == [1, 2]
+
+    def test_golden_tau_pair(self, capsys, tau_file):
+        code, out, _ = run(capsys, ["series", "--state", tau_file, "--max-n", "12"])
+        assert code == 0
+        assert out == SERIES_TAU_PAIR
+
+    def test_golden_mixed_state(self, capsys, mixed_file):
+        code, out, _ = run(capsys, ["series", "--state", mixed_file, "--max-n", "6"])
+        assert code == 0
+        assert out == SERIES_MIXED
 
 
 class TestChsh:
@@ -255,6 +321,32 @@ class TestExitCodes:
         [
             ('{"sectors":{"tau":["abc"]}}', "is not a number"),
             ('{"sectors":{"tau":[NaN,1.0]}}', "non-finite Schmidt coefficient nan"),
+            pytest.param(
+                '{"sectors":{"tau":5}}', "sector 'tau' must be an array of numbers", id="int-sector"
+            ),
+            pytest.param(
+                '{"sectors":{"tau":"1"}}',
+                "sector 'tau' must be an array of numbers",
+                id="string-sector",
+            ),
+            pytest.param(
+                '{"sectors":{"tau":{"1":1}}}',
+                "sector 'tau' must be an array of numbers",
+                id="object-sector",
+            ),
+            pytest.param(
+                '{"sectors":{"tau":[true]}}',
+                "coefficient True at sector 'tau' index 0 is not a number",
+                id="bool",
+            ),
+            pytest.param(
+                '{"sectors":{"tau":[1e308,1e308]}}',
+                "coefficient 1e+308 in sector 'tau' exceeds 1",
+                id="overflow",
+            ),
+            pytest.param(
+                '{"sectors":{"tau":[1' + "0" * 400 + "]}}", "is not a number", id="huge-int"
+            ),
         ],
     )
     def test_malformed_coefficient(self, tmp_path, capsys, text, message):

@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 
 from fibanyon.errors import CopyLimitExceeded
-from fibanyon.measures import e_aree_pure
+from fibanyon.measures import aee, e_aree_pure
 from fibanyon.model import LOG2_PHI, PHI, Charge
-from fibanyon.multicopy import (
-    aee_additivity_check,
-    copy_series,
-    e_aree_ncopy,
-    n_copy,
-)
-from fibanyon.states import aee, new_schmidt_state, random_schmidt_state
+from fibanyon.multicopy import copy_series, e_aree_ncopy, n_copy
+from fibanyon.states import new_schmidt_state, random_schmidt_state
 
 TAU = Charge.TAU
 VAC = Charge.VACUUM
@@ -103,22 +98,22 @@ class TestClosedForm:
 
 class TestAdditivity:
     def test_three_copies_of_tau_line(self):
-        assert abs(aee_additivity_check(tau_line(), 3)) <= 1e-9
+        assert abs(aee(n_copy(tau_line(), 3)) - 3 * aee(tau_line())) <= 1e-9
 
     def test_single_copy_trivial(self):
         state = new_schmidt_state({VAC: [0.2, 0.1], TAU: [0.7]})
-        assert aee_additivity_check(state, 1) == 0.0
+        assert aee(n_copy(state, 1)) - aee(state) == 0.0
 
     def test_mixed_sector_state(self):
         state = new_schmidt_state({VAC: [0.5], TAU: [0.5]})
-        assert abs(aee_additivity_check(state, 4)) <= 1e-9
+        assert abs(aee(n_copy(state, 4)) - 4 * aee(state)) <= 1e-9
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_random_states(self, n):
         rng = np.random.default_rng(60 + n)
         for _ in range(5):
             state = random_schmidt_state(rng)
-            assert abs(aee_additivity_check(state, n)) <= 1e-9
+            assert abs(aee(n_copy(state, n)) - n * aee(state)) <= 1e-9
 
 
 class TestCopySeries:

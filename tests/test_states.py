@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from fibanyon.errors import NormalizationError, NotAState, ValidationError
-from fibanyon.measures import embed
+from fibanyon.measures import StateClass, aee, classify, embed
 from fibanyon.model import LOG2_PHI, PHI, Charge
 from fibanyon.states import (
     GradedDensityOperator,
-    StateClass,
-    aee,
     anyonic_entropy,
-    classify,
     is_pure,
     new_schmidt_state,
     random_schmidt_state,
