@@ -59,6 +59,35 @@ _TWO_PI = 2.0 * math.pi
 _MATERIALIZE_LIMIT = 2048
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _check_involutions(m: np.ndarray, label: str) -> None:
+    """Raise :class:`ValidationError` unless every (k, k) block of ``m`` is a
+    Hermitian involution, entrywise to 1e-9."""
+    if not np.allclose(m, _dagger(m), atol=_INVOLUTION_TOL):
+        raise ValidationError(f"{label} is not Hermitian")
+    if not np.allclose(m @ m, np.eye(m.shape[-1]), atol=_INVOLUTION_TOL):
+        raise ValidationError(f"{label} is not an involution (eigenvalues +-1)")
+
+
+def _random_involutions(normals: np.ndarray) -> np.ndarray:
+    """Validated stack (..., k, k) of random Hermitian involutions.
+
+    ``normals`` (..., 2, k, k) holds the real and imaginary parts of
+    complex Gaussian matrices g; each block is the sign of the Hermitian
+    part (g + g^dagger) / 2, taken on its eigenvectors.  Stacked
+    ``eigh`` and ``matmul`` treat each block as a single call would.
+    """
+    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    vals, vecs = np.linalg.eigh(0.5 * (g + _dagger(g)))
+    signs = np.where(vals >= 0.0, 1.0, -1.0)
+    m = (vecs * signs[..., None, :]) @ _dagger(vecs)
+    _check_involutions(m, "random involution block")
+    return m
+
+
 class Observable:
     """Party-local Hermitian involution, one block per charge sector."""
 
@@ -70,12 +99,7 @@ class Observable:
             m = np.array(matrix, dtype=complex)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValidationError(f"sector {c.value!r} block is not square")
-            if not np.allclose(m, m.conj().T, atol=_INVOLUTION_TOL):
-                raise ValidationError(f"sector {c.value!r} block is not Hermitian")
-            if not np.allclose(m @ m, np.eye(m.shape[0]), atol=_INVOLUTION_TOL):
-                raise ValidationError(
-                    f"sector {c.value!r} block is not an involution (eigenvalues +-1)"
-                )
+            _check_involutions(m, f"sector {c.value!r} block")
             m.setflags(write=False)
             stored[c] = m
         self._blocks = stored
@@ -121,17 +145,16 @@ def rotation_observable(
 def random_involution_observable(
     rng: np.random.Generator, ranks: Mapping[Charge, int]
 ) -> Observable:
-    """Random Hermitian blocks projected onto +-1 spectrum."""
+    """Random Hermitian blocks projected onto +-1 spectrum.
+
+    Each rank-k sector reads 2 k^2 normals from ``rng``: the real parts of
+    its Gaussian matrix, then the imaginary parts.
+    """
     blocks = {}
     for c, k in ranks.items():
         k = int(k)
-        if k <= 0:
-            continue
-        g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        herm = 0.5 * (g + g.conj().T)
-        vals, vecs = np.linalg.eigh(herm)
-        signs = np.where(vals >= 0.0, 1.0, -1.0)
-        blocks[c] = (vecs * signs) @ vecs.conj().T
+        if k > 0:
+            blocks[c] = _random_involutions(rng.normal(size=(2, k, k)))
     return Observable(blocks)
 
 

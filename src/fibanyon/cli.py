@@ -9,10 +9,13 @@ Commands::
     verify   [--seed S] [--cases M]
 
 States are JSON files ``{"sectors": {"1": [...], "tau": [...]}}``.
-Copy counts (``--copies``, ``--max-n``) run from 1 to 24.  Exit codes:
-0 success, 1 validation error, 2 verification-suite failure, 64 usage
-error.  Numbers are emitted with fixed precision so identical
-inputs and seeds produce byte-identical outputs.
+Copy counts (``--copies``, ``--max-n``) run from 1 to 24; a count whose
+joint state would take more than 200 000 compositions to build, or whose
+joint rank does not fit in int64, is refused with exit code 1.  Exit
+codes: 0 success, 1 invalid input or copy count too costly for the
+state, 2 verification-suite failure, 64 usage error.  Numbers are
+emitted with fixed precision so identical inputs and seeds produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import sys
 from typing import Sequence
 
 from .bell import CertificateRefusal, locality_certificate, optimize_chsh
-from .errors import ValidationError
+from .errors import CopyLimitExceeded, ValidationError
 from .measures import measure_report
 from .multicopy import N_MAX, copy_series, n_copy
 from .states import SchmidtState, state_from_dict
@@ -106,8 +109,12 @@ def _load_state(path: str) -> SchmidtState:
             payload = json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read state file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"state file {path!r} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"state file {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"state file {path!r} is nested too deeply to parse") from exc
     return state_from_dict(payload)
 
 
@@ -233,7 +240,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _USAGE_EXIT
     try:
         return _DISPATCH[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, CopyLimitExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -26,14 +26,54 @@ from .states import SchmidtState, from_grouped
 #: hundred-thousand-entry range up to here.
 N_MAX = 24
 
+#: Cap on the compositions C(n + L - 1, L - 1) that :func:`n_copy` enumerates
+#: for L (value, multiplicity) groups, a few seconds of work.
+_COMPOSITION_BUDGET = 200_000
+
+#: Joint Schmidt ranks must fit the int64 multiplicities of a state.
+_RANK_MAX = 2**63 - 1
+
 _CONSISTENCY_TOL = 1e-9
 
 
-def _check_copies(n: int) -> None:
+def _check_copies(state: SchmidtState, n: int) -> None:
+    """Refuse, before any work, a copy count out of range or too costly for ``state``.
+
+    Raises :class:`CopyLimitExceeded` when n exceeds ``N_MAX``, when the
+    n-copy needs more than 200 000 compositions, or when its exact joint
+    rank does not fit in int64.  Both sizes grow with n, so checking the
+    largest copy count of a series covers every row.
+    """
     if n < 1:
         raise ValueError(f"copy count must be positive, got {n}")
     if n > N_MAX:
         raise CopyLimitExceeded(f"n={n} exceeds the copy limit {N_MAX}")
+    letters = sum(len(state.grouped(c)[0]) for c in state.charges)
+    compositions = math.comb(n + letters - 1, letters - 1)
+    if compositions > _COMPOSITION_BUDGET:
+        raise CopyLimitExceeded(
+            f"n={n} copies of {letters} distinct coefficients need {compositions} "
+            f"compositions, over the budget of {_COMPOSITION_BUDGET}"
+        )
+    rank = _joint_rank(state, n)
+    if rank > _RANK_MAX:
+        raise CopyLimitExceeded(f"n={n} copies have joint rank {rank}, more than 2**63 - 1")
+
+
+def _joint_rank(state: SchmidtState, n: int) -> int:
+    """Exact Schmidt rank of the joint n-copy, as a Python int, in O(n) steps.
+
+    The compositions with m tau letters carry C(n, m) r_tau^m r_1^(n-m)
+    index vectors (r_c the sector ranks), each with the fusion paths of m
+    tau charges to either total charge: dim(m + 1, tau), the Fibonacci
+    number F_(m+1), stepped here alongside m.
+    """
+    r_vac, r_tau = state.rank(Charge.VACUUM), state.rank(Charge.TAU)
+    rank, paths, previous = 0, 1, 0
+    for m in range(n + 1):
+        rank += math.comb(n, m) * r_tau**m * r_vac ** (n - m) * paths
+        paths, previous = paths + previous, paths
+    return rank
 
 
 def _paths(m_tau: int, c: Charge) -> int:
@@ -63,8 +103,13 @@ def _multinomial(n: int, counts: tuple[int, ...]) -> int:
 
 
 def n_copy(state: SchmidtState, n: int) -> SchmidtState:
-    """Joint n-copy of a pure state, as a pure state in Schmidt form; 1 <= n <= ``N_MAX``."""
-    _check_copies(n)
+    """Joint n-copy of a pure state, as a pure state in Schmidt form; 1 <= n <= ``N_MAX``.
+
+    Copy counts that would need more than 200 000 compositions, or whose
+    joint rank does not fit in int64, are refused up front with
+    :class:`CopyLimitExceeded`.
+    """
+    _check_copies(state, n)
     if n == 1:
         return state
 
@@ -155,7 +200,7 @@ def copy_series(state: SchmidtState, n_max: int = 12) -> CopySeries:
     The AREE closed form is asserted against the constructed state for
     every row, so the series doubles as a consistency check.
     """
-    _check_copies(n_max)
+    _check_copies(state, n_max)
     rows = []
     for n in range(1, n_max + 1):
         joint = n_copy(state, n)

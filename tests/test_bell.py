@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fibanyon import bell, verify
 from fibanyon.bell import (
     TSIRELSON,
     CertificateRefusal,
@@ -151,6 +152,82 @@ class TestChshValue:
     def test_tsirelson_sweep(self):
         [result] = check_tsirelson(np.random.default_rng(78), 200, 1)
         assert result.passed, result.detail
+
+
+def _reference_involution(rng, ranks):
+    """The per-block recipe: a (k, k) real draw, then a (k, k) imaginary draw, one eigh."""
+    blocks = {}
+    for c, k in ranks.items():
+        g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        vals, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
+        blocks[c] = (vecs * np.where(vals >= 0.0, 1.0, -1.0)) @ vecs.conj().T
+    return Observable(blocks)
+
+
+class TestBatchedTsirelson:
+    """``check_tsirelson`` against the per-draw loop it batches."""
+
+    def test_random_involution_keeps_its_draws(self):
+        ranks = {VAC: 2, TAU: 3}
+        rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+        obs = random_involution_observable(rng, ranks)
+        reference = _reference_involution(reference_rng, ranks)
+        for c in ranks:
+            np.testing.assert_array_equal(obs.block(c), reference.block(c))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    # Batch size 1 evaluates every state on its own, as soon as it is drawn.
+    @pytest.mark.parametrize("seed, batch", [(11, verify._TSIRELSON_BATCH), (12, 1)])
+    def test_matches_per_draw_loop(self, seed, batch, monkeypatch):
+        monkeypatch.setattr(verify, "_TSIRELSON_BATCH", batch)
+        n_states, draws = 30, 5
+        reference_rng = np.random.default_rng(seed)
+        worst, blocks = 0.0, 0
+        for _ in range(n_states):
+            state = random_schmidt_state(reference_rng)
+            blocks += 4 * draws * len(state.charges)
+            for _ in range(draws):
+                obs = [_reference_involution(reference_rng, state.ranks) for _ in range(4)]
+                worst = max(worst, abs(chsh_value(state, *obs)))
+
+        validated, batch_worst = [], []
+        real_check, real_worst = bell._check_involutions, verify._worst_chsh
+
+        def counting_check(m, label):
+            validated.append(m[..., 0, 0].size)
+            real_check(m, label)
+
+        def recording_worst(ranks, batch):
+            batch_worst.append(real_worst(ranks, batch))
+            return batch_worst[-1]
+
+        monkeypatch.setattr(bell, "_check_involutions", counting_check)
+        monkeypatch.setattr(verify, "_worst_chsh", recording_worst)
+        rng = np.random.default_rng(seed)
+        [result] = check_tsirelson(rng, n_states, draws)
+        assert max(batch_worst) == pytest.approx(worst, abs=1e-12)
+        assert result.detail == f"max |CHSH| = {worst:.10f} over {n_states * draws} draws"
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert sum(validated) == blocks
+
+    def test_scaled_block_is_rejected(self):
+        stack = bell._random_involutions(np.random.default_rng(6).normal(size=(4, 5, 2, 3, 3)))
+        bell._check_involutions(stack, "stack")
+        stack[2, 1] *= 1.01
+        with pytest.raises(ValidationError, match="stack is not an involution"):
+            bell._check_involutions(stack, "stack")
+
+    def test_batched_check_validates_its_stacks(self, monkeypatch):
+        real_check = bell._check_involutions
+
+        def scaling_check(m, label):
+            scaled = m.copy()
+            scaled[(0,) * (m.ndim - 2)] *= 1.01
+            real_check(scaled, label)
+
+        monkeypatch.setattr(bell, "_check_involutions", scaling_check)
+        with pytest.raises(ValidationError, match="random involution block is not an involution"):
+            check_tsirelson(np.random.default_rng(7), 10, 2)
 
 
 class TestTypeCBound:

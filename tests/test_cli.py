@@ -1,7 +1,12 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fibanyon import verify
@@ -247,6 +252,18 @@ class TestVerify:
         assert out.endswith("15/16 checks passed\n")
 
 
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_verify(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "fibanyon", "verify", "--seed", "42", "--cases", "3"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == VERIFY_SEED42_CASES3
+
+
 class TestExitCodes:
     def test_validation_error_names_coefficient(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -265,6 +282,35 @@ class TestExitCodes:
         path.write_text("{", encoding="utf-8")
         code, _, _ = run(capsys, ["measures", "--state", str(path)])
         assert code == 1
+
+    def test_state_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, ["measures", "--state", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "is not UTF-8 text" in err
+
+    def test_joint_rank_beyond_int64(self, tmp_path, capsys):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"sectors": {"tau": [0.001] * 1000}}), encoding="utf-8")
+        code, out, err = run(capsys, ["chsh", "--state", str(path), "--copies", "7"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: n=7 copies have joint rank") and err.count("\n") == 1
+
+    def test_composition_budget(self, tmp_path, capsys):
+        values = [float(v) for v in np.random.default_rng(4).dirichlet(np.ones(20))]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"sectors": {"1": values[:10], "tau": values[10:]}}))
+        code, out, err = run(capsys, ["chsh", "--state", str(path), "--copies", "8"])
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: n=8 copies of 20 distinct coefficients need 2220075 compositions, "
+            "over the budget of 200000\n"
+        )
 
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, ["frobnicate"])
@@ -346,6 +392,11 @@ class TestExitCodes:
             ),
             pytest.param(
                 '{"sectors":{"tau":[1' + "0" * 400 + "]}}", "is not a number", id="huge-int"
+            ),
+            pytest.param(
+                '{"sectors":{"tau":' + "[" * 100_000 + "]" * 100_000 + "}}",
+                "is nested too deeply to parse",
+                id="deep-nesting",
             ),
         ],
     )

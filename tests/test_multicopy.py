@@ -8,7 +8,7 @@ import pytest
 from fibanyon.errors import CopyLimitExceeded
 from fibanyon.measures import aee, e_aree_pure
 from fibanyon.model import LOG2_PHI, PHI, Charge
-from fibanyon.multicopy import copy_series, e_aree_ncopy, n_copy
+from fibanyon.multicopy import _joint_rank, copy_series, e_aree_ncopy, n_copy
 from fibanyon.states import new_schmidt_state, random_schmidt_state
 
 TAU = Charge.TAU
@@ -55,6 +55,27 @@ class TestNCopy:
     def test_copy_limit(self):
         with pytest.raises(CopyLimitExceeded):
             n_copy(tau_line(), 25)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_exact_joint_rank_is_the_constructed_rank(self, n):
+        rng = np.random.default_rng(60 + n)
+        for _ in range(5):
+            state = random_schmidt_state(rng)
+            assert _joint_rank(state, n) == sum(n_copy(state, n).ranks.values())
+
+    def test_joint_rank_beyond_int64_refused(self):
+        flat = new_schmidt_state({Charge.TAU: [0.001] * 1000})
+        assert n_copy(flat, 5).rank(Charge.TAU) == 5 * 10**15
+        with pytest.raises(CopyLimitExceeded, match="joint rank"):
+            n_copy(flat, 7)
+
+    def test_composition_budget_refused(self):
+        values = np.random.default_rng(4).dirichlet(np.ones(20))
+        wide = new_schmidt_state({Charge.VACUUM: list(values[:10]), Charge.TAU: list(values[10:])})
+        with pytest.raises(CopyLimitExceeded, match="2220075 compositions"):
+            n_copy(wide, 8)
+        with pytest.raises(CopyLimitExceeded, match="compositions"):
+            copy_series(wide, 12)
 
     def test_rank_counts_follow_fusion_paths(self):
         joint = n_copy(tau_line(), 6)
