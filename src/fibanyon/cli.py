@@ -13,7 +13,8 @@ Copy counts (``--copies``, ``--max-n``) run from 1 to 24; a count whose
 joint state would take more than 200 000 compositions to build, or whose
 joint rank does not fit in int64, is refused with exit code 1.  Exit
 codes: 0 success, 1 invalid input or copy count too costly for the
-state, 2 verification-suite failure, 64 usage error.  Numbers are
+state, 2 verification-suite failure or a violated closed-form identity
+between the measures, 64 usage error.  Numbers are
 emitted with fixed precision so identical inputs and seeds produce
 byte-identical outputs.
 """
@@ -26,7 +27,7 @@ import sys
 from typing import Sequence
 
 from .bell import CertificateRefusal, locality_certificate, optimize_chsh
-from .errors import CopyLimitExceeded, ValidationError
+from .errors import CopyLimitExceeded, DecompositionViolation, ValidationError
 from .measures import measure_report
 from .multicopy import N_MAX, copy_series, n_copy
 from .states import SchmidtState, state_from_dict
@@ -243,6 +244,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValidationError, CopyLimitExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except DecompositionViolation as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ class BlockMismatch(ValueError):
 
 
 class DecompositionViolation(AssertionError):
-    """AREE differs from ACE + CE beyond tolerance; signals an implementation bug."""
+    """A closed-form identity between measures fails beyond tolerance (AREE = ACE + CE,
+    or the n-copy AREE against its constructed state); signals an implementation bug."""
 
 
 class CopyLimitExceeded(ValueError):

@@ -61,8 +61,10 @@ _CLASS_TOL = 1e-10
 def _schmidt_entropy(state: SchmidtState) -> float:
     """H({lambda_{c,i}}) in bits, summed group by group over the Schmidt data."""
     h = 0.0
-    for _, value, mult in state.items():
-        h -= mult * value * math.log2(value)
+    for c in state.charges:
+        values, mults = state.grouped(c)
+        for value, mult in zip(values.tolist(), mults.tolist()):
+            h -= mult * value * math.log2(value)
     return h
 
 

@@ -23,7 +23,7 @@ The quantum trace of any of these is ``sum_blocks weight * tr(block)``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -47,10 +47,12 @@ _PURITY_TOL = 1e-10
 _EIG_ZERO = 1e-12
 
 
-def shannon_entropy(values: Iterable[float], mults: Iterable[int] | None = None) -> float:
+def shannon_entropy(
+    values: Sequence[float] | np.ndarray, mults: Sequence[int] | np.ndarray | None = None
+) -> float:
     """Shannon entropy in bits; zero-probability entries contribute 0."""
-    vals = np.asarray(list(values), dtype=float)
-    m = np.ones_like(vals) if mults is None else np.asarray(list(mults), dtype=float)
+    vals = np.asarray(values, dtype=float)
+    m = np.ones_like(vals) if mults is None else np.asarray(mults, dtype=float)
     mask = vals > 0.0
     if not np.any(mask):
         return 0.0
@@ -73,7 +75,7 @@ class SchmidtState:
     __slots__ = ("_sectors",)
 
     def __init__(self, sectors: Mapping[Charge, tuple[np.ndarray, np.ndarray]]):
-        # Internal constructor; use new_schmidt_state / from_grouped.
+        # Internal constructor; use new_schmidt_state / from_grouped / from_arrays.
         self._sectors = dict(sectors)
 
     # -- accessors ---------------------------------------------------------
@@ -110,12 +112,6 @@ class SchmidtState:
     def p_tau(self) -> float:
         return self.sector_probability(Charge.TAU)
 
-    def items(self) -> Iterator[tuple[Charge, float, int]]:
-        for c in self.charges:
-            values, mults = self._sectors[c]
-            for v, m in zip(values, mults):
-                yield c, float(v), int(m)
-
     def total(self) -> float:
         return sum(self.sector_probability(c) for c in self.charges)
 
@@ -141,27 +137,56 @@ class SchmidtState:
         return f"SchmidtState({'; '.join(parts)})"
 
 
-def _canonical_sectors(
-    grouped: Mapping[Charge, Sequence[tuple[float, int]]],
-) -> dict[Charge, tuple[np.ndarray, np.ndarray]]:
-    sectors: dict[Charge, tuple[np.ndarray, np.ndarray]] = {}
+def _canonical(values: np.ndarray, mults: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One sector's nonnegative groups, values descending, zeros stripped, equal values merged."""
+    if values.size > 1:
+        order = np.argsort(values)[::-1]
+        values, mults = values[order], mults[order]
+    if values.size and values[-1] == 0.0:
+        nonzero = np.count_nonzero(values)
+        values, mults = values[:nonzero], mults[:nonzero]
+    return _merge_equal(values, mults)
+
+
+def _merge_equal(values: np.ndarray, mults: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge runs of equal values in a sorted sector, summing int64 multiplicities exactly."""
+    if values.size > 1:
+        distinct = values[1:] != values[:-1]
+        if np.count_nonzero(distinct) < distinct.size:
+            starts = np.flatnonzero(np.concatenate(([True], distinct)))
+            values, mults = values[starts], np.add.reduceat(mults, starts)
+    return values, mults
+
+
+def from_arrays(sectors: Mapping[Charge, tuple[np.ndarray, np.ndarray]]) -> SchmidtState:
+    """Canonical state from valid per-sector float64 values and int64 multiplicities.
+
+    The one canonicalisation of Schmidt data, for :func:`from_grouped` and
+    :func:`fibanyon.multicopy.n_copy`: zeros stripped, equal values
+    merged, sectors sorted descending, arrays read-only.  The total may
+    deviate from 1 by at most 1e-9; values are then divided by it and
+    equal ones merged again (division by a positive total keeps the order
+    and, with the total within 1e-9 of 1, makes no positive value zero).
+    """
+    canonical = {}
     for c in CHARGE_ORDER:
-        if c not in grouped:
-            continue
-        merged: dict[float, int] = {}
-        for value, mult in grouped[c]:
-            if value == 0.0:
-                continue
-            merged[value] = merged.get(value, 0) + mult
-        if not merged:
-            continue
-        order = sorted(merged, reverse=True)
-        values = np.array(order, dtype=float)
-        mults = np.array([merged[v] for v in order], dtype=np.int64)
+        if c in sectors:
+            values, mults = _canonical(*sectors[c])
+            if values.size:
+                canonical[c] = (values, mults)
+    if not canonical:
+        raise ValidationError("state needs at least one positive Schmidt coefficient")
+    total = sum(float(np.dot(v, m)) for v, m in canonical.values())
+    if abs(total - 1.0) > _SUM_TOL:
+        raise NormalizationError(
+            f"Schmidt coefficients sum to {total!r}, deviating from 1 by more than {_SUM_TOL}"
+        )
+    for c, (values, mults) in canonical.items():
+        values, mults = _merge_equal(values / total, mults)
         values.setflags(write=False)
         mults.setflags(write=False)
-        sectors[c] = (values, mults)
-    return sectors
+        canonical[c] = (values, mults)
+    return SchmidtState(canonical)
 
 
 def from_grouped(
@@ -190,18 +215,15 @@ def from_grouped(
                 )
             if mult < 0:
                 raise ValidationError(f"negative multiplicity {mult!r} in sector {label!r}")
-    sectors = _canonical_sectors({_as_charge(c): list(v) for c, v in grouped.items()})
-    if not sectors:
-        raise ValidationError("state needs at least one positive Schmidt coefficient")
-    total = sum(float(np.dot(v, m)) for v, m in sectors.values())
-    if abs(total - 1.0) > _SUM_TOL:
-        raise NormalizationError(
-            f"Schmidt coefficients sum to {total!r}, deviating from 1 by more than {_SUM_TOL}"
-        )
-    rescaled = {
-        c: [(float(v) / total, int(m)) for v, m in zip(*vm)] for c, vm in sectors.items()
-    }
-    return SchmidtState(_canonical_sectors(rescaled))
+    return from_arrays(
+        {
+            _as_charge(c): (
+                np.array([v for v, _ in entries], dtype=float),
+                np.array([m for _, m in entries], dtype=np.int64),
+            )
+            for c, entries in grouped.items()
+        }
+    )
 
 
 def new_schmidt_state(sectors: Mapping[Charge | str, Sequence[float]]) -> SchmidtState:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fibanyon import verify
+from fibanyon import multicopy, verify
 from fibanyon.cli import main
 
 TAU_STATE = {"sectors": {"tau": [1.0]}}
@@ -311,6 +311,14 @@ class TestExitCodes:
             "error: n=8 copies of 20 distinct coefficients need 2220075 compositions, "
             "over the budget of 200000\n"
         )
+
+    def test_series_closed_form_mismatch(self, capsys, tau_file, monkeypatch):
+        real = multicopy.e_aree_ncopy
+        monkeypatch.setattr(multicopy, "e_aree_ncopy", lambda state, n: real(state, n) + 1e-6)
+        code, out, err = run(capsys, ["series", "--state", tau_file, "--max-n", "3"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n=1: constructed AREE ") and err.count("\n") == 1
 
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, ["frobnicate"])

@@ -4,15 +4,110 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibanyon.errors import CopyLimitExceeded
 from fibanyon.measures import aee, e_aree_pure
-from fibanyon.model import LOG2_PHI, PHI, Charge
+from fibanyon.model import CHARGE_ORDER, LOG2_PHI, PHI, Charge, fusion_space_dim, qdim_float
 from fibanyon.multicopy import _joint_rank, copy_series, e_aree_ncopy, n_copy
-from fibanyon.states import new_schmidt_state, random_schmidt_state
+from fibanyon.states import from_grouped, new_schmidt_state, random_schmidt_state
 
 TAU = Charge.TAU
 VAC = Charge.VACUUM
+
+
+# Reference enumerator: one Python loop per composition of n over the
+# (value, multiplicity) groups, merged in dicts and renormalised as scalars.
+# The array kernel in n_copy must reproduce its arrays bit for bit.
+
+
+def _compositions(total, parts):
+    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def _multinomial(n, counts):
+    out = 1
+    remaining = n
+    for k in counts:
+        out *= math.comb(remaining, k)
+        remaining -= k
+    return out
+
+
+def _paths(m_tau, c):
+    if m_tau == 0:
+        return 1 if c is VAC else 0
+    return fusion_space_dim(m_tau, c)
+
+
+def _merged(groups):
+    merged = {}
+    for value, mult in groups:
+        if value == 0.0:
+            continue
+        merged[value] = merged.get(value, 0) + mult
+    order = sorted(merged, reverse=True)
+    return np.array(order, dtype=float), np.array([merged[v] for v in order], dtype=np.int64)
+
+
+def reference_n_copy(state, n):
+    """Per-sector (values, mults) of the joint n-copy, by the scalar route."""
+    letters = [
+        (c, float(v), int(m)) for c in state.charges for v, m in zip(*state.grouped(c))
+    ]
+    acc = {c: {} for c in CHARGE_ORDER}
+    for counts in _compositions(n, len(letters)):
+        ways = _multinomial(n, counts)
+        base = 1.0
+        m_tau = 0
+        for (c, value, mult), k in zip(letters, counts):
+            if k == 0:
+                continue
+            ways *= mult**k
+            base *= value**k
+            if c is TAU:
+                m_tau += k
+        for c_total in CHARGE_ORDER:
+            paths = _paths(m_tau, c_total)
+            if not paths:
+                continue
+            coeff = base * qdim_float(c_total) / PHI**m_tau
+            bucket = acc[c_total]
+            bucket[coeff] = bucket.get(coeff, 0) + ways * paths
+    sectors = {c: _merged(bucket.items()) for c, bucket in acc.items() if bucket}
+    total = sum(float(np.dot(v, m)) for v, m in sectors.values())
+    return {
+        c: _merged((float(v) / total, int(m)) for v, m in zip(*vm)) for c, vm in sectors.items()
+    }
+
+
+#: Coefficient weights that repeat within and across sectors.
+_TIED_WEIGHTS = (0.05, 0.1, 0.125, 0.2, 0.3)
+
+
+@st.composite
+def grouped_states(draw):
+    """1-6 (value, multiplicity) groups over both sectors, multiplicities 1-3, with ties."""
+    groups = [
+        (
+            draw(st.sampled_from(CHARGE_ORDER)),
+            draw(st.sampled_from(_TIED_WEIGHTS) | st.floats(0.01, 1.0)),
+            draw(st.integers(1, 3)),
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    total = sum(weight * mult for _, weight, mult in groups)
+    grouped = {}
+    for c, weight, mult in groups:
+        grouped.setdefault(c, []).append((weight / total, mult))
+    return from_grouped(grouped)
 
 
 def tau_line():
@@ -76,6 +171,25 @@ class TestNCopy:
             n_copy(wide, 8)
         with pytest.raises(CopyLimitExceeded, match="compositions"):
             copy_series(wide, 12)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(state=grouped_states(), n=st.integers(2, 6))
+    def test_kernel_matches_reference_enumerator(self, state, n):
+        joint = n_copy(state, n)
+        expected = reference_n_copy(state, n)
+        assert joint.charges == tuple(expected)
+        for c, (values, mults) in expected.items():
+            assert np.array_equal(joint.grouped(c)[0], values)
+            assert np.array_equal(joint.grouped(c)[1], mults)
+
+    def test_int64_multiplicities_exact_near_the_rank_guard(self):
+        flat = new_schmidt_state({TAU: [1 / 900] * 900})
+        joint = n_copy(flat, 6)
+        rank = _joint_rank(flat, 6)
+        assert rank == 6_908_733_000_000_000_000  # about 0.75 (2**63 - 1)
+        exact = {c: sum(joint.grouped(c)[1].tolist()) for c in joint.charges}
+        assert exact == joint.ranks == {VAC: 900**6 * 5, TAU: 900**6 * 8}
+        assert sum(exact.values()) == rank
 
     def test_rank_counts_follow_fusion_paths(self):
         joint = n_copy(tau_line(), 6)

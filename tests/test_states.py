@@ -1,5 +1,7 @@
 """Schmidt states, graded density operators, entropy, classification."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,14 @@ class TestConstruction:
     def test_mild_deviation_renormalized(self):
         state = new_schmidt_state({TAU: [0.5 + 4e-10, 0.5 + 4e-10]})
         assert state.total() == pytest.approx(1.0, abs=1e-12)
+
+    def test_values_equal_after_renormalizing_are_merged(self):
+        # The total 1 - 1e-11 maps 0.25 and the float just below it to one value.
+        below = math.nextafter(0.25, 0.0)
+        state = new_schmidt_state({TAU: [0.49999999999, 0.25, below]})
+        values, mults = state.grouped(TAU)
+        assert len(values) == 2 and mults.tolist() == [1, 2]
+        assert values[1] == 0.25 / 0.99999999999 == below / 0.99999999999
 
     def test_zeros_stripped(self):
         state = new_schmidt_state({VAC: [0.0, 1.0], TAU: [0.0]})
