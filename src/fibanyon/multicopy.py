@@ -11,9 +11,10 @@ identity ``sum_c dim(m, c) * d_c = d_tau**m``.
 
 :func:`n_copy` enumerates the compositions of n over the state's groups
 with numpy arrays, and :func:`fibanyon.states.from_arrays` merges equal
-coefficients.  On a 2-core machine it takes about 9 ms for the 24 310
-compositions of 10 groups at n = 8 and about 0.1 s for the 177 100 of
-20 groups at n = 6.
+coefficients.  Timed by ``perfbench/sweep.py`` on a 2-core machine, it
+takes about 20 ms for the 24 310 compositions of 10 groups at n = 8 and
+about 0.15 s for the 177 100 of 20 groups at n = 6; with one OpenBLAS
+thread (``OPENBLAS_NUM_THREADS=1``) about 7 ms and 0.08 s.
 """
 
 from __future__ import annotations
@@ -214,9 +215,13 @@ class CopySeries:
 def copy_series(state: SchmidtState, n_max: int = 12) -> CopySeries:
     """Per-copy measure averages on constructed joint copies, n = 1..n_max.
 
-    The AREE closed form is checked against the constructed state for
-    every row, so the series doubles as a consistency check: a mismatch
-    beyond 1e-9 raises :class:`DecompositionViolation`.
+    Row n is ``measure_report(n_copy(state, n))`` divided by n.  The copy
+    guard runs once, for n_max, so a series whose last row is too costly
+    is refused with :class:`CopyLimitExceeded` before any row is built.
+    Each row's AREE is checked against :func:`e_aree_ncopy`: a mismatch
+    beyond 1e-9 raises :class:`DecompositionViolation`.  Building the
+    joint state takes most of a row; the measures are one array pass
+    over its groups.
     """
     _check_copies(state, n_max)
     rows = []

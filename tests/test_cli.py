@@ -1,13 +1,19 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibanyon import multicopy, verify
 from fibanyon.cli import main
@@ -415,3 +421,74 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert message in err
+
+
+#: Coefficients a valid state may hold, ordinary, sub-normal and zero, and
+#: ones it may not: negative, huge, non-finite (``json`` writes and reads
+#: NaN and Infinity), integers and other JSON values.
+_VALID_COEFFICIENTS = st.floats(0.0, 1.0) | st.sampled_from(
+    [5e-324, 1e-310, 2.2250738585072014e-308, 0.0, 0, 1]
+)
+_ANY_COEFFICIENTS = st.one_of(
+    _VALID_COEFFICIENTS,
+    st.floats(),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+)
+
+
+@st.composite
+def state_documents(draw):
+    """``{"sectors": ...}`` with short, repeated and over-long coefficient lists.
+
+    Half of the documents draw only from valid labels and coefficients, and
+    half of all documents are rescaled so their finite positive entries sum
+    to 1, so that valid states are common.
+    """
+    wild = draw(st.booleans())
+    labels = ["1", "tau", "sigma"] if wild else ["1", "tau"]
+    coefficients = _ANY_COEFFICIENTS if wild else _VALID_COEFFICIENTS
+    sectors = {
+        label: draw(st.lists(coefficients, max_size=6)) * draw(st.sampled_from([1, 2, 7, 1000]))
+        for label in draw(st.lists(st.sampled_from(labels), unique=True, max_size=3))
+    }
+    total = sum(v for values in sectors.values() for v in values if _positive_finite(v))
+    if draw(st.booleans()) and 0.0 < total < math.inf:
+        sectors = {
+            label: [v / total if _positive_finite(v) else v for v in values]
+            for label, values in sectors.items()
+        }
+    return {"sectors": sectors}
+
+
+def _positive_finite(value):
+    return type(value) in (int, float) and 0 < value < math.inf
+
+
+class TestMeasuresRobustness:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(document=state_documents(), fmt=st.sampled_from(["json", "csv"]))
+    def test_finite_answer_or_one_error_line(self, document, fmt):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "state.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(document))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["measures", "--state", path, "--format", fmt])
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert err == ""
+            if fmt == "json":
+                values = list(json.loads(out).values())
+            else:
+                header, row = out.splitlines()
+                assert header == "aee,aree,ace,ce"
+                values = [float(field) for field in row.split(",")]
+            assert len(values) == 4 and all(math.isfinite(v) for v in values)
+        else:
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")

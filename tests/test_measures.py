@@ -1,14 +1,19 @@
 """Measure closed forms, the Omega projection, and the relative-entropy oracles."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fibanyon.cli import main
 from fibanyon.errors import BlockMismatch, DecompositionViolation, SupportViolation
 from fibanyon.measures import (
     MeasureReport,
     SeparableState,
+    _schmidt_entropy,
     closest_separable_candidate,
     e_ace_pure,
     e_aree_pure,
@@ -22,12 +27,14 @@ from fibanyon.measures import (
     random_separable_direction,
     relative_entropy,
 )
-from fibanyon.model import PHI, Charge
+from fibanyon.model import CHARGE_ORDER, LOG2_PHI, PHI, Charge
+from fibanyon.multicopy import n_copy
 from fibanyon.states import (
     GradedDensityOperator,
     anyonic_entropy,
     new_schmidt_state,
     random_schmidt_state,
+    shannon_entropy,
 )
 
 TAU = Charge.TAU
@@ -106,6 +113,96 @@ class TestClosedForms:
             MeasureReport(aee=1.0, aree=3.0, ace=1.0, ce=1.0)
         with pytest.raises(DecompositionViolation):
             MeasureReport(aee=2.5, aree=2.0, ace=1.0, ce=1.0)
+
+
+# Reference: the per-group scalar loop that the array kernel replaced, and
+# the four measures as they were computed from it one by one.
+
+
+def reference_schmidt_entropy(state):
+    h = 0.0
+    for c in state.charges:
+        values, mults = state.grouped(c)
+        for value, mult in zip(values.tolist(), mults.tolist()):
+            h -= mult * value * math.log2(value)
+    return h
+
+
+def reference_report(state):
+    """(AEE, AREE, ACE, CE) from the reference entropy and per-sector sums."""
+    h = reference_schmidt_entropy(state)
+    p_tau = state.p_tau
+    probs = [state.sector_probability(c) for c in state.charges]
+    ce = 0.0
+    for c in state.charges:
+        values, mults = state.grouped(c)
+        p = float(np.dot(values, mults))
+        ce += p * shannon_entropy(values / p, mults)
+    return (
+        h + p_tau * LOG2_PHI,
+        h + 2.0 * p_tau * LOG2_PHI,
+        shannon_entropy(probs) + 2.0 * p_tau * LOG2_PHI,
+        ce,
+    )
+
+
+def within_ulps(value, reference, ulps=2):
+    return abs(value - reference) <= ulps * math.ulp(reference)
+
+
+#: Weights that tie within and across sectors.
+_TIED_WEIGHTS = (0.05, 0.1, 0.2)
+_WEIGHTS = st.lists(st.sampled_from(_TIED_WEIGHTS) | st.floats(0.01, 1.0), max_size=4)
+
+
+@st.composite
+def small_states(draw):
+    """Up to four coefficients per sector, normalised, with ties."""
+    weights = {c: draw(_WEIGHTS) for c in CHARGE_ORDER}
+    if not any(weights.values()):
+        weights[TAU] = [1.0]
+    total = sum(sum(w) for w in weights.values())
+    return new_schmidt_state({c: [v / total for v in w] for c, w in weights.items()})
+
+
+#: Every state with one (value, multiplicity) group: m equal coefficients in one sector.
+SINGLE_GROUP = [
+    pytest.param({c: [1.0 / m] * m}, id=f"{c.value}-x{m}")
+    for c in CHARGE_ORDER
+    for m in (1, 2, 3, 5, 8, 1000)
+]
+
+
+class TestSchmidtEntropyKernel:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(state=small_states(), n=st.integers(1, 6))
+    def test_matches_reference_loop(self, state, n):
+        joint = n_copy(state, n)
+        assert within_ulps(_schmidt_entropy(joint), reference_schmidt_entropy(joint))
+        report = measure_report(joint)
+        values = (report.aee, report.aree, report.ace, report.ce)
+        for value, expected in zip(values, reference_report(joint)):
+            assert within_ulps(value, expected)
+
+    @pytest.mark.parametrize("sectors", [{TAU: [1.0]}, {VAC: [1.0]}, *SINGLE_GROUP])
+    def test_zero_measures_are_positive_zero(self, sectors):
+        state = new_schmidt_state(sectors)
+        m = len(next(iter(sectors.values())))
+        assert _schmidt_entropy(state) == pytest.approx(math.log2(m), abs=1e-12)
+        report = measure_report(state)
+        for value in (_schmidt_entropy(state), *report.as_dict().values()):
+            assert math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.parametrize("sectors", [{TAU: [1.0]}, {VAC: [1.0]}, *SINGLE_GROUP])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_cli_prints_no_negative_zero(self, tmp_path, capsys, sectors, fmt):
+        path = tmp_path / "state.json"
+        path.write_text(
+            json.dumps({"sectors": {c.value: v for c, v in sectors.items()}}), encoding="utf-8"
+        )
+        assert main(["measures", "--state", str(path), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert "-0" not in out
 
 
 class TestOmega:

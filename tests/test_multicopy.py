@@ -4,13 +4,20 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibanyon.errors import CopyLimitExceeded
 from fibanyon.measures import aee, e_aree_pure
 from fibanyon.model import CHARGE_ORDER, LOG2_PHI, PHI, Charge, fusion_space_dim, qdim_float
-from fibanyon.multicopy import _joint_rank, copy_series, e_aree_ncopy, n_copy
+from fibanyon.multicopy import (
+    _joint_rank,
+    _ncopy_sector_probability,
+    copy_series,
+    e_aree_ncopy,
+    n_copy,
+)
 from fibanyon.states import from_grouped, new_schmidt_state, random_schmidt_state
 
 TAU = Charge.TAU
@@ -229,6 +236,57 @@ class TestClosedForm:
             closed = e_aree_ncopy(state, n)
             constructed = e_aree_pure(n_copy(state, n))
             assert closed == pytest.approx(constructed, abs=1e-9)
+
+
+def p_tau_closed(p_tau, n):
+    """p_tau^(n) = (phi / sqrt 5)(1 - r^n) with r = 1 - p_tau sqrt 5 / phi."""
+    r = 1.0 - p_tau * math.sqrt(5.0) / PHI
+    return PHI / math.sqrt(5.0) * (1.0 - r**n)
+
+
+#: log2 of the total quantum dimension squared, D^2 = 1 + phi^2.
+LOG2_D2 = math.log2(1.0 + PHI**2)
+
+
+class TestAsymptotes:
+    """The n-copy tau probability and the limits of n ACE and n (CE - AEE)."""
+
+    def test_tau_probability_closed_form(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            state = random_schmidt_state(rng, max_rank=4)
+            for n in range(1, 25):
+                binomial = _ncopy_sector_probability(state, n, TAU)
+                assert abs(p_tau_closed(state.p_tau, n) - binomial) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_tau_probability_exact_in_q_sqrt5(self, n):
+        # In Q[sqrt 5]: d_tau / phi^m = (phi - 1)^(m - 1), and dim(m, tau) = F_m.
+        sqrt5 = sp.sqrt(5)
+        phi = (1 + sqrt5) / 2
+        p = sp.Symbol("p")
+        binomial = sum(
+            sp.binomial(n, m) * p**m * (1 - p) ** (n - m) * sp.fibonacci(m) * (phi - 1) ** (m - 1)
+            for m in range(1, n + 1)
+        )
+        closed = phi / sqrt5 * (1 - (1 - p * sqrt5 * (phi - 1)) ** n)
+        assert sp.expand(binomial - closed) == 0
+        for weight in (sp.Rational(1, 4), sp.Rational(1, 2), sp.Rational(3, 4), sp.Integer(1)):
+            state = new_schmidt_state({VAC: [float(1 - weight)], TAU: [float(weight)]})
+            exact = float(closed.subs(p, weight))
+            assert _ncopy_sector_probability(state, n, TAU) == pytest.approx(exact, abs=1e-15)
+
+    def test_tau_pair_charge_entanglement_tends_to_log2_d_squared(self):
+        n, _, _, ace_pc, _ = copy_series(tau_line(), 24).rows[-1]
+        assert n == 24
+        assert LOG2_D2 == pytest.approx(1.8552060, abs=1e-7)
+        assert abs(n * ace_pc - LOG2_D2) <= 1e-12
+
+    def test_tau_pair_ce_offset(self):
+        n, aee_pc, _, _, ce_pc = copy_series(tau_line(), 24).rows[-1]
+        offset = PHI / math.sqrt(5.0) * LOG2_PHI - LOG2_D2
+        assert offset == pytest.approx(-1.3528478, abs=1e-7)
+        assert abs(n * (ce_pc - aee_pc) - offset) <= 1e-9
 
 
 class TestAdditivity:
