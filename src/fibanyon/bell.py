@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     CopyLimitExceeded,
+    DecompositionViolation,
     DimensionMismatch,
     DomainError,
     TargetRankError,
@@ -46,6 +47,7 @@ from .states import (
     VACUUM_BLOCK,
     GradedDensityOperator,
     SchmidtState,
+    _allclose,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -65,10 +67,15 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 
 def _check_involutions(m: np.ndarray, label: str) -> None:
     """Raise :class:`ValidationError` unless every (k, k) block of ``m`` is a
-    Hermitian involution, entrywise to 1e-9."""
-    if not np.allclose(m, _dagger(m), atol=_INVOLUTION_TOL):
+    Hermitian involution, entrywise to 1e-9.
+
+    Both tests are ``np.allclose`` at ``atol`` 1e-9, against ``m^dagger``
+    and against the identity, evaluated by the exact helper
+    :func:`fibanyon.states._allclose`.
+    """
+    if not _allclose(m, _dagger(m), _INVOLUTION_TOL):
         raise ValidationError(f"{label} is not Hermitian")
-    if not np.allclose(m @ m, np.eye(m.shape[-1]), atol=_INVOLUTION_TOL):
+    if not _allclose(m @ m, np.eye(m.shape[-1]), _INVOLUTION_TOL):
         raise ValidationError(f"{label} is not an involution (eigenvalues +-1)")
 
 
@@ -385,7 +392,8 @@ def locality_certificate(
     Rank-<=1 sectors mean zero conventional entanglement, and the Omega
     image then equals the closest-separable mixture exactly; the residual
     reports the largest block deviation of that reconstruction.  States
-    with a rank->=2 sector are refused with reason ``CE_POSITIVE``.
+    with a rank->=2 sector are refused with reason ``CE_POSITIVE``.  A
+    residual of 1e-12 or more raises :class:`DecompositionViolation`.
     """
     if any(state.rank(c) > 1 for c in state.charges):
         return CertificateRefusal(reason="CE_POSITIVE")
@@ -398,7 +406,7 @@ def locality_certificate(
         right = rebuilt.block(key) if key in rebuilt.keys() else 0.0
         residual = max(residual, float(np.max(np.abs(left - right))))
     if residual >= 1e-12:
-        raise AssertionError(
+        raise DecompositionViolation(
             f"certificate reconstruction residual {residual!r} out of tolerance"
         )
     return LocalityCertificate(mixture=mixture, reconstruction_residual=residual)

@@ -14,7 +14,8 @@ joint state would take more than 200 000 compositions to build, or whose
 joint rank does not fit in int64, is refused with exit code 1.  Exit
 codes: 0 success, 1 invalid input or copy count too costly for the
 state, 2 verification-suite failure or a violated closed-form identity
-between the measures, 64 usage error.  Numbers are
+(between the measures, or a locality certificate that does not rebuild
+its Omega image), 64 usage error.  Numbers are
 emitted with fixed precision so identical inputs and seeds produce
 byte-identical outputs.
 """

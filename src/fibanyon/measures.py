@@ -261,6 +261,9 @@ class SeparableState:
     terms: tuple[tuple[float, GradedDensityOperator, GradedDensityOperator], ...]
 
     def __post_init__(self) -> None:
+        # Factor blocks are read-only, so a factor object that recurs (both
+        # sides of a term, or several terms) needs its state check only once.
+        checked: set[int] = set()
         total = 0.0
         for p, left, right in self.terms:
             if p < 0.0:
@@ -269,7 +272,9 @@ class SeparableState:
             for factor in (left, right):
                 if factor.kind != KIND_SUBSYSTEM:
                     raise ValidationError("separable factors must be subsystem operators")
-                factor.assert_state()
+                if id(factor) not in checked:
+                    factor.assert_state()
+                    checked.add(id(factor))
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"mixture weights sum to {total!r}, not 1")
 

@@ -12,6 +12,12 @@ reads the generator in the same order as drawing one observable at a
 time, validates every observable as :class:`~fibanyon.bell.Observable`
 does, and evaluates stacks of them at once, so its output is that of
 the one-at-a-time loop.
+
+Validation keeps every tolerance and decision but costs little: the
+Hermitian, involution and state tests go through
+:func:`fibanyon.states._allclose`, which returns exactly what
+``np.allclose`` returns and is cheap when the answer is True, and a
+separable mixture checks each distinct factor object once.
 """
 
 from __future__ import annotations

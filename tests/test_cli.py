@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibanyon import multicopy, verify
+from fibanyon import bell, multicopy, verify
 from fibanyon.cli import main
+from fibanyon.states import GradedDensityOperator
 
 TAU_STATE = {"sectors": {"tau": [1.0]}}
 
@@ -37,6 +38,28 @@ VERIFY_SEED42_CASES3 = (
     "PASS  omega-from-joint: max |Omega(embed) - Omega| = 0.000e+00\n"
     "PASS  omega-expectations: max product-observable deviation = 5.551e-17\n"
     "PASS  tsirelson: max |CHSH| = 2.2913701359 over 1000 draws\n"
+    "PASS  chsh-omega-invariance: max deviation = 2.220e-16\n"
+    "PASS  copy-series-trends: aee drift 2.220e-16; CE zeros at n=1,2; ACE strictly decreasing\n"
+    "PASS  chsh-three-copies: n=3 optimum 2.632862 (target 2.632862); n<=2 stays local\n"
+    "16/16 checks passed\n"
+)
+
+#: ``verify --seed 42`` stdout at the default 100 cases, the transcript the
+#: ``verify-suite`` benchmark workload runs.
+VERIFY_SEED42 = (
+    "PASS  golden-identity: d_tau**2 == d_tau + 1 in Q[sqrt(5)]\n"
+    "PASS  total-dimension: sum_c dim(n,c) d_c == d_tau**n for n <= 20\n"
+    "PASS  fusion-paths: dim matches brute-force enumeration for n <= 12\n"
+    "PASS  decomposition-closed-form: max |AREE - ACE - CE| = 6.661e-16 over 100 states\n"
+    "PASS  decomposition-numeric: max numeric residual = 1.554e-15 over 100 states\n"
+    "PASS  separable-oracle-value: max |numeric - closed| = 1.332e-15 over 100 states\n"
+    "PASS  separable-oracle-gradient: min gradient = -6.407e-16 over 10 states x 40 directions\n"
+    "PASS  aee-additivity: max |aee(n-copy) - n aee| = 3.553e-15\n"
+    "PASS  multicopy-closed-form: max |closed - constructed| = 5.329e-15 for n <= 6\n"
+    "PASS  omega-idempotence: max deviation = 0.000e+00\n"
+    "PASS  omega-from-joint: max |Omega(embed) - Omega| = 0.000e+00\n"
+    "PASS  omega-expectations: max product-observable deviation = 2.220e-16\n"
+    "PASS  tsirelson: max |CHSH| = 2.5553777649 over 10000 draws\n"
     "PASS  chsh-omega-invariance: max deviation = 2.220e-16\n"
     "PASS  copy-series-trends: aee drift 2.220e-16; CE zeros at n=1,2; ACE strictly decreasing\n"
     "PASS  chsh-three-copies: n=3 optimum 2.632862 (target 2.632862); n<=2 stays local\n"
@@ -236,6 +259,23 @@ class TestCertify:
         assert payload["local"] is False
         assert payload["reason"] == "CE_POSITIVE"
 
+    def test_reconstruction_residual_is_exit_2(self, capsys, tau_file, monkeypatch):
+        real = bell.omega_project
+
+        def perturbed(state):
+            omega = real(state)
+            blocks = {key: omega.block(key) for key in omega.keys()}
+            first = omega.keys()[0]
+            blocks[first] = blocks[first] + 1e-6
+            return GradedDensityOperator(blocks, ranks=omega.ranks)
+
+        monkeypatch.setattr(bell, "omega_project", perturbed)
+        code, out, err = run(capsys, ["certify", "--state", tau_file, "--copies", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: certificate reconstruction residual ")
+        assert err.count("\n") == 1
+
 
 class TestVerify:
     def test_suite_passes(self, capsys):
@@ -248,6 +288,11 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--seed", "42", "--cases", "3"])
         assert code == 0
         assert out == VERIFY_SEED42_CASES3
+
+    def test_golden_transcript_default_cases(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--seed", "42"])
+        assert code == 0
+        assert out == VERIFY_SEED42
 
     def test_decomposition_violation_is_a_failed_check(self, capsys, monkeypatch):
         real = verify.e_ce_pure

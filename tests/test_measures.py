@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibanyon.cli import main
-from fibanyon.errors import BlockMismatch, DecompositionViolation, SupportViolation
+from fibanyon.errors import BlockMismatch, DecompositionViolation, NotAState, SupportViolation
 from fibanyon.measures import (
     MeasureReport,
     SeparableState,
@@ -271,6 +271,50 @@ class TestSeparableCandidate:
     def test_operator_trace(self, state):
         op = closest_separable_candidate(state).to_operator(state.ranks)
         assert op.quantum_trace() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("sectors", [{TAU: [1.0]}, {VAC: [0.5, 0.2], TAU: [0.2, 0.1]}])
+    def test_each_factor_is_validated_once(self, monkeypatch, sectors):
+        state = new_schmidt_state(sectors)
+        calls = []
+        real = GradedDensityOperator.assert_state
+
+        def counting(op):
+            calls.append(id(op))
+            real(op)
+
+        monkeypatch.setattr(GradedDensityOperator, "assert_state", counting)
+        sep = closest_separable_candidate(state)
+        factors = {id(left) for _, left, _ in sep.terms} | {id(right) for _, _, right in sep.terms}
+        assert len(factors) == len(sep.terms) == sum(state.ranks.values())
+        assert sorted(calls) == sorted(factors)
+
+
+def _factor(scale):
+    """Rank-1 tau factor; a scale other than 1 breaks the unit quantum trace."""
+    return GradedDensityOperator({TAU: np.array([[scale / PHI]])})
+
+
+class TestSeparableValidation:
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            pytest.param(lambda good, bad: ((1.0, bad, bad),), id="shared-left-and-right"),
+            pytest.param(lambda good, bad: ((1.0, good, bad),), id="right-only"),
+            pytest.param(
+                lambda good, bad: ((0.5, good, good), (0.5, bad, good)), id="later-term-only"
+            ),
+            pytest.param(
+                lambda good, bad: ((0.5, good, good), (0.5, good, bad)), id="later-term-right"
+            ),
+        ],
+    )
+    def test_invalid_factor_is_rejected(self, layout):
+        with pytest.raises(NotAState):
+            SeparableState(layout(_factor(1.0), _factor(1.5)))
+
+    def test_shared_valid_factor_is_accepted(self):
+        good = _factor(1.0)
+        SeparableState(((0.25, good, good), (0.75, good, good)))
 
 
 class TestRelativeEntropy:

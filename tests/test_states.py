@@ -1,9 +1,12 @@
 """Schmidt states, graded density operators, entropy, classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibanyon.errors import NormalizationError, NotAState, ValidationError
 from fibanyon.measures import StateClass, aee, classify, embed
@@ -15,8 +18,10 @@ from fibanyon.states import (
     new_schmidt_state,
     random_schmidt_state,
     reduced_density,
+    shannon_entropy,
     state_from_dict,
     state_to_dict,
+    _allclose,
 )
 
 TAU = Charge.TAU
@@ -186,3 +191,111 @@ class TestClassification:
         forward = classify(new_schmidt_state({VAC: [0.3, 0.2], TAU: [0.5]}))
         backward = classify(new_schmidt_state({VAC: [0.2, 0.3], TAU: [0.5]}))
         assert forward is backward
+
+
+class TestShannonEntropy:
+    @pytest.mark.parametrize(
+        "values, mults", [([1.0], None), ([1.0], [1]), ([0.0, 1.0], [5, 1]), ([1.0, 0.0], None)]
+    )
+    def test_one_point_distribution_is_positive_zero(self, values, mults):
+        value = shannon_entropy(values, mults)
+        assert value == 0.0
+        assert math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_nonzero_entropy_keeps_its_bits(self, seed):
+        values = np.random.default_rng(seed).dirichlet(np.ones(7))
+        mults = np.arange(1, 8)
+        v = values / np.dot(values, mults)
+        expected = float(-np.sum(mults * v * np.log2(v)))
+        assert shannon_entropy(v, mults).hex() == expected.hex()
+
+
+#: Multiples of the np.isclose tolerance atol + 1e-5 |b| by which an entry of
+#: ``a`` is moved off ``b``: equal, well inside and just inside; just outside
+#: and well outside.
+_INSIDE = (0.0, 0.5, 1.0 - 1e-6)
+_OUTSIDE = (1.0 + 1e-6, 2.0)
+_NON_FINITE = (math.nan, math.inf, -math.inf, complex(math.inf, 0.0), complex(0.0, -math.inf))
+
+
+@st.composite
+def closeness_cases(draw):
+    """(a, b, atol) around the np.isclose boundary: single blocks and stacks,
+    real and complex, a broadcast identity, and (when ``wild``) NaN, +-inf and
+    complex inf on either side."""
+    k = draw(st.integers(1, 3))
+    stack = draw(st.integers(0, 3))
+    shape = (k, k) if stack == 0 else (stack, k, k)
+    size = math.prod(shape)
+    is_complex = draw(st.booleans())
+    dtype = complex if is_complex else float
+    atol = draw(st.sampled_from((1e-9, 1e-10)))
+    wild = draw(st.booleans())
+    factors = _INSIDE + _OUTSIDE if draw(st.booleans()) else _INSIDE
+    specials = _NON_FINITE if is_complex else _NON_FINITE[:3]
+    reals = st.floats(-2.0, 2.0)
+    if wild:
+        reals = st.one_of(reals, st.floats(allow_nan=True, allow_infinity=True))
+    if draw(st.booleans()):
+        b = np.eye(k, dtype=dtype)
+        reference = np.broadcast_to(b, shape).ravel()
+    else:
+        b = np.array(draw(st.lists(reals, min_size=size, max_size=size)), dtype=dtype)
+        if is_complex:
+            imag = np.array(draw(st.lists(reals, min_size=size, max_size=size)))
+            with np.errstate(all="ignore"):
+                b = b + 1j * imag
+        if wild:
+            b[draw(st.integers(0, size - 1))] = draw(st.sampled_from(specials))
+        b = b.reshape(shape)
+        reference = b.ravel()
+    a = np.empty(size, dtype=dtype)
+    with np.errstate(all="ignore"):
+        for i, ref in enumerate(reference):
+            factor = draw(st.sampled_from(factors))
+            if wild and draw(st.integers(0, 9)) == 0:
+                a[i] = draw(st.sampled_from(specials))
+            elif factor == 0.0:
+                a[i] = ref
+            else:
+                sign = draw(st.sampled_from((1.0, -1.0, 1j, -1j) if is_complex else (1.0, -1.0)))
+                a[i] = ref + sign * factor * (atol + 1e-5 * abs(ref))
+    return a.reshape(shape), b, atol
+
+
+class TestAllclose:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(case=closeness_cases())
+    def test_equals_numpy_allclose(self, case):
+        a, b, atol = case
+        with np.errstate(all="ignore"):
+            expected = bool(np.allclose(a, b, atol=atol))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _allclose(a, b, atol) is expected
+        assert caught == []
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            ([1.0], [math.inf], False),  # finite against infinite: the fast test alone says True
+            ([math.inf], [math.inf], True),
+            ([-math.inf], [math.inf], False),
+            ([math.nan], [math.nan], False),
+            ([complex(math.inf, 0.0)], [complex(math.inf, 0.0)], True),
+            ([1.0 + 1e-5 + 2e-10], [1.0], False),
+            ([1.0 + 1e-5], [1.0], True),
+            ([1e308], [-1e308], False),
+            ([-(2**63)], [2**63 - 1], False),  # int64 a - b would wrap to 1
+            ([True, False], [True, False], True),  # bool a - b would raise
+        ],
+    )
+    def test_edge_cases(self, a, b, expected):
+        a, b = np.array(a), np.array(b)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _allclose(a, b, 1e-10) is expected
+        assert caught == []
+        with np.errstate(all="ignore"):
+            assert bool(np.allclose(a, b, atol=1e-10)) is expected
