@@ -11,6 +11,7 @@ story end to end.
 import math
 
 import fibanyon as fa
+from fibanyon import oracle
 
 tau_pair = fa.new_schmidt_state({"tau": [1.0]})
 
@@ -21,7 +22,7 @@ print()
 
 for n in (1, 2):
     result = fa.optimize_chsh(tau_pair, copies=n)
-    outcome = fa.locality_certificate(fa.n_copy(tau_pair, n))
+    outcome = oracle.locality_certificate(fa.n_copy(tau_pair, n))
     print(f"{n} copy(ies): best CHSH = {result.value:.6f}  [{result.verdict}]")
     print(
         f"  separable certificate with {len(outcome.mixture.terms)} product term(s),"
@@ -34,7 +35,7 @@ target = (4.0 * math.sqrt(2.0) * fa.PHI + 2.0) / fa.PHI**3
 print(f"3 copies: best CHSH = {result.value:.6f}  [{result.verdict}]")
 print(f"  analytic optimum (4*sqrt(2)*phi + 2)/phi^3 = {target:.6f}")
 print(f"  optimal angles (radians): {[round(a, 6) for a in result.angles]}")
-print(f"  certificate attempt: {fa.locality_certificate(fa.n_copy(tau_pair, 3))}")
+print(f"  certificate attempt: {oracle.locality_certificate(fa.n_copy(tau_pair, 3))}")
 print()
 print("Nonlocality was activated by measuring copies jointly: the conventional")
 print("entanglement of the 3-copy state is positive, while for 1 and 2 copies")

@@ -12,6 +12,7 @@ expectation machinery.
 import numpy as np
 
 import fibanyon as fa
+from fibanyon import oracle
 
 examples = {
     "product state |1>|1>": fa.new_schmidt_state({"1": [1.0]}),
@@ -42,7 +43,7 @@ for _ in range(5):
             l1, l2 = (float(x) for x in state.coefficients(c)[:2])
             bound, _ = fa.type_c_bound(l1, l2)
             best_bound = max(best_bound, bound)
-    found = fa.chsh_value(state, *fa.optimize_chsh(state).witness())
+    found = oracle.chsh_value(state, *oracle.witness(fa.optimize_chsh(state)))
     print(f"  bound {best_bound:.6f}  <=  witness {found:.6f}")
 
 print()

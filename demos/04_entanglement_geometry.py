@@ -13,22 +13,23 @@ certifies its minimality.
 import numpy as np
 
 import fibanyon as fa
+from fibanyon import oracle
 
 state = fa.new_schmidt_state({"1": [0.2, 0.1], "tau": [0.45, 0.25]})
-rho = fa.embed(state)
-omega = fa.omega_project(state)
-candidate = fa.closest_separable_candidate(state).to_operator(state.ranks)
+rho = oracle.embed(state)
+omega = oracle.omega_project(state)
+candidate = oracle.closest_separable_candidate(state).to_operator(state.ranks)
 
-leg_charge = fa.relative_entropy(rho, omega)
-leg_conventional = fa.relative_entropy(omega, candidate)
-total = fa.relative_entropy(rho, candidate)
+leg_charge = oracle.relative_entropy(rho, omega)
+leg_conventional = oracle.relative_entropy(omega, candidate)
+total = oracle.relative_entropy(rho, candidate)
 
 print("state:", state)
 print(f"  S(rho || Omega(rho))        = {leg_charge:.12f}   (ACE)")
 print(f"  S(Omega(rho) || separable)  = {leg_conventional:.12f}   (CE)")
 print(f"  S(rho || separable)         = {total:.12f}   (AREE)")
 print(f"  legs sum - total            = {leg_charge + leg_conventional - total:.2e}")
-print(f"  closed-form residual        = {fa.pythagorean_residual(state):.2e}")
+print(f"  closed-form residual        = {oracle.pythagorean_residual(state):.2e}")
 print()
 
 report = fa.measure_report(state)
@@ -38,7 +39,7 @@ print()
 
 rng = np.random.default_rng(11)
 gradients = [
-    fa.minimality_gradient(state, fa.random_separable_direction(rng, state.ranks))
+    oracle.minimality_gradient(state, oracle.random_separable_direction(rng, state.ranks))
     for _ in range(60)
 ]
 print("minimality of the closest separable state (gradient must be >= 0):")

@@ -4,34 +4,23 @@ The package computes the four entanglement measures of bipartite pure
 anyonic states (entanglement entropy, relative entropy of entanglement,
 charge entanglement, conventional entanglement), builds joint multi-copy
 states and their per-copy measure series, and computes the CHSH Bell
-value of joint states over charge-graded local observables.  All values are
-immutable and all operations are pure functions, so they are safe to
-share across concurrent workers.
+value of joint states over charge-graded local observables, all in closed
+form from grouped Schmidt data.  The dense graded operators that
+cross-check those closed forms are in the submodule
+:mod:`fibanyon.oracle` (``from fibanyon import oracle``), which this
+namespace does not re-export.  All values are immutable and all
+operations are pure functions, so they are safe to share across
+concurrent workers.
 """
 
-from .bell import (
-    TSIRELSON,
-    CertificateRefusal,
-    CHSHResult,
-    LocalityCertificate,
-    Observable,
-    chsh_value,
-    chsh_value_operator,
-    expectation,
-    expectation_operator,
-    identity_observable,
-    locality_certificate,
-    optimize_chsh,
-    random_involution_observable,
-    rotation_observable,
-    type_c_bound,
-)
+from .bell import TSIRELSON, CHSHResult, optimize_chsh, type_c_bound
 from .errors import (
     BlockMismatch,
     CopyLimitExceeded,
     DecompositionViolation,
     DimensionMismatch,
     DomainError,
+    FibanyonError,
     NormalizationError,
     NotAState,
     SupportViolation,
@@ -40,22 +29,13 @@ from .errors import (
 )
 from .measures import (
     MeasureReport,
-    SeparableState,
     StateClass,
     aee,
     classify,
-    closest_separable_candidate,
     e_ace_pure,
     e_aree_pure,
     e_ce_pure,
-    embed,
     measure_report,
-    minimality_gradient,
-    omega_project,
-    omega_project_operator,
-    pythagorean_residual,
-    random_separable_direction,
-    relative_entropy,
 )
 from .model import (
     CHARGE_ORDER,
@@ -65,27 +45,16 @@ from .model import (
     TOTAL_DIMENSION,
     Charge,
     QSqrt5,
-    dual,
     fuse,
     fusion_space_dim,
     qdim,
     qdim_float,
 )
-from .multicopy import (
-    N_MAX,
-    CopySeries,
-    copy_series,
-    e_aree_ncopy,
-    n_copy,
-)
+from .multicopy import N_MAX, CopySeries, copy_series, e_aree_ncopy, n_copy
 from .states import (
-    GradedDensityOperator,
     SchmidtState,
-    anyonic_entropy,
-    is_pure,
     new_schmidt_state,
     random_schmidt_state,
-    reduced_density,
     shannon_entropy,
     state_from_dict,
     state_to_dict,
@@ -98,7 +67,6 @@ __all__ = [
     "BlockMismatch",
     "CHARGE_ORDER",
     "CHSHResult",
-    "CertificateRefusal",
     "Charge",
     "CheckResult",
     "CopyLimitExceeded",
@@ -106,19 +74,16 @@ __all__ = [
     "DecompositionViolation",
     "DimensionMismatch",
     "DomainError",
-    "GradedDensityOperator",
+    "FibanyonError",
     "LOG2_PHI",
-    "LocalityCertificate",
     "MeasureReport",
     "N_MAX",
     "NormalizationError",
     "NotAState",
-    "Observable",
     "PHI",
     "PHI_EXACT",
     "QSqrt5",
     "SchmidtState",
-    "SeparableState",
     "StateClass",
     "SupportViolation",
     "TOTAL_DIMENSION",
@@ -126,41 +91,21 @@ __all__ = [
     "TargetRankError",
     "ValidationError",
     "aee",
-    "anyonic_entropy",
-    "chsh_value",
-    "chsh_value_operator",
     "classify",
-    "closest_separable_candidate",
     "copy_series",
-    "dual",
     "e_ace_pure",
     "e_aree_ncopy",
     "e_aree_pure",
     "e_ce_pure",
-    "embed",
-    "expectation",
-    "expectation_operator",
     "fuse",
     "fusion_space_dim",
-    "identity_observable",
-    "is_pure",
-    "locality_certificate",
     "measure_report",
-    "minimality_gradient",
     "n_copy",
     "new_schmidt_state",
-    "omega_project",
-    "omega_project_operator",
     "optimize_chsh",
-    "pythagorean_residual",
     "qdim",
     "qdim_float",
-    "random_involution_observable",
     "random_schmidt_state",
-    "random_separable_direction",
-    "reduced_density",
-    "relative_entropy",
-    "rotation_observable",
     "run_suite",
     "shannon_entropy",
     "state_from_dict",

@@ -11,11 +11,20 @@ Commands::
 States are JSON files ``{"sectors": {"1": [...], "tau": [...]}}``.
 Copy counts (``--copies``, ``--max-n``) run from 1 to 24; a count whose
 joint state would take more than 200 000 compositions to build, or whose
-joint rank does not fit in int64, is refused with exit code 1.  Exit
-codes: 0 success, 1 invalid input or copy count too costly for the
-state, 2 verification-suite failure or a violated closed-form identity
-(between the measures, or a locality certificate that does not rebuild
-its Omega image), 64 usage error.  Numbers are
+joint rank does not fit in int64, is refused with exit code 1.  The
+``verify`` seed is a non-negative integer and ``--cases`` runs from 1 to
+10 000.  Exit codes:
+
+* 0 -- success;
+* 1 -- any package error (:class:`~fibanyon.errors.FibanyonError`) other
+  than the one below: invalid input, or a copy count too costly for the state;
+* 2 -- a verification-suite failure, or a violated closed-form identity
+  (:class:`~fibanyon.errors.DecompositionViolation`: between the measures,
+  between a series row and its closed form, or a locality certificate
+  that does not rebuild its Omega image);
+* 64 -- usage error, including a count or seed out of range.
+
+Each error exit writes one ``error:`` line to stderr.  Numbers are
 emitted with fixed precision so identical inputs and seeds produce
 byte-identical outputs.
 """
@@ -27,14 +36,18 @@ import json
 import sys
 from typing import Sequence
 
-from .bell import CertificateRefusal, locality_certificate, optimize_chsh
-from .errors import CopyLimitExceeded, DecompositionViolation, ValidationError
+from .bell import optimize_chsh
+from .errors import DecompositionViolation, FibanyonError, ValidationError
 from .measures import measure_report
 from .multicopy import N_MAX, copy_series, n_copy
+from .oracle import CertificateRefusal, locality_certificate
 from .states import SchmidtState, state_from_dict
 from .verify import run_suite
 
 _USAGE_EXIT = 64
+
+#: Largest ``verify --cases``; the suite's run time grows linearly with it.
+_CASES_MAX = 10_000
 
 
 class _UsageError(Exception):
@@ -74,8 +87,11 @@ def build_parser() -> _Parser:
     _add_out(certify)
 
     verify = sub.add_parser("verify", help="run the invariant suite")
-    verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--cases", type=_positive_int, default=100, help="random states per check")
+    verify.add_argument("--seed", type=_seed, default=42, help="non-negative integer")
+    verify.add_argument(
+        "--cases", type=_case_count, default=100,
+        help=f"random states per check, at most {_CASES_MAX}",
+    )
 
     return parser
 
@@ -90,10 +106,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _copy_count(text: str) -> int:
+def _at_most(limit: int, text: str) -> int:
     value = _positive_int(text)
-    if value > N_MAX:
-        raise argparse.ArgumentTypeError(f"must be at most {N_MAX}, got {text!r}")
+    if value > limit:
+        raise argparse.ArgumentTypeError(f"must be at most {limit}, got {text!r}")
+    return value
+
+
+def _copy_count(text: str) -> int:
+    return _at_most(N_MAX, text)
+
+
+def _case_count(text: str) -> int:
+    return _at_most(_CASES_MAX, text)
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return value
 
 
@@ -242,12 +276,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _USAGE_EXIT
     try:
         return _DISPATCH[args.command](args)
-    except (ValidationError, CopyLimitExceeded) as exc:
+    except FibanyonError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except DecompositionViolation as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return 2 if isinstance(exc, DecompositionViolation) else 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every package error derives from :class:`FibanyonError` and from a
+builtin base: ``AssertionError`` for a violated closed-form identity,
+``ValueError`` for everything else.
+"""
 
 
-class ValidationError(ValueError):
+class FibanyonError(Exception):
+    """Root of every error the package raises."""
+
+
+class ValidationError(FibanyonError, ValueError):
     """Input data violates a structural requirement."""
 
 
@@ -9,35 +18,35 @@ class NormalizationError(ValidationError):
     """Coefficients deviate from unit total beyond the accepted tolerance."""
 
 
-class NotAState(ValueError):
+class NotAState(FibanyonError, ValueError):
     """Operator fails positivity or unit quantum trace."""
 
 
-class SupportViolation(ValueError):
+class SupportViolation(FibanyonError, ValueError):
     """Relative entropy undefined: rho carries weight outside sigma's support."""
 
 
-class BlockMismatch(ValueError):
+class BlockMismatch(FibanyonError, ValueError):
     """Graded operators disagree on block keys, ranks, or representation."""
 
 
-class DecompositionViolation(AssertionError):
+class DecompositionViolation(FibanyonError, AssertionError):
     """A closed-form identity fails beyond tolerance (AREE = ACE + CE, the n-copy AREE
     against its constructed state, or a locality certificate against the Omega image);
     signals an implementation bug."""
 
 
-class CopyLimitExceeded(ValueError):
+class CopyLimitExceeded(FibanyonError, ValueError):
     """Requested copy count exceeds the configured maximum."""
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(FibanyonError, ValueError):
     """Observable blocks do not match the state's sector ranks."""
 
 
-class TargetRankError(ValueError):
+class TargetRankError(FibanyonError, ValueError):
     """Rotation observable targets a sector of insufficient rank."""
 
 
-class DomainError(ValueError):
+class DomainError(FibanyonError, ValueError):
     """Arguments lie outside the mathematical domain of a formula."""

@@ -35,11 +35,6 @@ class Charge(str, Enum):
 CHARGE_ORDER: tuple[Charge, Charge] = (Charge.VACUUM, Charge.TAU)
 
 
-def dual(a: Charge) -> Charge:
-    """Charge conjugation.  Both Fibonacci charges are self-dual."""
-    return a
-
-
 def fuse(a: Charge, b: Charge) -> frozenset[Charge]:
     """Set of possible fusion outcomes of ``a x b``."""
     if a is Charge.VACUUM:

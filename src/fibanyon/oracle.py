@@ -1,0 +1,849 @@
+"""Dense graded operators: the numeric route that cross-checks the closed forms.
+
+The measures, the n-copy data and the CHSH values are computed in closed
+form from grouped Schmidt data elsewhere in the package.  This module is
+the one place that knows the dense block format; ``verify``, ``certify``,
+the demos and the tests use it to rebuild those numbers numerically.
+
+Density-type operators carry a block per superselection sector together
+with a quantum-trace weight.  Three block layouts appear:
+
+* subsystem operators, keyed by a single charge ``X`` with weight ``d_X``;
+* bipartite product-basis operators (separable states, Omega images),
+  keyed by a charge pair ``(X, Y)`` with weight ``d_X * d_Y`` -- the block
+  matrix acts identically on every fusion channel of the pair;
+* total-vacuum joint operators (pure-state projectors), a single block
+  over the fused vacuum-channel basis with weight 1, where coherences
+  between charge sectors are allowed.
+
+The quantum trace of any of these is ``sum_blocks weight * tr(block)``.
+
+Observables are party-local Hermitian involutions (eigenvalues +-1),
+block diagonal across charge sectors: superselection forbids coherences
+between sectors, so a local measurement decomposes into one block per
+sector of the measured subsystem.  Expectations are quantum-trace
+pairings.  For a pure state in Schmidt form they reduce to sector-wise
+amplitude sums with no extra quantum-dimension weights (those are
+already absorbed into the Schmidt normalization)::
+
+    <A B> = sum_c sum_{ik} sqrt(lambda_{c,i} lambda_{c,k}) A^c_{ik} B^c_{ik}
+
+Validation keeps ``np.allclose`` tolerances and answers but costs little:
+the Hermitian, involution and state tests go through :func:`_allclose`.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Mapping
+
+import numpy as np
+
+from .bell import CHSHResult
+from .errors import (
+    BlockMismatch,
+    CopyLimitExceeded,
+    DecompositionViolation,
+    DimensionMismatch,
+    NotAState,
+    SupportViolation,
+    TargetRankError,
+    ValidationError,
+)
+from .measures import e_aree_pure
+from .model import CHARGE_ORDER, Charge, qdim_float
+from .states import SchmidtState
+
+#: Block key of the total-vacuum joint (fusion-channel) representation.
+VACUUM_BLOCK = "vacuum-channel"
+
+KIND_SUBSYSTEM = "subsystem"
+KIND_PRODUCT = "product"
+KIND_JOINT = "joint"
+
+_STATE_TOL = 1e-10
+_PURITY_TOL = 1e-10
+_EIG_ZERO = 1e-12
+_EIG_CLAMP = 1e-300
+_SUPPORT_TOL = 1e-10
+_INVOLUTION_TOL = 1e-9
+
+#: Hard cap on the joint rank for which dense witness observables can be
+#: materialized at all (blocks are K x K dense matrices).
+_MATERIALIZE_LIMIT = 2048
+
+
+def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """Exactly ``bool(np.allclose(a, b, atol=atol))``, at a fraction of its cost.
+
+    ``np.isclose`` accepts an entry when ``|a - b| <= atol + 1e-5 |b|`` with
+    ``b`` finite, or when ``a == b``.  When the first test holds for every
+    entry the answer is True without more work; in every other case,
+    including each False answer and each non-finite entry, ``np.allclose``
+    itself decides.  ``b`` is cast to an inexact type first, as numpy does.
+    No floating-point warning escapes, whatever the entries.
+    """
+    b = np.asarray(b, dtype=np.result_type(b, 1.0))
+    with np.errstate(all="ignore"):
+        if ((abs(a - b) <= atol + 1e-5 * abs(b)) & np.isfinite(b)).all():
+            return True
+        return bool(np.allclose(a, b, atol=atol))
+
+
+# ---------------------------------------------------------------------------
+# Graded density operators
+# ---------------------------------------------------------------------------
+
+BlockKey = object  # Charge | tuple[Charge, Charge] | VACUUM_BLOCK
+
+
+class GradedDensityOperator:
+    """Charge-block operator with a quantum-trace weight per block."""
+
+    __slots__ = ("_blocks", "_ranks", "_kind")
+
+    def __init__(
+        self,
+        blocks: Mapping[BlockKey, np.ndarray],
+        ranks: Mapping[Charge, int] | None = None,
+    ):
+        if not blocks:
+            raise ValidationError("operator needs at least one block")
+        stored: dict[BlockKey, np.ndarray] = {}
+        kinds = set()
+        for key, matrix in blocks.items():
+            m = np.array(matrix, dtype=complex)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValidationError(f"block {key!r} is not a square matrix")
+            m.setflags(write=False)
+            stored[key] = m
+            if key == VACUUM_BLOCK:
+                kinds.add(KIND_JOINT)
+            elif isinstance(key, Charge):
+                kinds.add(KIND_SUBSYSTEM)
+            elif (
+                isinstance(key, tuple)
+                and len(key) == 2
+                and all(isinstance(k, Charge) for k in key)
+            ):
+                kinds.add(KIND_PRODUCT)
+            else:
+                raise ValidationError(f"unrecognized block key {key!r}")
+        if len(kinds) != 1:
+            raise ValidationError(f"mixed block-key kinds {sorted(kinds)}")
+        self._kind = kinds.pop()
+        if self._kind == KIND_SUBSYSTEM and ranks is None:
+            ranks = {c: stored[c].shape[0] for c in stored}
+        if self._kind != KIND_SUBSYSTEM and ranks is None:
+            raise ValidationError("bipartite operators need explicit sector ranks")
+        self._ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
+        self._check_shapes(stored)
+        self._blocks = stored
+
+    def _check_shapes(self, blocks: Mapping[BlockKey, np.ndarray]) -> None:
+        for key, m in blocks.items():
+            if key == VACUUM_BLOCK:
+                expected = sum(k * k for k in self._ranks.values())
+            elif isinstance(key, Charge):
+                expected = self._ranks.get(key, 0)
+            else:
+                a, b = key
+                expected = self._ranks.get(a, 0) * self._ranks.get(b, 0)
+            if m.shape[0] != expected:
+                raise ValidationError(
+                    f"block {key!r} has dimension {m.shape[0]}, expected {expected}"
+                )
+
+    # -- structure ---------------------------------------------------------
+
+    @property
+    def kind(self) -> str:
+        return self._kind
+
+    @property
+    def ranks(self) -> dict[Charge, int]:
+        return dict(self._ranks)
+
+    def keys(self) -> tuple[BlockKey, ...]:
+        return tuple(self._blocks)
+
+    def block(self, key: BlockKey) -> np.ndarray:
+        return self._blocks[key]
+
+    def weight(self, key: BlockKey) -> float:
+        """Quantum-trace weight of a block: d_X, d_X * d_Y, or 1."""
+        if key == VACUUM_BLOCK:
+            return 1.0
+        if isinstance(key, Charge):
+            return qdim_float(key)
+        a, b = key
+        return qdim_float(a) * qdim_float(b)
+
+    def joint_layout(self) -> tuple[tuple[Charge, int, int], ...]:
+        """Sector slices of the vacuum-channel basis: (charge, offset, size)."""
+        layout = []
+        offset = 0
+        for c in CHARGE_ORDER:
+            k = self._ranks.get(c, 0)
+            if k:
+                layout.append((c, offset, k * k))
+                offset += k * k
+        return tuple(layout)
+
+    # -- numerics ----------------------------------------------------------
+
+    def quantum_trace(self) -> float:
+        return float(
+            sum(self.weight(key) * np.trace(m).real for key, m in self._blocks.items())
+        )
+
+    def assert_state(self) -> None:
+        """Raise :class:`NotAState` unless Hermitian, PSD, and unit quantum trace, to 1e-10.
+
+        The Hermitian test is ``np.allclose`` at ``atol`` 1e-10, evaluated by
+        the exact helper :func:`_allclose`.
+        """
+        if not all(_allclose(m, m.conj().T, _STATE_TOL) for m in self._blocks.values()):
+            raise NotAState("operator is not Hermitian")
+        for key, m in self._blocks.items():
+            if m.shape[0] and np.linalg.eigvalsh(m).min() < -_STATE_TOL:
+                raise NotAState(f"block {key!r} is not positive semidefinite")
+        trace = self.quantum_trace()
+        if abs(trace - 1.0) > _STATE_TOL:
+            raise NotAState(f"quantum trace is {trace!r}, not 1")
+
+    def __repr__(self) -> str:
+        keys = ", ".join(repr(getattr(k, "value", k)) for k in self._blocks)
+        return f"GradedDensityOperator(kind={self._kind!r}, blocks=[{keys}])"
+
+
+def max_block_gap(x: GradedDensityOperator, y: GradedDensityOperator) -> float:
+    """Largest entrywise deviation between x and y; a block one lacks counts as 0."""
+    gap = 0.0
+    for key in {*x.keys(), *y.keys()}:
+        left = x.block(key) if key in x.keys() else 0.0
+        right = y.block(key) if key in y.keys() else 0.0
+        gap = max(gap, float(np.max(np.abs(left - right))))
+    return gap
+
+
+def reduced_density(state: SchmidtState) -> GradedDensityOperator:
+    """Subsystem state: block diag(lambda_{c,i}) / d_c, weight d_c.
+
+    Both sides carry the same charge content (every Fibonacci charge is
+    self-dual), so this is the reduced operator of A and of B.
+    """
+    blocks = {
+        c: np.diag(state.coefficients(c)).astype(complex) / qdim_float(c)
+        for c in state.charges
+    }
+    return GradedDensityOperator(blocks, ranks=state.ranks)
+
+
+def anyonic_entropy(op: GradedDensityOperator) -> float:
+    """Entropy -Tr~(rho log2 rho) of a graded state; 0*log(0) counts as 0."""
+    op.assert_state()
+    total = 0.0
+    for key in op.keys():
+        eigs = np.linalg.eigvalsh(op.block(key))
+        eigs = eigs[eigs > _EIG_ZERO]
+        if eigs.size:
+            total -= op.weight(key) * float(np.sum(eigs * np.log2(eigs)))
+    return total
+
+
+def is_pure(op: GradedDensityOperator) -> bool:
+    """True iff the anyonic entropy vanishes (below 1e-10)."""
+    return anyonic_entropy(op) <= _PURITY_TOL
+
+
+# ---------------------------------------------------------------------------
+# Operator constructions
+# ---------------------------------------------------------------------------
+
+
+def _diagonal_pair_vector(phi: np.ndarray) -> np.ndarray:
+    """Embed a sector vector on the diagonal of the paired product basis."""
+    k = phi.shape[0]
+    vec = np.zeros(k * k, dtype=complex)
+    vec[np.arange(k) * k + np.arange(k)] = phi
+    return vec
+
+
+def embed(state: SchmidtState) -> GradedDensityOperator:
+    """Pure-state projector in the total-vacuum joint basis.
+
+    The joint basis concatenates the paired product bases of the diagonal
+    charge sectors; its kets are quantum-trace orthonormal (weight 1), so
+    the projector has amplitudes sqrt(lambda_{c,i}) on the paired basis
+    vectors, unit quantum trace, and zero anyonic entropy.
+    """
+    ranks = state.ranks
+    dim = sum(k * k for k in ranks.values())
+    psi = np.zeros(dim, dtype=complex)
+    offset = 0
+    for c in CHARGE_ORDER:
+        k = ranks.get(c, 0)
+        if not k:
+            continue
+        phi = np.sqrt(state.coefficients(c))
+        psi[offset : offset + k * k] = _diagonal_pair_vector(phi)
+        offset += k * k
+    return GradedDensityOperator({VACUUM_BLOCK: np.outer(psi, psi.conj())}, ranks=ranks)
+
+
+def omega_project(state: SchmidtState) -> GradedDensityOperator:
+    """Omega image of a pure state: severs charge lines between the subsystems.
+
+    Sector-c block is (1/d_c**2) * phi_c phi_c^dagger on the paired product
+    basis with phi_{c,i} = sqrt(lambda_{c,i}); block weight d_c**2.  The
+    result reproduces every product-observable expectation of the state
+    and is idempotent under :func:`omega_project_operator`.
+    """
+    blocks: dict = {}
+    for c in state.charges:
+        phi = np.sqrt(state.coefficients(c))
+        vec = _diagonal_pair_vector(phi)
+        d = qdim_float(c)
+        blocks[(c, c)] = np.outer(vec, vec.conj()) / (d * d)
+    return GradedDensityOperator(blocks, ranks=state.ranks)
+
+
+def omega_project_operator(op: GradedDensityOperator) -> GradedDensityOperator:
+    """Project a bipartite operator onto the tensor-product-structured subspace.
+
+    Product-basis operators are fixed points.  A total-vacuum joint
+    operator keeps only its diagonal charge-pair blocks, each rescaled by
+    1/(d_X * d_Y) so the image is channel-uniform with the same
+    product-observable expectations.
+    """
+    if op.kind == KIND_PRODUCT:
+        return GradedDensityOperator(
+            {key: op.block(key) for key in op.keys()}, ranks=op.ranks
+        )
+    if op.kind != KIND_JOINT:
+        raise BlockMismatch("omega projection applies to bipartite operators")
+    matrix = op.block(VACUUM_BLOCK)
+    blocks: dict = {}
+    for c, offset, size in op.joint_layout():
+        sub = matrix[offset : offset + size, offset : offset + size]
+        d = qdim_float(c)
+        blocks[(c, c)] = sub / (d * d)
+    return GradedDensityOperator(blocks, ranks=op.ranks)
+
+
+@dataclass(frozen=True)
+class SeparableState:
+    """Convex mixture of product states, each factor a subsystem operator."""
+
+    terms: tuple[tuple[float, GradedDensityOperator, GradedDensityOperator], ...]
+
+    def __post_init__(self) -> None:
+        # Factor blocks are read-only, so a factor object that recurs (both
+        # sides of a term, or several terms) needs its state check only once.
+        checked: set[int] = set()
+        total = 0.0
+        for p, left, right in self.terms:
+            if p < 0.0:
+                raise ValidationError(f"negative mixture weight {p!r}")
+            total += p
+            for factor in (left, right):
+                if factor.kind != KIND_SUBSYSTEM:
+                    raise ValidationError("separable factors must be subsystem operators")
+                if id(factor) not in checked:
+                    factor.assert_state()
+                    checked.add(id(factor))
+        if abs(total - 1.0) > 1e-12:
+            raise ValidationError(f"mixture weights sum to {total!r}, not 1")
+
+    def _check_ranks(self, ranks: Mapping[Charge, int]) -> None:
+        """Raise :class:`BlockMismatch` unless every factor block has its sector's rank."""
+        for _, left, right in self.terms:
+            for factor in (left, right):
+                for c in factor.keys():
+                    if ranks.get(c) != factor.block(c).shape[0]:
+                        raise BlockMismatch(
+                            f"factor sector {c.value!r} has rank "
+                            f"{factor.block(c).shape[0]}, target ranks are {ranks!r}"
+                        )
+
+    def to_operator(self, ranks: Mapping[Charge, int]) -> GradedDensityOperator:
+        """Bipartite product-basis operator sum_k p_k rho_A^k (x) rho_B^k."""
+        ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
+        self._check_ranks(ranks)
+        blocks: dict = {}
+        for a in ranks:
+            for b in ranks:
+                acc = np.zeros((ranks[a] * ranks[b],) * 2, dtype=complex)
+                hit = False
+                for p, left, right in self.terms:
+                    if a in left.keys() and b in right.keys():
+                        acc += p * np.kron(left.block(a), right.block(b))
+                        hit = True
+                if hit:
+                    blocks[(a, b)] = acc
+        return GradedDensityOperator(blocks, ranks=ranks)
+
+
+def _basis_factor(c: Charge, index: int, rank: int) -> GradedDensityOperator:
+    block = np.zeros((rank, rank), dtype=complex)
+    block[index, index] = 1.0 / qdim_float(c)
+    return GradedDensityOperator({c: block}, ranks={c: rank})
+
+
+def closest_separable_candidate(state: SchmidtState) -> SeparableState:
+    """Separable mixture that minimizes the relative entropy from the state.
+
+    One product term per Schmidt coefficient: with probability
+    lambda_{c,i}, both sides hold (1/d_c) |i; c><i; c|.
+    """
+    ranks = state.ranks
+    terms = []
+    for c in state.charges:
+        for i, value in enumerate(state.coefficients(c)):
+            factor = _basis_factor(c, i, ranks[c])
+            terms.append((float(value), factor, factor))
+    return SeparableState(tuple(terms))
+
+
+# ---------------------------------------------------------------------------
+# Relative entropy on graded blocks
+# ---------------------------------------------------------------------------
+
+
+def _hermitize(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().T)
+
+
+def _ordered_keys(*ops: GradedDensityOperator) -> list:
+    """Union of block keys in a canonical order (summation determinism)."""
+    def sort_key(key):
+        if key == VACUUM_BLOCK:
+            return (2, "", "")
+        if isinstance(key, Charge):
+            return (0, key.value, "")
+        return (1, key[0].value, key[1].value)
+
+    seen = []
+    for op in ops:
+        for key in op.keys():
+            if key not in seen:
+                seen.append(key)
+    return sorted(seen, key=sort_key)
+
+
+def _block_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """tr(rho log2 rho) - tr(rho log2 sigma) for one matched block."""
+    rvals = np.linalg.eigvalsh(_hermitize(rho))
+    rvals = rvals[rvals > _EIG_ZERO]
+    tr_r_log_r = float(np.sum(rvals * np.log2(rvals))) if rvals.size else 0.0
+
+    svals, svecs = np.linalg.eigh(_hermitize(sigma))
+    overlap = np.einsum("ki,kl,li->i", svecs.conj(), rho, svecs).real
+    null = svals <= _EIG_ZERO
+    if float(np.sum(overlap[null])) > _SUPPORT_TOL:
+        raise SupportViolation(
+            "rho has weight outside sigma's support in a matched block"
+        )
+    kept = ~null
+    logs = np.log2(np.clip(svals[kept], _EIG_CLAMP, None))
+    tr_r_log_s = float(np.dot(overlap[kept], logs))
+    return tr_r_log_r - tr_r_log_s
+
+
+def _joint_restriction(
+    op: GradedDensityOperator, layout: tuple[tuple[Charge, int, int], ...]
+) -> np.ndarray:
+    """Vacuum-channel component of a product-basis operator.
+
+    Product operators act identically on every fusion channel of a charge
+    pair, so the restriction is the block-diagonal stack of the (c, c)
+    blocks in joint-layout order.
+    """
+    dim = sum(size for _, _, size in layout)
+    out = np.zeros((dim, dim), dtype=complex)
+    for c, offset, size in layout:
+        key = (c, c)
+        if key in op.keys():
+            out[offset : offset + size, offset : offset + size] = op.block(key)
+    return out
+
+
+def relative_entropy(rho: GradedDensityOperator, sigma: GradedDensityOperator) -> float:
+    """Quantum-trace relative entropy Tr~(rho log2 rho) - Tr~(rho log2 sigma).
+
+    Supports matched subsystem operators, matched product-basis operators,
+    and a joint (total-vacuum) rho against a product-basis sigma, in which
+    case sigma is restricted to the vacuum channel (exact, since product
+    operators are block diagonal across fusion channels).
+    """
+    if rho.ranks != sigma.ranks:
+        raise BlockMismatch(
+            f"sector ranks differ: {rho.ranks!r} vs {sigma.ranks!r}"
+        )
+    if rho.kind == sigma.kind and rho.kind in (KIND_SUBSYSTEM, KIND_PRODUCT, KIND_JOINT):
+        total = 0.0
+        for key in _ordered_keys(rho, sigma):
+            r = rho.block(key) if key in rho.keys() else None
+            s = sigma.block(key) if key in sigma.keys() else None
+            if r is None:
+                continue
+            if s is None:
+                s = np.zeros_like(r)
+            total += rho.weight(key) * _block_relative_entropy(r, s)
+        return max(total, 0.0)
+    if rho.kind == KIND_JOINT and sigma.kind == KIND_PRODUCT:
+        layout = rho.joint_layout()
+        sigma_joint = _joint_restriction(sigma, layout)
+        return max(
+            _block_relative_entropy(rho.block(VACUUM_BLOCK), sigma_joint), 0.0
+        )
+    raise BlockMismatch(
+        f"incompatible operator kinds {rho.kind!r} and {sigma.kind!r}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Numeric oracles
+# ---------------------------------------------------------------------------
+
+
+def _log_divided_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L(a, b) = (ln a - ln b) / (a - b), L(a, a) = 1/a, for positive a and b.
+
+    Evaluated as log1p(t) / (t * lo) with t = (hi - lo) / lo >= 0, which stays
+    accurate as a -> b.
+    """
+    hi = np.maximum(a, b)
+    lo = np.minimum(a, b)
+    t = (hi - lo) / lo
+    ratio = np.ones_like(t)
+    np.divide(np.log1p(t), t, out=ratio, where=t > 0.0)
+    return ratio / lo
+
+
+def minimality_gradient(state: SchmidtState, direction: SeparableState) -> float:
+    """Directional derivative of x -> S(rho || (1-x) rho_0 + x rho') at x = 0.
+
+    rho_0 is the closest-separable candidate.  On the vacuum channel it is
+    diagonal, with entries s_{c,i} = lambda_{c,i} / d_c**2 on the paired
+    basis vectors that carry all of rho, so the Daleckii-Krein derivative of
+    the matrix log gives the exact value, in bits,
+
+        (1 - sum_c sum_{i,j} sqrt(lambda_{c,i} lambda_{c,j}) M_c[i,j] L(s_{c,i}, s_{c,j})) / ln 2
+
+    with M_c = sum_k p_k (A_k^c o B_k^c) the elementwise product of the
+    direction's sector-c factor blocks and L the divided difference of ln.
+    Nonnegative values certify local minimality of rho_0.
+    """
+    direction._check_ranks(state.ranks)
+    pairing = 0.0
+    for c in state.charges:
+        lam = state.coefficients(c)
+        overlap = np.zeros((lam.size, lam.size), dtype=complex)
+        for p, left, right in direction.terms:
+            if c in left.keys() and c in right.keys():
+                overlap += p * left.block(c) * right.block(c)
+        s = lam / qdim_float(c) ** 2
+        amp = np.sqrt(lam)
+        weights = np.outer(amp, amp) * _log_divided_difference(s[:, None], s[None, :])
+        pairing += float(np.sum(weights * overlap).real)
+    return (1.0 - pairing) / math.log(2.0)
+
+
+def pythagorean_residual(state: SchmidtState) -> float:
+    """AREE minus the two-step path through the Omega image; vanishes for states.
+
+    Computes e_aree_pure - S(rho || Omega(rho)) - S(Omega(rho) || rho_0)
+    entirely through block relative entropies.
+    """
+    rho = embed(state)
+    omega = omega_project(state)
+    candidate = closest_separable_candidate(state).to_operator(state.ranks)
+    return (
+        e_aree_pure(state)
+        - relative_entropy(rho, omega)
+        - relative_entropy(omega, candidate)
+    )
+
+
+def random_separable_direction(
+    rng: np.random.Generator,
+    ranks: Mapping[Charge, int],
+) -> SeparableState:
+    """Random mixture of one to three random product states on the given sector ranks."""
+    ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
+    n_terms = int(rng.integers(1, 4))
+    weights = rng.dirichlet(np.ones(n_terms))
+    terms = []
+    for w in weights:
+        terms.append((float(w), _random_factor(rng, ranks), _random_factor(rng, ranks)))
+    return SeparableState(tuple(terms))
+
+
+def _random_factor(
+    rng: np.random.Generator, ranks: Mapping[Charge, int]
+) -> GradedDensityOperator:
+    blocks: dict = {}
+    for c, k in ranks.items():
+        g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        blocks[c] = g @ g.conj().T
+    norm = sum(qdim_float(c) * np.trace(m).real for c, m in blocks.items())
+    return GradedDensityOperator(
+        {c: m / norm for c, m in blocks.items()}, ranks=ranks
+    )
+
+
+# ---------------------------------------------------------------------------
+# Observables
+# ---------------------------------------------------------------------------
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _check_involutions(m: np.ndarray, label: str) -> None:
+    """Raise :class:`ValidationError` unless every (k, k) block of ``m`` is a
+    Hermitian involution, entrywise to 1e-9.
+
+    Both tests are ``np.allclose`` at ``atol`` 1e-9, against ``m^dagger``
+    and against the identity, evaluated by the exact helper :func:`_allclose`.
+    """
+    if not _allclose(m, _dagger(m), _INVOLUTION_TOL):
+        raise ValidationError(f"{label} is not Hermitian")
+    if not _allclose(m @ m, np.eye(m.shape[-1]), _INVOLUTION_TOL):
+        raise ValidationError(f"{label} is not an involution (eigenvalues +-1)")
+
+
+def _random_involutions(normals: np.ndarray) -> np.ndarray:
+    """Validated stack (..., k, k) of random Hermitian involutions.
+
+    ``normals`` (..., 2, k, k) holds the real and imaginary parts of
+    complex Gaussian matrices g; each block is the sign of the Hermitian
+    part (g + g^dagger) / 2, taken on its eigenvectors.  Stacked
+    ``eigh`` and ``matmul`` treat each block as a single call would.
+    """
+    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    vals, vecs = np.linalg.eigh(0.5 * (g + _dagger(g)))
+    signs = np.where(vals >= 0.0, 1.0, -1.0)
+    m = (vecs * signs[..., None, :]) @ _dagger(vecs)
+    _check_involutions(m, "random involution block")
+    return m
+
+
+class Observable:
+    """Party-local Hermitian involution, one block per charge sector."""
+
+    __slots__ = ("_blocks",)
+
+    def __init__(self, blocks: Mapping[Charge, np.ndarray]):
+        stored: dict[Charge, np.ndarray] = {}
+        for c, matrix in blocks.items():
+            m = np.array(matrix, dtype=complex)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValidationError(f"sector {c.value!r} block is not square")
+            _check_involutions(m, f"sector {c.value!r} block")
+            m.setflags(write=False)
+            stored[c] = m
+        self._blocks = stored
+
+    def block(self, c: Charge) -> np.ndarray:
+        return self._blocks[c]
+
+    def charges(self) -> tuple[Charge, ...]:
+        return tuple(c for c in CHARGE_ORDER if c in self._blocks)
+
+
+def identity_observable(ranks: Mapping[Charge, int]) -> Observable:
+    return Observable(
+        {c: np.eye(int(k)) for c, k in ranks.items() if int(k) > 0}
+    )
+
+
+def rotation_observable(
+    ranks: Mapping[Charge, int], angle: float, target: Charge
+) -> Observable:
+    """Planar rotation-reflection on the first two basis vectors of one sector.
+
+    The target block opens with [[cos t, sin t], [sin t, -cos t]]; every
+    other diagonal entry is pinned to +1.  Sectors list their coefficients
+    in descending order, so the plane is that of the sector's two largest.
+    """
+    ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
+    k_target = ranks.get(target, 0)
+    if k_target < 2:
+        raise TargetRankError(
+            f"sector {target.value!r} has rank {k_target}, cannot host a rotation plane"
+        )
+    blocks = {c: np.eye(k) for c, k in ranks.items()}
+    cos_t, sin_t = math.cos(angle), math.sin(angle)
+    block = blocks[target]
+    block[0, 0] = cos_t
+    block[1, 1] = -cos_t
+    block[0, 1] = sin_t
+    block[1, 0] = sin_t
+    return Observable(blocks)
+
+
+def random_involution_observable(
+    rng: np.random.Generator, ranks: Mapping[Charge, int]
+) -> Observable:
+    """Random Hermitian blocks projected onto +-1 spectrum.
+
+    Each rank-k sector reads 2 k^2 normals from ``rng``: the real parts of
+    its Gaussian matrix, then the imaginary parts.
+    """
+    blocks = {}
+    for c, k in ranks.items():
+        k = int(k)
+        if k > 0:
+            blocks[c] = _random_involutions(rng.normal(size=(2, k, k)))
+    return Observable(blocks)
+
+
+def witness(result: CHSHResult) -> tuple[Observable, Observable, Observable, Observable]:
+    """The observables (A1, A2, B1, B2) that reach ``result.value`` on the joint state.
+
+    The rotation family of ``result.sector`` at ``result.angles``, or four
+    identities when the sector is None.  Blocks are dense K x K matrices,
+    so joint ranks above 2048 are refused with :class:`CopyLimitExceeded`.
+    """
+    total_rank = sum(result.ranks.values())
+    if total_rank > _MATERIALIZE_LIMIT:
+        raise CopyLimitExceeded(
+            f"joint rank {total_rank} exceeds {_MATERIALIZE_LIMIT}; "
+            "witness observables would not fit in dense blocks"
+        )
+    if result.sector is None:
+        identity = identity_observable(result.ranks)
+        return identity, identity, identity, identity
+    return tuple(
+        rotation_observable(result.ranks, a, target=result.sector) for a in result.angles
+    )
+
+
+# ---------------------------------------------------------------------------
+# Expectations
+# ---------------------------------------------------------------------------
+
+
+def _check_blocks(state: SchmidtState, obs: Observable, label: str) -> None:
+    for c in state.charges:
+        k = state.rank(c)
+        if c not in obs.charges() or obs.block(c).shape[0] != k:
+            raise DimensionMismatch(
+                f"observable {label} lacks a rank-{k} block for sector {c.value!r}"
+            )
+
+
+def expectation(state: SchmidtState, a: Observable, b: Observable) -> float:
+    """Quantum-trace expectation <A B> on a pure state."""
+    _check_blocks(state, a, "A")
+    _check_blocks(state, b, "B")
+    total = 0.0
+    for c in state.charges:
+        phi = np.sqrt(state.coefficients(c))
+        total += float(
+            np.einsum("i,k,ik,ik->", phi, phi, a.block(c), b.block(c)).real
+        )
+    return total
+
+
+def chsh_value(
+    state: SchmidtState,
+    a1: Observable,
+    a2: Observable,
+    b1: Observable,
+    b2: Observable,
+) -> float:
+    """<A1 B1> + <A1 B2> + <A2 B1> - <A2 B2>."""
+    return (
+        expectation(state, a1, b1)
+        + expectation(state, a1, b2)
+        + expectation(state, a2, b1)
+        - expectation(state, a2, b2)
+    )
+
+
+def expectation_operator(
+    op: GradedDensityOperator, a: Observable, b: Observable
+) -> float:
+    """Tr~(op * (A (x) B)) via block arithmetic, for bipartite operators."""
+    if op.kind == KIND_PRODUCT:
+        total = 0.0
+        for key in op.keys():
+            ca, cb = key
+            if ca not in a.charges() or cb not in b.charges():
+                continue
+            product = np.kron(a.block(ca), b.block(cb))
+            total += op.weight(key) * float(np.trace(op.block(key) @ product).real)
+        return total
+    if op.kind == KIND_JOINT:
+        layout = op.joint_layout()
+        dim = sum(size for _, _, size in layout)
+        product = np.zeros((dim, dim), dtype=complex)
+        for c, offset, size in layout:
+            product[offset : offset + size, offset : offset + size] = np.kron(
+                a.block(c), b.block(c)
+            )
+        return float(np.trace(op.block(VACUUM_BLOCK) @ product).real)
+    raise DimensionMismatch("expectation requires a bipartite operator")
+
+
+def chsh_value_operator(
+    op: GradedDensityOperator,
+    a1: Observable,
+    a2: Observable,
+    b1: Observable,
+    b2: Observable,
+) -> float:
+    return (
+        expectation_operator(op, a1, b1)
+        + expectation_operator(op, a1, b2)
+        + expectation_operator(op, a2, b1)
+        - expectation_operator(op, a2, b2)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Locality certificates
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LocalityCertificate:
+    """Explicit separable decomposition of the Omega image of a state."""
+
+    mixture: SeparableState
+    reconstruction_residual: float
+
+
+@dataclass(frozen=True)
+class CertificateRefusal:
+    """No certificate: the state has positive conventional entanglement."""
+
+    reason: str
+
+
+def locality_certificate(
+    state: SchmidtState,
+) -> LocalityCertificate | CertificateRefusal:
+    """Certify locality when every sector has Schmidt rank <= 1.
+
+    Rank-<=1 sectors mean zero conventional entanglement, and the Omega
+    image then equals the closest-separable mixture exactly; the residual
+    reports the largest block deviation of that reconstruction.  States
+    with a rank->=2 sector are refused with reason ``CE_POSITIVE``.  A
+    residual of 1e-12 or more raises :class:`DecompositionViolation`.
+    """
+    if any(state.rank(c) > 1 for c in state.charges):
+        return CertificateRefusal(reason="CE_POSITIVE")
+    mixture = closest_separable_candidate(state)
+    residual = max_block_gap(omega_project(state), mixture.to_operator(state.ranks))
+    if residual >= 1e-12:
+        raise DecompositionViolation(
+            f"certificate reconstruction residual {residual!r} out of tolerance"
+        )
+    return LocalityCertificate(mixture=mixture, reconstruction_residual=residual)

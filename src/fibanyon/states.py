@@ -1,50 +1,26 @@
-"""Bipartite pure anyonic states and charge-graded density operators.
+"""Bipartite pure anyonic states in Schmidt form.
 
 A pure bipartite state of total vacuum charge is stored in Schmidt form:
 per charge sector ``c`` a list of nonnegative coefficients ``lambda_{c,i}``
 with ``sum_{c,i} lambda_{c,i} = 1``.  Coefficients are grouped as
 ``(value, multiplicity)`` pairs so that multi-copy states with heavily
-repeated coefficients stay compact.
-
-Density-type operators carry a block per superselection sector together
-with a quantum-trace weight.  Three block layouts appear:
-
-* subsystem operators, keyed by a single charge ``X`` with weight ``d_X``;
-* bipartite product-basis operators (separable states, Omega images),
-  keyed by a charge pair ``(X, Y)`` with weight ``d_X * d_Y`` -- the block
-  matrix acts identically on every fusion channel of the pair;
-* total-vacuum joint operators (pure-state projectors), a single block
-  over the fused vacuum-channel basis with weight 1, where coherences
-  between charge sectors are allowed.
-
-The quantum trace of any of these is ``sum_blocks weight * tr(block)``.
+repeated coefficients stay compact.  The dense graded operators built
+from these states live in :mod:`fibanyon.oracle`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Literal, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NormalizationError, NotAState, ValidationError
-from .model import CHARGE_ORDER, Charge, qdim_float
-
-Side = Literal["A", "B"]
-
-#: Block key of the total-vacuum joint (fusion-channel) representation.
-VACUUM_BLOCK = "vacuum-channel"
-
-KIND_SUBSYSTEM = "subsystem"
-KIND_PRODUCT = "product"
-KIND_JOINT = "joint"
+from .errors import NormalizationError, ValidationError
+from .model import CHARGE_ORDER, Charge
 
 _SUM_TOL = 1e-9
 #: No single coefficient of a state can exceed 1 by more than the sum tolerance.
 _COEFF_MAX = 1.0 + _SUM_TOL
-_STATE_TOL = 1e-10
-_PURITY_TOL = 1e-10
-_EIG_ZERO = 1e-12
 
 
 def shannon_entropy(
@@ -61,23 +37,6 @@ def shannon_entropy(
         return 0.0
     v = vals[mask]
     return 0.0 - float(np.sum(m[mask] * v * np.log2(v)))
-
-
-def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
-    """Exactly ``bool(np.allclose(a, b, atol=atol))``, at a fraction of its cost.
-
-    ``np.isclose`` accepts an entry when ``|a - b| <= atol + 1e-5 |b|`` with
-    ``b`` finite, or when ``a == b``.  When the first test holds for every
-    entry the answer is True without more work; in every other case,
-    including each False answer and each non-finite entry, ``np.allclose``
-    itself decides.  ``b`` is cast to an inexact type first, as numpy does.
-    No floating-point warning escapes, whatever the entries.
-    """
-    b = np.asarray(b, dtype=np.result_type(b, 1.0))
-    with np.errstate(all="ignore"):
-        if ((abs(a - b) <= atol + 1e-5 * abs(b)) & np.isfinite(b)).all():
-            return True
-        return bool(np.allclose(a, b, atol=atol))
 
 
 def _as_charge(key: Charge | str) -> Charge:
@@ -302,165 +261,6 @@ def state_to_dict(state: SchmidtState) -> dict:
     return {
         "sectors": {c.value: [float(v) for v in state.coefficients(c)] for c in state.charges}
     }
-
-
-# ---------------------------------------------------------------------------
-# Graded density operators
-# ---------------------------------------------------------------------------
-
-BlockKey = object  # Charge | tuple[Charge, Charge] | VACUUM_BLOCK
-
-
-class GradedDensityOperator:
-    """Charge-block operator with a quantum-trace weight per block."""
-
-    __slots__ = ("_blocks", "_ranks", "_kind")
-
-    def __init__(
-        self,
-        blocks: Mapping[BlockKey, np.ndarray],
-        ranks: Mapping[Charge, int] | None = None,
-    ):
-        if not blocks:
-            raise ValidationError("operator needs at least one block")
-        stored: dict[BlockKey, np.ndarray] = {}
-        kinds = set()
-        for key, matrix in blocks.items():
-            m = np.array(matrix, dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValidationError(f"block {key!r} is not a square matrix")
-            m.setflags(write=False)
-            stored[key] = m
-            if key == VACUUM_BLOCK:
-                kinds.add(KIND_JOINT)
-            elif isinstance(key, Charge):
-                kinds.add(KIND_SUBSYSTEM)
-            elif (
-                isinstance(key, tuple)
-                and len(key) == 2
-                and all(isinstance(k, Charge) for k in key)
-            ):
-                kinds.add(KIND_PRODUCT)
-            else:
-                raise ValidationError(f"unrecognized block key {key!r}")
-        if len(kinds) != 1:
-            raise ValidationError(f"mixed block-key kinds {sorted(kinds)}")
-        self._kind = kinds.pop()
-        if self._kind == KIND_SUBSYSTEM and ranks is None:
-            ranks = {c: stored[c].shape[0] for c in stored}
-        if self._kind != KIND_SUBSYSTEM and ranks is None:
-            raise ValidationError("bipartite operators need explicit sector ranks")
-        self._ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
-        self._check_shapes(stored)
-        self._blocks = stored
-
-    def _check_shapes(self, blocks: Mapping[BlockKey, np.ndarray]) -> None:
-        for key, m in blocks.items():
-            if key == VACUUM_BLOCK:
-                expected = sum(k * k for k in self._ranks.values())
-            elif isinstance(key, Charge):
-                expected = self._ranks.get(key, 0)
-            else:
-                a, b = key
-                expected = self._ranks.get(a, 0) * self._ranks.get(b, 0)
-            if m.shape[0] != expected:
-                raise ValidationError(
-                    f"block {key!r} has dimension {m.shape[0]}, expected {expected}"
-                )
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
-    def ranks(self) -> dict[Charge, int]:
-        return dict(self._ranks)
-
-    def keys(self) -> tuple[BlockKey, ...]:
-        return tuple(self._blocks)
-
-    def block(self, key: BlockKey) -> np.ndarray:
-        return self._blocks[key]
-
-    def weight(self, key: BlockKey) -> float:
-        """Quantum-trace weight of a block: d_X, d_X * d_Y, or 1."""
-        if key == VACUUM_BLOCK:
-            return 1.0
-        if isinstance(key, Charge):
-            return qdim_float(key)
-        a, b = key
-        return qdim_float(a) * qdim_float(b)
-
-    def joint_layout(self) -> tuple[tuple[Charge, int, int], ...]:
-        """Sector slices of the vacuum-channel basis: (charge, offset, size)."""
-        layout = []
-        offset = 0
-        for c in CHARGE_ORDER:
-            k = self._ranks.get(c, 0)
-            if k:
-                layout.append((c, offset, k * k))
-                offset += k * k
-        return tuple(layout)
-
-    # -- numerics ----------------------------------------------------------
-
-    def quantum_trace(self) -> float:
-        return float(
-            sum(self.weight(key) * np.trace(m).real for key, m in self._blocks.items())
-        )
-
-    def assert_state(self) -> None:
-        """Raise :class:`NotAState` unless Hermitian, PSD, and unit quantum trace, to 1e-10.
-
-        The Hermitian test is ``np.allclose`` at ``atol`` 1e-10, evaluated by
-        the exact helper :func:`_allclose`.
-        """
-        if not all(_allclose(m, m.conj().T, _STATE_TOL) for m in self._blocks.values()):
-            raise NotAState("operator is not Hermitian")
-        for key, m in self._blocks.items():
-            if m.shape[0] and np.linalg.eigvalsh(m).min() < -_STATE_TOL:
-                raise NotAState(f"block {key!r} is not positive semidefinite")
-        trace = self.quantum_trace()
-        if abs(trace - 1.0) > _STATE_TOL:
-            raise NotAState(f"quantum trace is {trace!r}, not 1")
-
-    def __repr__(self) -> str:
-        keys = ", ".join(repr(getattr(k, "value", k)) for k in self._blocks)
-        return f"GradedDensityOperator(kind={self._kind!r}, blocks=[{keys}])"
-
-
-def reduced_density(state: SchmidtState, side: Side) -> GradedDensityOperator:
-    """Subsystem state of one side: block diag(lambda_{c,i}) / d_c, weight d_c.
-
-    Both sides carry the same charge content (every Fibonacci charge is
-    self-dual), so the reduced operators of A and B coincide.
-    """
-    if side not in ("A", "B"):
-        raise ValidationError(f"side must be 'A' or 'B', got {side!r}")
-    blocks = {
-        c: np.diag(state.coefficients(c)).astype(complex) / qdim_float(c)
-        for c in state.charges
-    }
-    return GradedDensityOperator(blocks, ranks=state.ranks)
-
-
-def anyonic_entropy(op: GradedDensityOperator) -> float:
-    """Entropy -Tr~(rho log2 rho) of a graded state; 0*log(0) counts as 0."""
-    op.assert_state()
-    total = 0.0
-    for key in op.keys():
-        eigs = np.linalg.eigvalsh(op.block(key))
-        eigs = eigs[eigs > _EIG_ZERO]
-        if eigs.size:
-            total -= op.weight(key) * float(np.sum(eigs * np.log2(eigs)))
-    return total
-
-
-def is_pure(op: GradedDensityOperator) -> bool:
-    """True iff the anyonic entropy vanishes (below 1e-10)."""
-    return anyonic_entropy(op) <= _PURITY_TOL
 
 
 def random_schmidt_state(

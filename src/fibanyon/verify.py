@@ -7,17 +7,12 @@ Omega projection, and the CHSH bounds.  The checks that the acceptance
 tests also run are module-level ``check_*`` functions, each returning
 :class:`CheckResult` values; callers choose the seed and sample sizes.
 
+The numeric side of each comparison comes from :mod:`fibanyon.oracle`.
 The Tsirelson check, the bulk of the suite's draws, batches them: it
 reads the generator in the same order as drawing one observable at a
-time, validates every observable as :class:`~fibanyon.bell.Observable`
+time, validates every observable as :class:`~fibanyon.oracle.Observable`
 does, and evaluates stacks of them at once, so its output is that of
 the one-at-a-time loop.
-
-Validation keeps every tolerance and decision but costs little: the
-Hermitian, involution and state tests go through
-:func:`fibanyon.states._allclose`, which returns exactly what
-``np.allclose`` returns and is cheap when the answer is True, and a
-separable mixture checks each distinct factor object once.
 """
 
 from __future__ import annotations
@@ -29,30 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import (
-    TSIRELSON,
-    _random_involutions,
-    chsh_value,
-    chsh_value_operator,
-    expectation,
-    expectation_operator,
-    optimize_chsh,
-    random_involution_observable,
-)
-from .measures import (
-    aee,
-    closest_separable_candidate,
-    e_ace_pure,
-    e_aree_pure,
-    e_ce_pure,
-    embed,
-    minimality_gradient,
-    omega_project,
-    omega_project_operator,
-    pythagorean_residual,
-    random_separable_direction,
-    relative_entropy,
-)
+from .bell import TSIRELSON, optimize_chsh
+from .measures import aee, e_ace_pure, e_aree_pure, e_ce_pure
 from .model import (
     CHARGE_ORDER,
     LOG2_PHI,
@@ -60,11 +33,29 @@ from .model import (
     PHI_EXACT,
     Charge,
     QSqrt5,
+    fuse,
     fusion_space_dim,
     qdim,
 )
 from .multicopy import CopySeries, copy_series, e_aree_ncopy, n_copy
-from .states import GradedDensityOperator, SchmidtState, new_schmidt_state, random_schmidt_state
+from .oracle import (
+    _random_involutions,
+    chsh_value,
+    chsh_value_operator,
+    closest_separable_candidate,
+    embed,
+    expectation,
+    expectation_operator,
+    max_block_gap,
+    minimality_gradient,
+    omega_project,
+    omega_project_operator,
+    pythagorean_residual,
+    random_involution_observable,
+    random_separable_direction,
+    relative_entropy,
+)
+from .states import SchmidtState, new_schmidt_state, random_schmidt_state
 
 
 @dataclass(frozen=True)
@@ -76,29 +67,19 @@ class CheckResult:
 
 def _brute_force_paths(n: int, target: Charge) -> int:
     """Count fusion paths of n tau anyons by explicit enumeration."""
+    with_tau = {c: fuse(c, Charge.TAU) for c in CHARGE_ORDER}
     count = 0
     for inner in itertools.product(CHARGE_ORDER, repeat=max(n - 1, 0)):
         charges = (Charge.TAU,) + inner
-        ok = all(
-            charges[i + 1] in _fusion_with_tau(charges[i]) for i in range(n - 1)
-        )
+        ok = all(charges[i + 1] in with_tau[charges[i]] for i in range(n - 1))
         if ok and charges[-1] is target:
             count += 1
     return count
 
 
-def _fusion_with_tau(c: Charge) -> tuple[Charge, ...]:
-    return (Charge.TAU,) if c is Charge.VACUUM else CHARGE_ORDER
-
-
 def _total_dimension(n: int) -> QSqrt5:
     """sum_c dim(n, c) d_c, exactly; equals d_tau**n."""
     return sum(fusion_space_dim(n, c) * qdim(c) for c in CHARGE_ORDER)
-
-
-def _max_block_gap(x: GradedDensityOperator, y: GradedDensityOperator) -> float:
-    """Largest entrywise deviation of y from x over the blocks of x."""
-    return max(float(np.max(np.abs(x.block(k) - y.block(k)))) for k in x.keys())
 
 
 def check_model_identities() -> list[CheckResult]:
@@ -270,8 +251,8 @@ def run_suite(seed: int = 42, cases: int = 100) -> list[CheckResult]:
     worst_embed = 0.0
     for s in states[:20]:
         omega = omega_project(s)
-        worst_idem = max(worst_idem, _max_block_gap(omega, omega_project_operator(omega)))
-        worst_embed = max(worst_embed, _max_block_gap(omega, omega_project_operator(embed(s))))
+        worst_idem = max(worst_idem, max_block_gap(omega, omega_project_operator(omega)))
+        worst_embed = max(worst_embed, max_block_gap(omega, omega_project_operator(embed(s))))
         for _ in range(5):
             a = random_involution_observable(rng, s.ranks)
             b = random_involution_observable(rng, s.ranks)

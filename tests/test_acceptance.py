@@ -12,10 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from fibanyon.bell import TSIRELSON, chsh_value, optimize_chsh, type_c_bound
+from fibanyon.bell import TSIRELSON, optimize_chsh, type_c_bound
 from fibanyon.cli import main
 from fibanyon.model import PHI, Charge
 from fibanyon.multicopy import copy_series
+from fibanyon.oracle import chsh_value, witness
 from fibanyon.states import new_schmidt_state, random_schmidt_state
 from fibanyon.verify import (
     check_copy_series_trends,
@@ -162,11 +163,11 @@ def test_criterion_6_plane_violation_formula():
                 l1, l2 = float(coeffs[0]), float(coeffs[1])
                 bound, _ = type_c_bound(l1, l2)
                 best_bound = max(best_bound, bound)
-        witnessed = chsh_value(state, *optimize_chsh(state).witness())
+        witnessed = chsh_value(state, *witness(optimize_chsh(state)))
         shortfall = max(shortfall, best_bound - witnessed)
 
     bell_pair = new_schmidt_state({Charge.VACUUM: [0.5, 0.5]})
-    tsirelson_gap = abs(chsh_value(bell_pair, *optimize_chsh(bell_pair).witness()) - TSIRELSON)
+    tsirelson_gap = abs(chsh_value(bell_pair, *witness(optimize_chsh(bell_pair))) - TSIRELSON)
 
     ok = shortfall <= 1e-6 and tsirelson_gap < 1e-6
     report(

@@ -5,9 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from fibanyon import bell, verify
-from fibanyon.bell import (
-    TSIRELSON,
+from fibanyon import oracle, verify
+from fibanyon.bell import TSIRELSON, optimize_chsh, type_c_bound
+from fibanyon.errors import (
+    CopyLimitExceeded,
+    DimensionMismatch,
+    DomainError,
+    TargetRankError,
+    ValidationError,
+)
+from fibanyon.model import PHI, Charge
+from fibanyon.multicopy import n_copy
+from fibanyon.oracle import (
     CertificateRefusal,
     LocalityCertificate,
     Observable,
@@ -16,21 +25,11 @@ from fibanyon.bell import (
     expectation,
     identity_observable,
     locality_certificate,
-    optimize_chsh,
+    omega_project,
     random_involution_observable,
     rotation_observable,
-    type_c_bound,
+    witness,
 )
-from fibanyon.errors import (
-    CopyLimitExceeded,
-    DimensionMismatch,
-    DomainError,
-    TargetRankError,
-    ValidationError,
-)
-from fibanyon.measures import omega_project
-from fibanyon.model import PHI, Charge
-from fibanyon.multicopy import n_copy
 from fibanyon.states import new_schmidt_state, random_schmidt_state
 from fibanyon.verify import check_tsirelson
 
@@ -191,7 +190,7 @@ class TestBatchedTsirelson:
                 worst = max(worst, abs(chsh_value(state, *obs)))
 
         validated, batch_worst = [], []
-        real_check, real_worst = bell._check_involutions, verify._worst_chsh
+        real_check, real_worst = oracle._check_involutions, verify._worst_chsh
 
         def counting_check(m, label):
             validated.append(m[..., 0, 0].size)
@@ -201,7 +200,7 @@ class TestBatchedTsirelson:
             batch_worst.append(real_worst(ranks, batch))
             return batch_worst[-1]
 
-        monkeypatch.setattr(bell, "_check_involutions", counting_check)
+        monkeypatch.setattr(oracle, "_check_involutions", counting_check)
         monkeypatch.setattr(verify, "_worst_chsh", recording_worst)
         rng = np.random.default_rng(seed)
         [result] = check_tsirelson(rng, n_states, draws)
@@ -211,21 +210,21 @@ class TestBatchedTsirelson:
         assert sum(validated) == blocks
 
     def test_scaled_block_is_rejected(self):
-        stack = bell._random_involutions(np.random.default_rng(6).normal(size=(4, 5, 2, 3, 3)))
-        bell._check_involutions(stack, "stack")
+        stack = oracle._random_involutions(np.random.default_rng(6).normal(size=(4, 5, 2, 3, 3)))
+        oracle._check_involutions(stack, "stack")
         stack[2, 1] *= 1.01
         with pytest.raises(ValidationError, match="stack is not an involution"):
-            bell._check_involutions(stack, "stack")
+            oracle._check_involutions(stack, "stack")
 
     def test_batched_check_validates_its_stacks(self, monkeypatch):
-        real_check = bell._check_involutions
+        real_check = oracle._check_involutions
 
         def scaling_check(m, label):
             scaled = m.copy()
             scaled[(0,) * (m.ndim - 2)] *= 1.01
             real_check(scaled, label)
 
-        monkeypatch.setattr(bell, "_check_involutions", scaling_check)
+        monkeypatch.setattr(oracle, "_check_involutions", scaling_check)
         with pytest.raises(ValidationError, match="random involution block is not an involution"):
             check_tsirelson(np.random.default_rng(7), 10, 2)
 
@@ -299,7 +298,7 @@ class TestOptimizeChsh:
                     bound, _ = type_c_bound(l1, l2)
                     best_bound = max(best_bound, bound)
             result = optimize_chsh(state)
-            assert chsh_value(state, *result.witness()) >= best_bound - 1e-6
+            assert chsh_value(state, *witness(result)) >= best_bound - 1e-6
 
     def test_rank_one_states_never_violate(self):
         rng = np.random.default_rng(80)
@@ -321,7 +320,7 @@ class TestOptimizeChsh:
         assert result.verdict == "violation"
         assert sum(result.ranks.values()) > 2048
         with pytest.raises(CopyLimitExceeded):
-            result.witness()
+            witness(result)
 
 
 class TestWitness:
@@ -331,7 +330,7 @@ class TestWitness:
     def test_tau_pair(self, copies):
         result = optimize_chsh(tau_line(), copies=copies)
         joint = n_copy(tau_line(), copies)
-        assert chsh_value(joint, *result.witness()) == pytest.approx(result.value, abs=1e-12)
+        assert chsh_value(joint, *witness(result)) == pytest.approx(result.value, abs=1e-12)
 
     def test_random_states(self):
         rng = np.random.default_rng(81)
@@ -340,13 +339,13 @@ class TestWitness:
             copies = int(rng.integers(1, 4))
             result = optimize_chsh(state, copies=copies)
             joint = n_copy(state, copies)
-            witnessed = chsh_value(joint, *result.witness())
+            witnessed = chsh_value(joint, *witness(result))
             assert witnessed == pytest.approx(result.value, abs=1e-12)
 
     def test_local_witness_is_identity(self):
         result = optimize_chsh(tau_line(), copies=2)
         assert result.sector is None and result.angles is None
-        for obs in result.witness():
+        for obs in witness(result):
             for c in obs.charges():
                 np.testing.assert_array_equal(obs.block(c), np.eye(obs.block(c).shape[0]))
 

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibanyon import bell, multicopy, verify
+from fibanyon import cli, errors, multicopy, oracle, verify
 from fibanyon.cli import main
-from fibanyon.states import GradedDensityOperator
+from fibanyon.oracle import GradedDensityOperator
 
 TAU_STATE = {"sectors": {"tau": [1.0]}}
 
@@ -112,6 +112,14 @@ MEASURES_MIXED = (
     '{"aee":1.832596254043,"aree":2.179717210858,"ace":1.694241913631,'
     '"ce":0.485475297227}\n'
 )
+
+
+#: Every error class the package defines.
+_PACKAGE_ERRORS = [
+    value
+    for value in vars(errors).values()
+    if isinstance(value, type) and issubclass(value, Exception) and value is not errors.FibanyonError
+]
 
 
 @pytest.fixture
@@ -260,7 +268,7 @@ class TestCertify:
         assert payload["reason"] == "CE_POSITIVE"
 
     def test_reconstruction_residual_is_exit_2(self, capsys, tau_file, monkeypatch):
-        real = bell.omega_project
+        real = oracle.omega_project
 
         def perturbed(state):
             omega = real(state)
@@ -269,7 +277,7 @@ class TestCertify:
             blocks[first] = blocks[first] + 1e-6
             return GradedDensityOperator(blocks, ranks=omega.ranks)
 
-        monkeypatch.setattr(bell, "omega_project", perturbed)
+        monkeypatch.setattr(oracle, "omega_project", perturbed)
         code, out, err = run(capsys, ["certify", "--state", tau_file, "--copies", "2"])
         assert code == 2
         assert out == ""
@@ -327,6 +335,43 @@ class TestExitCodes:
         code, _, err = run(capsys, ["measures", "--state", "/nonexistent.json"])
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("error", _PACKAGE_ERRORS, ids=lambda e: e.__name__)
+    def test_every_package_error_has_one_exit_code(self, capsys, tau_file, monkeypatch, error):
+        def failing(state):
+            raise error("reached")
+
+        monkeypatch.setattr(cli, "measure_report", failing)
+        code, out, err = run(capsys, ["measures", "--state", tau_file])
+        assert code == (2 if error is errors.DecompositionViolation else 1)
+        assert out == ""
+        assert err == "error: reached\n"
+
+    def test_error_root_keeps_builtin_bases(self):
+        for error in _PACKAGE_ERRORS:
+            assert issubclass(error, errors.FibanyonError)
+            assert issubclass(error, AssertionError if error is errors.DecompositionViolation
+                              else ValueError)
+
+    @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+    def test_negative_seed_is_usage_error(self, capsys, seed):
+        code, out, err = run(capsys, ["verify", "--seed", seed])
+        assert code == 64
+        assert out == ""
+        assert err.startswith("usage: fibanyon verify")
+        assert f"argument --seed: must be a non-negative integer, got '{seed}'" in err
+
+    @pytest.mark.parametrize("cases", ["10001", "99999999999999999999"])
+    def test_case_count_above_limit_is_usage_error(self, capsys, cases):
+        code, out, err = run(capsys, ["verify", "--cases", cases])
+        assert code == 64
+        assert out == ""
+        assert f"argument --cases: must be at most 10000, got '{cases}'" in err
+
+    def test_case_limit_is_in_the_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "at most 10000" in capsys.readouterr().out
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -512,28 +557,51 @@ def _positive_finite(value):
     return type(value) in (int, float) and 0 < value < math.inf
 
 
+#: ``measures`` in both formats, and ``series``, ``chsh`` and ``certify`` at 1 to 4 copies.
+_COMMANDS = st.sampled_from([["measures", "--format", "json"], ["measures", "--format", "csv"]]) | (
+    st.builds(
+        lambda flag, n: [*flag, str(n)],
+        st.sampled_from([["series", "--max-n"], ["chsh", "--copies"], ["certify", "--copies"]]),
+        st.integers(1, 4),
+    )
+)
+
+
+def _printed_numbers(command, out):
+    """Every number that a successful ``command`` printed, checking the layout."""
+    name = command[0]
+    if name == "series" or command[-1] == "csv":
+        header, *rows = out.splitlines()
+        assert header == ("n,aee,aree,ace,ce" if name == "series" else "aee,aree,ace,ce")
+        assert len(rows) == (int(command[-1]) if name == "series" else 1)
+        return [float(field) for row in rows for field in row.split(",")]
+    payload = json.loads(out)
+    if name == "measures":
+        assert len(payload) == 4
+        return list(payload.values())
+    if name == "chsh":
+        return [payload["value"], *(payload["angles"] or [])]
+    if payload["local"]:
+        return [payload["reconstruction_residual"], *(term["p"] for term in payload["terms"])]
+    return []
+
+
 class TestMeasuresRobustness:
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-    @given(document=state_documents(), fmt=st.sampled_from(["json", "csv"]))
-    def test_finite_answer_or_one_error_line(self, document, fmt):
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(document=state_documents(), command=_COMMANDS)
+    def test_finite_answer_or_one_error_line(self, document, command):
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "state.json")
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(document))
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["measures", "--state", path, "--format", fmt])
+                code = main([command[0], "--state", path, *command[1:]])
         out, err = out.getvalue(), err.getvalue()
         if code == 0:
             assert err == ""
-            if fmt == "json":
-                values = list(json.loads(out).values())
-            else:
-                header, row = out.splitlines()
-                assert header == "aee,aree,ace,ce"
-                values = [float(field) for field in row.split(",")]
-            assert len(values) == 4 and all(math.isfinite(v) for v in values)
+            assert all(math.isfinite(v) for v in _printed_numbers(command, out))
         else:
-            assert code == 1
+            assert code in (1, 2)
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")

@@ -12,14 +12,20 @@ from fibanyon.cli import main
 from fibanyon.errors import BlockMismatch, DecompositionViolation, NotAState, SupportViolation
 from fibanyon.measures import (
     MeasureReport,
-    SeparableState,
     _schmidt_entropy,
-    closest_separable_candidate,
     e_ace_pure,
     e_aree_pure,
     e_ce_pure,
-    embed,
     measure_report,
+)
+from fibanyon.model import CHARGE_ORDER, LOG2_PHI, PHI, Charge
+from fibanyon.multicopy import n_copy
+from fibanyon.oracle import (
+    GradedDensityOperator,
+    SeparableState,
+    anyonic_entropy,
+    closest_separable_candidate,
+    embed,
     minimality_gradient,
     omega_project,
     omega_project_operator,
@@ -27,15 +33,7 @@ from fibanyon.measures import (
     random_separable_direction,
     relative_entropy,
 )
-from fibanyon.model import CHARGE_ORDER, LOG2_PHI, PHI, Charge
-from fibanyon.multicopy import n_copy
-from fibanyon.states import (
-    GradedDensityOperator,
-    anyonic_entropy,
-    new_schmidt_state,
-    random_schmidt_state,
-    shannon_entropy,
-)
+from fibanyon.states import new_schmidt_state, random_schmidt_state, shannon_entropy
 
 TAU = Charge.TAU
 VAC = Charge.VACUUM

@@ -12,7 +12,6 @@ from fibanyon.model import (
     TOTAL_DIMENSION,
     Charge,
     QSqrt5,
-    dual,
     fuse,
     fusion_space_dim,
     qdim,
@@ -31,10 +30,6 @@ class TestFusion:
 
     def test_vacuum_vacuum(self):
         assert fuse(Charge.VACUUM, Charge.VACUUM) == {Charge.VACUUM}
-
-    def test_self_dual(self):
-        assert dual(Charge.VACUUM) is Charge.VACUUM
-        assert dual(Charge.TAU) is Charge.TAU
 
 
 class TestQuantumDimensions:

@@ -1,0 +1,85 @@
+"""The dense-operator route lives in ``fibanyon.oracle`` and nowhere else."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fibanyon"
+
+#: Modules that hold only closed forms on grouped Schmidt data.
+CLOSED_FORM_MODULES = ("states", "measures", "multicopy", "bell")
+
+#: The block format: read or bound nowhere but in ``oracle``.
+FORMAT_NAMES = {"GradedDensityOperator", "VACUUM_BLOCK", "KIND_SUBSYSTEM", "KIND_PRODUCT",
+                "KIND_JOINT"}
+
+
+def _tree(module):
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _defined_names(tree):
+    """Names a module defines at top level: functions, classes and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _bound_names(tree):
+    """Every name a module binds anywhere: definitions, assignments, imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def _imported_modules(tree):
+    """Dotted names of every module an import statement names, relative ones included."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            modules.add(base)
+            modules.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+    return modules
+
+
+def _referenced_names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+DENSE_NAMES = _defined_names(_tree("oracle"))
+
+
+def test_oracle_defines_the_dense_route():
+    assert FORMAT_NAMES <= DENSE_NAMES
+    assert {"Observable", "relative_entropy", "locality_certificate", "witness"} <= DENSE_NAMES
+
+
+@pytest.mark.parametrize("module", CLOSED_FORM_MODULES)
+def test_closed_form_module_stays_off_the_dense_route(module):
+    tree = _tree(module)
+    assert not any("oracle" in name.split(".") for name in _imported_modules(tree))
+    assert not _bound_names(tree) & DENSE_NAMES
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "oracle")
+)
+def test_block_format_is_read_only_in_oracle(module):
+    assert not _referenced_names(_tree(module)) & FORMAT_NAMES

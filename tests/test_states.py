@@ -9,19 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibanyon.errors import NormalizationError, NotAState, ValidationError
-from fibanyon.measures import StateClass, aee, classify, embed
+from fibanyon.measures import StateClass, aee, classify
 from fibanyon.model import LOG2_PHI, PHI, Charge
-from fibanyon.states import (
+from fibanyon.oracle import (
     GradedDensityOperator,
+    _allclose,
     anyonic_entropy,
+    embed,
     is_pure,
+    reduced_density,
+)
+from fibanyon.states import (
     new_schmidt_state,
     random_schmidt_state,
-    reduced_density,
     shannon_entropy,
     state_from_dict,
     state_to_dict,
-    _allclose,
 )
 
 TAU = Charge.TAU
@@ -111,37 +114,42 @@ class TestAee:
 
 class TestReducedDensity:
     def test_tau_block(self):
-        op = reduced_density(new_schmidt_state({TAU: [1.0]}), "A")
+        op = reduced_density(new_schmidt_state({TAU: [1.0]}))
         block = op.block(TAU)
         assert block.shape == (1, 1)
         assert block[0, 0].real == pytest.approx(1.0 / PHI, abs=1e-12)
         assert op.weight(TAU) == pytest.approx(PHI)
 
     def test_vacuum_block(self):
-        op = reduced_density(new_schmidt_state({VAC: [1.0]}), "A")
+        op = reduced_density(new_schmidt_state({VAC: [1.0]}))
         assert op.block(VAC)[0, 0] == 1.0
         assert op.weight(VAC) == 1.0
 
     @pytest.mark.parametrize("state", random_states(11, 20))
     def test_unit_quantum_trace(self, state):
-        assert reduced_density(state, "A").quantum_trace() == pytest.approx(
+        assert reduced_density(state).quantum_trace() == pytest.approx(
             1.0, abs=1e-12
         )
 
     @pytest.mark.parametrize("state", random_states(12, 10))
     def test_entropy_symmetry(self, state):
-        left = anyonic_entropy(reduced_density(state, "A"))
-        right = anyonic_entropy(reduced_density(state, "B"))
-        assert left == right
-
-    def test_bad_side(self):
-        with pytest.raises(ValidationError):
-            reduced_density(new_schmidt_state({TAU: [1.0]}), "C")
+        # The joint projector is invariant under swapping A and B (pair
+        # index i*k + j <-> j*k + i in every sector), so both sides reduce to
+        # the one operator, and entropy, that reduced_density gives.
+        rho = embed(state)
+        swap, offset = [], 0
+        for c in state.charges:
+            k = state.rank(c)
+            swap += (offset + np.arange(k * k).reshape(k, k).T.ravel()).tolist()
+            offset += k * k
+        [key] = rho.keys()
+        block = rho.block(key)
+        np.testing.assert_array_equal(block[np.ix_(swap, swap)], block)
 
 
 class TestAnyonicEntropy:
     def test_reduced_single_tau(self):
-        op = reduced_density(new_schmidt_state({TAU: [1.0]}), "A")
+        op = reduced_density(new_schmidt_state({TAU: [1.0]}))
         assert anyonic_entropy(op) == pytest.approx(0.6942419136, abs=1e-9)
 
     def test_pure_vacuum_block(self):
@@ -149,12 +157,12 @@ class TestAnyonicEntropy:
         assert anyonic_entropy(op) == 0.0
 
     def test_mixed_sector_reduction(self):
-        op = reduced_density(new_schmidt_state({VAC: [0.5], TAU: [0.5]}), "A")
+        op = reduced_density(new_schmidt_state({VAC: [0.5], TAU: [0.5]}))
         assert anyonic_entropy(op) == pytest.approx(1.3471209568, abs=1e-9)
 
     @pytest.mark.parametrize("state", random_states(13, 25))
     def test_matches_aee(self, state):
-        entropy = anyonic_entropy(reduced_density(state, "A"))
+        entropy = anyonic_entropy(reduced_density(state))
         assert entropy == pytest.approx(aee(state), abs=1e-10)
 
     def test_not_a_state(self):
