@@ -3,17 +3,17 @@
 The package computes the four entanglement measures of bipartite pure
 anyonic states (entanglement entropy, relative entropy of entanglement,
 charge entanglement, conventional entanglement), builds joint multi-copy
-states and their per-copy measure series, and computes the CHSH Bell
-value of joint states over charge-graded local observables, all in closed
-form from grouped Schmidt data.  The dense graded operators that
-cross-check those closed forms are in the submodule
-:mod:`fibanyon.oracle` (``from fibanyon import oracle``), which this
-namespace does not re-export.  All values are immutable and all
-operations are pure functions, so they are safe to share across
-concurrent workers.
+states and their per-copy measure series, computes the CHSH Bell value
+of joint states over charge-graded local observables, and certifies
+locality when no joint sector has Schmidt rank >= 2, all in closed form
+from grouped Schmidt data.  The dense graded operators that cross-check
+those closed forms are in the submodule :mod:`fibanyon.oracle` (``from
+fibanyon import oracle``), which this namespace does not re-export.  All
+values are immutable and all operations are pure functions, so they are
+safe to share across concurrent workers.
 """
 
-from .bell import TSIRELSON, CHSHResult, optimize_chsh, type_c_bound
+from .bell import TSIRELSON, CHSHResult, local_terms, optimize_chsh, type_c_bound
 from .errors import (
     BlockMismatch,
     CopyLimitExceeded,
@@ -99,6 +99,7 @@ __all__ = [
     "e_ce_pure",
     "fuse",
     "fusion_space_dim",
+    "local_terms",
     "measure_report",
     "n_copy",
     "new_schmidt_state",

@@ -1,13 +1,14 @@
-"""CHSH values of joint multi-copy states, in closed form.
+"""CHSH values and locality certificates of joint multi-copy states, in closed form.
 
 Local observables are Hermitian involutions, block diagonal across the
 charge sectors of the measured subsystem, so the CHSH combination on a
 pure state only pairs coefficients that share a sector.  The CHSH value
 of a joint n-copy state is computed in closed form: the plane bound of
 the top coefficient pair of its best rank->=2 sector, or 2 when there is
-none.  It reads only the grouped Schmidt data; the dense observables,
-expectations and witnesses that reproduce it live in
-:mod:`fibanyon.oracle`.
+none.  A joint state whose sectors all have rank <= 1 is certified local
+by a separable mixture of one product term per sector.  Both read only
+the grouped Schmidt data; the dense observables, expectations, witnesses
+and mixtures that reproduce them live in :mod:`fibanyon.oracle`.
 """
 
 from __future__ import annotations
@@ -124,3 +125,20 @@ def optimize_chsh(state: SchmidtState, copies: int = 1) -> CHSHResult:
         sector=sector,
         ranks=joint.ranks,
     )
+
+
+def local_terms(state: SchmidtState, copies: int = 1) -> tuple[tuple[float, Charge], ...] | None:
+    """Separable certificate of locality of the joint ``copies``-fold state, or None.
+
+    A joint state whose sectors all have Schmidt rank <= 1 has no
+    conventional entanglement, and its Omega image is the mixture of one
+    product term per sector c: with probability p_c, both sides hold the
+    sector's basis state.  The terms are (p_c, c) in charge order.  A
+    sector of rank >= 2 makes the state nonlocal (Gisin, Phys. Lett. A
+    154, 201 (1991)), and None is returned.  The dense mixture is rebuilt
+    by :func:`fibanyon.oracle.certificate_gap`.
+    """
+    joint = n_copy(state, copies)
+    if any(joint.rank(c) > 1 for c in joint.charges):
+        return None
+    return tuple((joint.sector_probability(c), c) for c in joint.charges)

@@ -18,10 +18,10 @@ joint rank does not fit in int64, is refused with exit code 1.  The
 * 0 -- success;
 * 1 -- any package error (:class:`~fibanyon.errors.FibanyonError`) other
   than the one below: invalid input, or a copy count too costly for the state;
-* 2 -- a verification-suite failure, or a violated closed-form identity
+* 2 -- a verification-suite failure, such as a locality certificate that
+  does not rebuild its Omega image, or a violated closed-form identity
   (:class:`~fibanyon.errors.DecompositionViolation`: between the measures,
-  between a series row and its closed form, or a locality certificate
-  that does not rebuild its Omega image);
+  or between a series row and its closed form);
 * 64 -- usage error, including a count or seed out of range.
 
 Each error exit writes one ``error:`` line to stderr.  Numbers are
@@ -36,11 +36,10 @@ import json
 import sys
 from typing import Sequence
 
-from .bell import optimize_chsh
+from .bell import local_terms, optimize_chsh
 from .errors import DecompositionViolation, FibanyonError, ValidationError
 from .measures import measure_report
-from .multicopy import N_MAX, copy_series, n_copy
-from .oracle import CertificateRefusal, locality_certificate
+from .multicopy import N_MAX, copy_series
 from .states import SchmidtState, state_from_dict
 from .verify import run_suite
 
@@ -223,22 +222,16 @@ def _cmd_chsh(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    joint = n_copy(_load_state(args.state), args.copies)
-    outcome = locality_certificate(joint)
-    if isinstance(outcome, CertificateRefusal):
-        payload = {"local": False, "reason": outcome.reason, "copies": args.copies}
+    terms = local_terms(_load_state(args.state), args.copies)
+    if terms is None:
+        payload = {"local": False, "reason": "CE_POSITIVE", "copies": args.copies}
     else:
-        terms = []
-        for p, left, _ in outcome.mixture.terms:
-            charge = left.keys()[0]
-            block = left.block(charge)
-            index = int(abs(block).diagonal().argmax())
-            terms.append({"p": _round12(p), "charge": charge.value, "index": index})
         payload = {
             "local": True,
             "copies": args.copies,
-            "terms": terms,
-            "reconstruction_residual": _round12(outcome.reconstruction_residual),
+            "terms": [{"p": _round12(p), "charge": c.value, "index": 0} for p, c in terms],
+            # Omega image by construction; the verify suite rebuilds both densely.
+            "reconstruction_residual": 0.0,
         }
     _emit(_json_line(payload), args.out)
     return 0

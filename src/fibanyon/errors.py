@@ -31,9 +31,8 @@ class BlockMismatch(FibanyonError, ValueError):
 
 
 class DecompositionViolation(FibanyonError, AssertionError):
-    """A closed-form identity fails beyond tolerance (AREE = ACE + CE, the n-copy AREE
-    against its constructed state, or a locality certificate against the Omega image);
-    signals an implementation bug."""
+    """A closed-form identity fails beyond tolerance (AREE = ACE + CE, or the n-copy
+    AREE against its constructed state); signals an implementation bug."""
 
 
 class CopyLimitExceeded(FibanyonError, ValueError):

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .errors import DomainError
+
 _SQRT5 = math.sqrt(5.0)
 
 
@@ -82,7 +84,7 @@ class QSqrt5:
 
     def __pow__(self, n: int) -> QSqrt5:
         if n < 0:
-            raise ValueError("negative powers not supported")
+            raise DomainError("negative powers not supported")
         out = QSqrt5.from_int(1)
         base = self
         while n:
@@ -132,7 +134,7 @@ def fusion_space_dim(n: int, c: Charge) -> int:
     recurrence dim(n+1, 1) = dim(n, tau), dim(n+1, tau) = dim(n, 1) + dim(n, tau).
     """
     if n < 1:
-        raise ValueError(f"need at least one anyon, got n={n}")
+        raise DomainError(f"need at least one anyon, got n={n}")
     dim_vac, dim_tau = 0, 1  # one tau anyon
     for _ in range(n - 1):
         dim_vac, dim_tau = dim_tau, dim_vac + dim_tau

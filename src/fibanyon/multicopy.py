@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CopyLimitExceeded, DecompositionViolation
+from .errors import CopyLimitExceeded, DecompositionViolation, DomainError
 from .measures import _schmidt_entropy, measure_report
 from .model import CHARGE_ORDER, LOG2_PHI, PHI, Charge, fusion_space_dim, qdim_float
 from .states import SchmidtState, from_arrays
@@ -55,7 +55,7 @@ def _check_copies(state: SchmidtState, n: int) -> None:
     largest copy count of a series covers every row.
     """
     if n < 1:
-        raise ValueError(f"copy count must be positive, got {n}")
+        raise DomainError(f"copy count must be positive, got {n}")
     if n > N_MAX:
         raise CopyLimitExceeded(f"n={n} exceeds the copy limit {N_MAX}")
     letters = sum(len(state.grouped(c)[0]) for c in state.charges)
@@ -190,7 +190,7 @@ def e_aree_ncopy(state: SchmidtState, n: int) -> float:
     ``e_aree_pure(n_copy(state, n))`` whenever the construction is feasible.
     """
     if n < 1:
-        raise ValueError(f"copy count must be positive, got {n}")
+        raise DomainError(f"copy count must be positive, got {n}")
     h_single = _schmidt_entropy(state)
     p_tau_n = _ncopy_sector_probability(state, n, Charge.TAU)
     return n * h_single + n * state.p_tau * LOG2_PHI + p_tau_n * LOG2_PHI

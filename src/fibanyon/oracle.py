@@ -1,9 +1,10 @@
 """Dense graded operators: the numeric route that cross-checks the closed forms.
 
-The measures, the n-copy data and the CHSH values are computed in closed
-form from grouped Schmidt data elsewhere in the package.  This module is
-the one place that knows the dense block format; ``verify``, ``certify``,
-the demos and the tests use it to rebuild those numbers numerically.
+The measures, the n-copy data, the CHSH values and the locality
+certificates are computed in closed form from grouped Schmidt data
+elsewhere in the package.  This module is the one place that knows the
+dense block format; ``verify``, the demos and the tests use it to
+rebuild those numbers numerically.
 
 Density-type operators carry a block per superselection sector together
 with a quantum-trace weight.  Three block layouts appear:
@@ -44,7 +45,6 @@ from .bell import CHSHResult
 from .errors import (
     BlockMismatch,
     CopyLimitExceeded,
-    DecompositionViolation,
     DimensionMismatch,
     NotAState,
     SupportViolation,
@@ -812,38 +812,13 @@ def chsh_value_operator(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalityCertificate:
-    """Explicit separable decomposition of the Omega image of a state."""
+def certificate_gap(state: SchmidtState) -> float:
+    """Largest block gap between the Omega image and the closest-separable mixture.
 
-    mixture: SeparableState
-    reconstruction_residual: float
-
-
-@dataclass(frozen=True)
-class CertificateRefusal:
-    """No certificate: the state has positive conventional entanglement."""
-
-    reason: str
-
-
-def locality_certificate(
-    state: SchmidtState,
-) -> LocalityCertificate | CertificateRefusal:
-    """Certify locality when every sector has Schmidt rank <= 1.
-
-    Rank-<=1 sectors mean zero conventional entanglement, and the Omega
-    image then equals the closest-separable mixture exactly; the residual
-    reports the largest block deviation of that reconstruction.  States
-    with a rank->=2 sector are refused with reason ``CE_POSITIVE``.  A
-    residual of 1e-12 or more raises :class:`DecompositionViolation`.
+    The gap vanishes, up to rounding, when every sector has Schmidt rank
+    <= 1: the mixture is then the separable certificate of locality that
+    :func:`fibanyon.bell.local_terms` gives in closed form.  A sector of
+    rank >= 2 leaves its coherences in the Omega image, out of the mixture.
     """
-    if any(state.rank(c) > 1 for c in state.charges):
-        return CertificateRefusal(reason="CE_POSITIVE")
-    mixture = closest_separable_candidate(state)
-    residual = max_block_gap(omega_project(state), mixture.to_operator(state.ranks))
-    if residual >= 1e-12:
-        raise DecompositionViolation(
-            f"certificate reconstruction residual {residual!r} out of tolerance"
-        )
-    return LocalityCertificate(mixture=mixture, reconstruction_residual=residual)
+    mixture = closest_separable_candidate(state).to_operator(state.ranks)
+    return max_block_gap(omega_project(state), mixture)

@@ -3,9 +3,10 @@
 Every check is deterministic for a fixed seed.  The suite covers the
 exact model identities, the measure decomposition (closed form and fully
 numeric), the closest-separable oracle, multi-copy consistency, the
-Omega projection, and the CHSH bounds.  The checks that the acceptance
-tests also run are module-level ``check_*`` functions, each returning
-:class:`CheckResult` values; callers choose the seed and sample sizes.
+Omega projection, the CHSH bounds and the locality certificates.  The
+checks that the acceptance tests also run are module-level ``check_*``
+functions, each returning :class:`CheckResult` values; callers choose
+the seed and sample sizes.
 
 The numeric side of each comparison comes from :mod:`fibanyon.oracle`.
 The Tsirelson check, the bulk of the suite's draws, batches them: it
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import TSIRELSON, optimize_chsh
+from .bell import TSIRELSON, local_terms, optimize_chsh
 from .measures import aee, e_ace_pure, e_aree_pure, e_ce_pure
 from .model import (
     CHARGE_ORDER,
@@ -40,6 +41,7 @@ from .model import (
 from .multicopy import CopySeries, copy_series, e_aree_ncopy, n_copy
 from .oracle import (
     _random_involutions,
+    certificate_gap,
     chsh_value,
     chsh_value_operator,
     closest_separable_candidate,
@@ -294,6 +296,16 @@ def run_suite(seed: int = 42, cases: int = 100) -> list[CheckResult]:
         abs(three.value - target) < 1e-4
         and all(r.value <= 2.0 + 1e-6 for r in low),
         f"n=3 optimum {three.value:.6f} (target {target:.6f}); n<=2 stays local",
+    )
+
+    joints = [(s, 1) for s in states[:10]] + [(tau_state, n) for n in (1, 2, 3)]
+    gaps = [(local_terms(s, n) is not None, certificate_gap(n_copy(s, n))) for s, n in joints]
+    worst = max((gap for local, gap in gaps if local), default=0.0)
+    detail = f"closed-form terms iff dense gap < 1e-12 on {len(gaps)} states"
+    record(
+        "locality-certificate",
+        all(local == (gap < 1e-12) for local, gap in gaps),
+        f"{detail}; max local gap = {worst:.3e}",
     )
 
     return results

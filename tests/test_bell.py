@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fibanyon import oracle, verify
-from fibanyon.bell import TSIRELSON, optimize_chsh, type_c_bound
+from fibanyon.bell import TSIRELSON, local_terms, optimize_chsh, type_c_bound
 from fibanyon.errors import (
     CopyLimitExceeded,
     DimensionMismatch,
@@ -14,17 +14,16 @@ from fibanyon.errors import (
     TargetRankError,
     ValidationError,
 )
+from fibanyon.measures import e_ce_pure
 from fibanyon.model import PHI, Charge
 from fibanyon.multicopy import n_copy
 from fibanyon.oracle import (
-    CertificateRefusal,
-    LocalityCertificate,
     Observable,
+    certificate_gap,
     chsh_value,
     chsh_value_operator,
     expectation,
     identity_observable,
-    locality_certificate,
     omega_project,
     random_involution_observable,
     rotation_observable,
@@ -352,18 +351,36 @@ class TestWitness:
 
 class TestLocalityCertificate:
     def test_single_copy(self):
-        outcome = locality_certificate(tau_line())
-        assert isinstance(outcome, LocalityCertificate)
-        assert len(outcome.mixture.terms) == 1
-        assert outcome.reconstruction_residual < 1e-12
+        assert local_terms(tau_line()) == ((1.0, TAU),)
+        assert certificate_gap(tau_line()) < 1e-12
 
     def test_two_copies(self):
-        outcome = locality_certificate(n_copy(tau_line(), 2))
-        assert isinstance(outcome, LocalityCertificate)
-        assert len(outcome.mixture.terms) == 2
-        assert outcome.reconstruction_residual < 1e-12
+        terms = local_terms(tau_line(), copies=2)
+        assert [c for _, c in terms] == [VAC, TAU]
+        assert [p for p, _ in terms] == pytest.approx([1.0 / PHI**2, 1.0 / PHI], abs=1e-15)
+        assert certificate_gap(n_copy(tau_line(), 2)) < 1e-12
 
     def test_three_copies_refused(self):
-        outcome = locality_certificate(three_copy())
-        assert isinstance(outcome, CertificateRefusal)
-        assert outcome.reason == "CE_POSITIVE"
+        assert local_terms(tau_line(), copies=3) is None
+        assert certificate_gap(three_copy()) >= 1e-12
+
+    # Dense Omega blocks grow as the fourth power of a sector's joint rank,
+    # so the draws shrink as the copy count grows.
+    @pytest.mark.parametrize("copies, max_rank", [(1, 3), (2, 2), (3, 1)])
+    def test_closed_form_matches_dense_gap(self, copies, max_rank):
+        rng = np.random.default_rng(copies)
+        local = 0
+        for _ in range(30):
+            state = random_schmidt_state(rng, max_rank=max_rank)
+            terms = local_terms(state, copies)
+            joint = n_copy(state, copies)
+            assert (terms is not None) == (certificate_gap(joint) < 1e-12)
+            if terms is None:
+                continue
+            local += 1
+            assert sum(p for p, _ in terms) == pytest.approx(1.0, abs=1e-12)
+            assert e_ce_pure(joint) == 0.0
+            result = optimize_chsh(state, copies)
+            assert result.value == 2.0
+            assert result.verdict == "local-bound-respected"
+        assert 0 < local < 30

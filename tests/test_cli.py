@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fibanyon as fa
 from fibanyon import cli, errors, multicopy, oracle, verify
 from fibanyon.cli import main
 from fibanyon.oracle import GradedDensityOperator
@@ -41,7 +42,9 @@ VERIFY_SEED42_CASES3 = (
     "PASS  chsh-omega-invariance: max deviation = 2.220e-16\n"
     "PASS  copy-series-trends: aee drift 2.220e-16; CE zeros at n=1,2; ACE strictly decreasing\n"
     "PASS  chsh-three-copies: n=3 optimum 2.632862 (target 2.632862); n<=2 stays local\n"
-    "16/16 checks passed\n"
+    "PASS  locality-certificate: closed-form terms iff dense gap < 1e-12 on 6 states; "
+    "max local gap = 5.551e-17\n"
+    "17/17 checks passed\n"
 )
 
 #: ``verify --seed 42`` stdout at the default 100 cases, the transcript the
@@ -63,7 +66,9 @@ VERIFY_SEED42 = (
     "PASS  chsh-omega-invariance: max deviation = 2.220e-16\n"
     "PASS  copy-series-trends: aee drift 2.220e-16; CE zeros at n=1,2; ACE strictly decreasing\n"
     "PASS  chsh-three-copies: n=3 optimum 2.632862 (target 2.632862); n<=2 stays local\n"
-    "16/16 checks passed\n"
+    "PASS  locality-certificate: closed-form terms iff dense gap < 1e-12 on 13 states; "
+    "max local gap = 5.551e-17\n"
+    "17/17 checks passed\n"
 )
 
 #: ``chsh --copies n`` stdout on the tau-pair for n = 1, 2, 3.
@@ -78,6 +83,44 @@ CHSH_TAU_PAIR = {
 
 #: A state with a rank-2 vacuum sector and a tau sector.
 MIXED_STATE = {"sectors": {"1": [0.3, 0.2], "tau": [0.5]}}
+
+#: ``certify --copies n`` stdout for n = 1, 2, 3 on the tau-pair, ``MIXED_STATE``,
+#: a vacuum-and-tau state of rank 1 per sector, and the vacuum product state.
+CERTIFY_GOLDEN = {
+    ("tau", 1): (
+        '{"local":true,"copies":1,"terms":[{"p":1.0,"charge":"tau","index":0}],'
+        '"reconstruction_residual":0.0}\n'
+    ),
+    ("tau", 2): (
+        '{"local":true,"copies":2,"terms":[{"p":0.38196601125,"charge":"1","index":0},'
+        '{"p":0.61803398875,"charge":"tau","index":0}],"reconstruction_residual":0.0}\n'
+    ),
+    ("tau", 3): '{"local":false,"reason":"CE_POSITIVE","copies":3}\n',
+    ("mixed", 1): '{"local":false,"reason":"CE_POSITIVE","copies":1}\n',
+    ("mixed", 2): '{"local":false,"reason":"CE_POSITIVE","copies":2}\n',
+    ("mixed", 3): '{"local":false,"reason":"CE_POSITIVE","copies":3}\n',
+    ("rank-one", 1): (
+        '{"local":true,"copies":1,"terms":[{"p":0.4,"charge":"1","index":0},'
+        '{"p":0.6,"charge":"tau","index":0}],"reconstruction_residual":0.0}\n'
+    ),
+    ("rank-one", 2): '{"local":false,"reason":"CE_POSITIVE","copies":2}\n',
+    ("rank-one", 3): '{"local":false,"reason":"CE_POSITIVE","copies":3}\n',
+    **{
+        ("vacuum", n): (
+            f'{{"local":true,"copies":{n},"terms":[{{"p":1.0,"charge":"1","index":0}}],'
+            '"reconstruction_residual":0.0}\n'
+        )
+        for n in (1, 2, 3)
+    },
+}
+
+#: The states of ``CERTIFY_GOLDEN``.
+CERTIFY_STATES = {
+    "tau": TAU_STATE,
+    "mixed": MIXED_STATE,
+    "rank-one": {"sectors": {"1": [0.4], "tau": [0.6]}},
+    "vacuum": {"sectors": {"1": [1.0]}},
+}
 
 #: ``series --max-n 12`` stdout on the tau-pair.
 SERIES_TAU_PAIR = (
@@ -261,6 +304,14 @@ class TestCertify:
         total = sum(term["p"] for term in payload["terms"])
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("name, copies", sorted(CERTIFY_GOLDEN))
+    def test_golden(self, capsys, tmp_path, name, copies):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(CERTIFY_STATES[name]), encoding="utf-8")
+        code, out, _ = run(capsys, ["certify", "--state", str(path), "--copies", str(copies)])
+        assert code == 0
+        assert out == CERTIFY_GOLDEN[(name, copies)]
+
     def test_three_copies_refusal(self, capsys, tau_file):
         code, out, _ = run(capsys, ["certify", "--state", tau_file, "--copies", "3"])
         payload = json.loads(out)
@@ -268,21 +319,24 @@ class TestCertify:
         assert payload["reason"] == "CE_POSITIVE"
 
     def test_reconstruction_residual_is_exit_2(self, capsys, tau_file, monkeypatch):
+        """A mixture off its dense Omega image fails ``verify``; ``certify`` never builds one."""
         real = oracle.omega_project
 
         def perturbed(state):
             omega = real(state)
             blocks = {key: omega.block(key) for key in omega.keys()}
             first = omega.keys()[0]
-            blocks[first] = blocks[first] + 1e-6
+            # Scaled, not shifted: a shift puts weight outside the support of
+            # the separable candidate, and the numeric decomposition raises.
+            blocks[first] = blocks[first] * (1.0 + 1e-6)
             return GradedDensityOperator(blocks, ranks=omega.ranks)
 
         monkeypatch.setattr(oracle, "omega_project", perturbed)
-        code, out, err = run(capsys, ["certify", "--state", tau_file, "--copies", "2"])
+        code, out, _ = run(capsys, ["verify", "--seed", "42", "--cases", "3"])
         assert code == 2
-        assert out == ""
-        assert err.startswith("error: certificate reconstruction residual ")
-        assert err.count("\n") == 1
+        assert "FAIL  locality-certificate: " in out
+        code, out, err = run(capsys, ["certify", "--state", tau_file, "--copies", "2"])
+        assert (code, out, err) == (0, CERTIFY_GOLDEN[("tau", 2)], "")
 
 
 class TestVerify:
@@ -308,7 +362,7 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--seed", "42", "--cases", "3"])
         assert code == 2
         assert "FAIL  decomposition-closed-form: max |AREE - ACE - CE| = 1.000e-06" in out
-        assert out.endswith("15/16 checks passed\n")
+        assert out.endswith("16/17 checks passed\n")
 
 
 class TestModuleEntryPoint:
@@ -352,6 +406,22 @@ class TestExitCodes:
             assert issubclass(error, errors.FibanyonError)
             assert issubclass(error, AssertionError if error is errors.DecompositionViolation
                               else ValueError)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda s: fa.n_copy(s, 0), "copy count must be positive, got 0"),
+            (lambda s: fa.optimize_chsh(s, copies=0), "copy count must be positive, got 0"),
+            (lambda s: fa.copy_series(s, 0), "copy count must be positive, got 0"),
+            (lambda s: fa.e_aree_ncopy(s, 0), "copy count must be positive, got 0"),
+            (lambda s: fa.fusion_space_dim(0, fa.Charge.TAU), "need at least one anyon, got n=0"),
+            (lambda s: fa.PHI_EXACT**-1, "negative powers not supported"),
+        ],
+        ids=["n_copy", "optimize_chsh", "copy_series", "e_aree_ncopy", "fusion_space_dim", "pow"],
+    )
+    def test_out_of_domain_argument_is_a_package_error(self, call, message):
+        with pytest.raises(errors.FibanyonError, match=message):
+            call(fa.new_schmidt_state({"tau": [1.0]}))
 
     @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
     def test_negative_seed_is_usage_error(self, capsys, seed):
@@ -533,10 +603,19 @@ _ANY_COEFFICIENTS = st.one_of(
 def state_documents(draw):
     """``{"sectors": ...}`` with short, repeated and over-long coefficient lists.
 
-    Half of the documents draw only from valid labels and coefficients, and
-    half of all documents are rescaled so their finite positive entries sum
-    to 1, so that valid states are common.
+    Half of the documents are valid states: one to four positive
+    coefficients in each of one or two sectors, rescaled to sum to 1, so
+    that every command often succeeds.  Of the other documents, half draw
+    only from valid labels and coefficients, and half are rescaled so
+    their finite positive entries sum to 1.
     """
+    if draw(st.booleans()):
+        sectors = {
+            label: draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4))
+            for label in draw(st.lists(st.sampled_from(["1", "tau"]), unique=True, min_size=1))
+        }
+        total = sum(v for values in sectors.values() for v in values)
+        return {"sectors": {label: [v / total for v in vs] for label, vs in sectors.items()}}
     wild = draw(st.booleans())
     labels = ["1", "tau", "sigma"] if wild else ["1", "tau"]
     coefficients = _ANY_COEFFICIENTS if wild else _VALID_COEFFICIENTS

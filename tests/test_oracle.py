@@ -7,8 +7,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fibanyon"
 
-#: Modules that hold only closed forms on grouped Schmidt data.
-CLOSED_FORM_MODULES = ("states", "measures", "multicopy", "bell")
+#: Modules that hold only closed forms on grouped Schmidt data, and the CLI on top of them.
+CLOSED_FORM_MODULES = ("states", "measures", "multicopy", "bell", "cli")
 
 #: The block format: read or bound nowhere but in ``oracle``.
 FORMAT_NAMES = {"GradedDensityOperator", "VACUUM_BLOCK", "KIND_SUBSYSTEM", "KIND_PRODUCT",
@@ -68,7 +68,7 @@ DENSE_NAMES = _defined_names(_tree("oracle"))
 
 def test_oracle_defines_the_dense_route():
     assert FORMAT_NAMES <= DENSE_NAMES
-    assert {"Observable", "relative_entropy", "locality_certificate", "witness"} <= DENSE_NAMES
+    assert {"Observable", "relative_entropy", "certificate_gap", "witness"} <= DENSE_NAMES
 
 
 @pytest.mark.parametrize("module", CLOSED_FORM_MODULES)
