@@ -2,13 +2,16 @@
 
 Local observables are Hermitian involutions, block diagonal across the
 charge sectors of the measured subsystem, so the CHSH combination on a
-pure state only pairs coefficients that share a sector.  The CHSH value
-of a joint n-copy state is computed in closed form: the plane bound of
-the top coefficient pair of its best rank->=2 sector, or 2 when there is
-none.  A joint state whose sectors all have rank <= 1 is certified local
-by a separable mixture of one product term per sector.  Both read only
-the grouped Schmidt data; the dense observables, expectations, witnesses
-and mixtures that reproduce them live in :mod:`fibanyon.oracle`.
+pure state only pairs coefficients that share a sector.  Locality is
+decided exactly by one predicate, :attr:`SchmidtState.max_rank` of the
+joint n-copy state: a sector of rank >= 2 (equivalently CE > 0) violates
+CHSH (Gisin, Phys. Lett. A 154, 201 (1991)), and a state whose sectors
+all have rank <= 1 is certified local by a separable mixture of one
+product term per sector.  The reported CHSH value, the plane bound of
+the top coefficient pair of the best rank->=2 sector, is a witnessed
+lower bound.  All read only the grouped Schmidt data; the dense
+observables, expectations, witnesses and mixtures that reproduce them
+live in :mod:`fibanyon.oracle`.
 """
 
 from __future__ import annotations
@@ -62,15 +65,15 @@ def type_c_bound(l1: float, l2: float) -> tuple[float, tuple[float, float, float
 
 @dataclass(frozen=True)
 class CHSHResult:
-    """Closed-form CHSH value of a joint state, with the recipe of its witness.
+    """Closed-form CHSH verdict and value of a joint state, with its witness.
 
-    ``value`` is the top-pair plane bound (:func:`type_c_bound` of the two
-    largest coefficients of the best rank->=2 sector), or 2 when no sector
-    has rank >= 2.  It is exact when it equals 2 sqrt(2), and when it is 2
-    because every sector has rank <= 1 (the state is then local);
-    otherwise it is a witnessed lower bound on the CHSH optimum.  The
-    witness is the rotation family of ``sector`` at ``angles`` (alpha1,
-    alpha2, beta1, beta2), or four identities when ``sector`` is None;
+    ``verdict`` is exact: ``"violation"`` when some joint sector has
+    Schmidt rank >= 2 (equivalently CE > 0).  ``value`` is the top-pair
+    plane bound of the best rank->=2 sector, a witnessed lower bound on
+    the CHSH optimum (exact at 2 sqrt(2)) that can round to 2 on a tiny
+    coefficient, or 2 for a local state.  The witness is the rotation
+    family of ``sector`` at ``angles`` (alpha1, alpha2, beta1, beta2),
+    non-null exactly on a violation, else four identities;
     :func:`fibanyon.oracle.witness` builds its dense observables on request.
     """
 
@@ -86,45 +89,32 @@ class CHSHResult:
             raise ValidationError(f"CHSH value {self.value!r} exceeds the quantum bound")
 
 
-def _verdict(value: float) -> str:
-    return "violation" if value > 2.0 + _VIOLATION_TOL else "local-bound-respected"
-
-
 def optimize_chsh(state: SchmidtState, copies: int = 1) -> CHSHResult:
-    """CHSH value of the joint ``copies``-fold state, in closed form.
+    """CHSH verdict and value of the joint ``copies``-fold state, in closed form.
 
-    Starts from 2, reached by identity observables.  Every sector of rank
-    >= 2 offers the rotation family on the plane of its two largest
-    coefficients, worth :func:`type_c_bound` of that pair (Horodecki et
-    al., Phys. Lett. A 200, 340 (1995)); the largest such bound wins if it
-    beats 2, ties going to the first sector.  The angles are (0, pi/2,
-    beta, 2 pi - beta).  The value is a witnessed lower bound on the CHSH
-    optimum unless it equals 2 sqrt(2) or every sector has rank <= 1.
-    Only the grouped Schmidt data is read, so every copy count that
-    :func:`n_copy` accepts works; the witness observables are built by
-    :func:`fibanyon.oracle.witness`.
+    The verdict is ``"violation"`` exactly when the joint ``max_rank`` is
+    >= 2.  Each sector of rank >= 2 then offers the rotation family on the
+    plane of its two largest coefficients, worth :func:`type_c_bound` of
+    that pair (Horodecki et al., Phys. Lett. A 200, 340 (1995)); the
+    largest bound wins, ties going to the first sector, with angles (0,
+    pi/2, beta, 2 pi - beta).  A local state gets 2, reached by identity
+    observables.  Only the grouped Schmidt data is read, so every copy
+    count that :func:`n_copy` accepts works; the witness observables are
+    built by :func:`fibanyon.oracle.witness`.
     """
     joint = n_copy(state, copies)
-    value = 2.0
-    angles: tuple[float, float, float, float] | None = None
-    sector: Charge | None = None
+    if joint.max_rank < 2:
+        return CHSHResult(2.0, None, copies, "local-bound-respected", None, joint.ranks)
+    planes = []
     for c in joint.charges:
-        if joint.rank(c) < 2:
-            continue
-        values, mults = joint.grouped(c)
-        l1 = float(values[0])
-        l2 = l1 if mults[0] >= 2 else float(values[1])
-        bound, (a1, a2, b1, b2) = type_c_bound(l1, l2)
-        if bound > value:
-            value, sector, angles = bound, c, (a1, a2, b1, b2 % _TWO_PI)
-    return CHSHResult(
-        value=value,
-        angles=angles,
-        copies=copies,
-        verdict=_verdict(value),
-        sector=sector,
-        ranks=joint.ranks,
-    )
+        if joint.rank(c) >= 2:
+            values, mults = joint.grouped(c)
+            l1 = float(values[0])
+            l2 = l1 if mults[0] >= 2 else float(values[1])
+            bound, (a1, a2, b1, b2) = type_c_bound(l1, l2)
+            planes.append((bound, c, (a1, a2, b1, b2 % _TWO_PI)))
+    value, sector, angles = max(planes, key=lambda plane: plane[0])
+    return CHSHResult(value, angles, copies, "violation", sector, joint.ranks)
 
 
 def local_terms(state: SchmidtState, copies: int = 1) -> tuple[tuple[float, Charge], ...] | None:
@@ -133,12 +123,12 @@ def local_terms(state: SchmidtState, copies: int = 1) -> tuple[tuple[float, Char
     A joint state whose sectors all have Schmidt rank <= 1 has no
     conventional entanglement, and its Omega image is the mixture of one
     product term per sector c: with probability p_c, both sides hold the
-    sector's basis state.  The terms are (p_c, c) in charge order.  A
-    sector of rank >= 2 makes the state nonlocal (Gisin, Phys. Lett. A
-    154, 201 (1991)), and None is returned.  The dense mixture is rebuilt
+    sector's basis state.  The terms are (p_c, c) in charge order.  When
+    ``max_rank`` is >= 2 the state is nonlocal, the CHSH verdict is
+    ``"violation"``, and None is returned.  The dense mixture is rebuilt
     by :func:`fibanyon.oracle.certificate_gap`.
     """
     joint = n_copy(state, copies)
-    if any(joint.rank(c) > 1 for c in joint.charges):
+    if joint.max_rank >= 2:
         return None
     return tuple((joint.sector_probability(c), c) for c in joint.charges)

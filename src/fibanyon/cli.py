@@ -9,7 +9,10 @@ Commands::
     verify   [--seed S] [--cases M]
 
 States are JSON files ``{"sectors": {"1": [...], "tau": [...]}}``.
-Copy counts (``--copies``, ``--max-n``) run from 1 to 24; a count whose
+The ``chsh`` verdict is exact, ``violation`` when some joint sector has
+Schmidt rank >= 2, which is also when ``certify`` refuses; its value is a
+witnessed lower bound on the CHSH optimum.  Copy counts (``--copies``,
+``--max-n``) run from 1 to 24; a count whose
 joint state would take more than 200 000 compositions to build, or whose
 joint rank does not fit in int64, is refused with exit code 1.  The
 ``verify`` seed is a non-negative integer and ``--cases`` runs from 1 to
@@ -19,9 +22,10 @@ joint rank does not fit in int64, is refused with exit code 1.  The
 * 1 -- any package error (:class:`~fibanyon.errors.FibanyonError`) other
   than the one below: invalid input, or a copy count too costly for the state;
 * 2 -- a verification-suite failure, such as a locality certificate that
-  does not rebuild its Omega image, or a violated closed-form identity
-  (:class:`~fibanyon.errors.DecompositionViolation`: between the measures,
-  or between a series row and its closed form);
+  does not rebuild its Omega image, a numeric oracle that raises (each
+  check of its group prints ``FAIL`` with the error), or a violated
+  closed-form identity (:class:`~fibanyon.errors.DecompositionViolation`:
+  between the measures, or between a series row and its closed form);
 * 64 -- usage error, including a count or seed out of range.
 
 Each error exit writes one ``error:`` line to stderr.  Numbers are

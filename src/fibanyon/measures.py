@@ -11,8 +11,9 @@ Four measures are computed, all in bits:
 * CE   -- conventional entanglement, the AREE of the Omega image.
 
 Each is a closed form in the grouped Schmidt data.  For pure states
-AREE = ACE + CE holds exactly; :func:`measure_report` asserts it, and
-:func:`classify` sorts states into types A, B and C by their ACE and CE.
+AREE = ACE + CE holds exactly; :func:`measure_report` asserts it.
+:func:`classify` sorts states into types A, B and C exactly by the
+sector ranks, the predicate that also decides the CHSH verdict.
 The numeric route through block relative entropies, which rebuilds these
 values and certifies the closest separable state a minimum, lives in
 :mod:`fibanyon.oracle`.
@@ -30,7 +31,6 @@ from .model import LOG2_PHI, Charge
 from .states import SchmidtState, shannon_entropy
 
 _DECOMP_TOL = 1e-9
-_CLASS_TOL = 1e-10
 
 
 def _schmidt_entropy(state: SchmidtState) -> float:
@@ -146,9 +146,9 @@ class StateClass(Enum):
 
 
 def classify(state: SchmidtState) -> StateClass:
-    """Classify by the charge and conventional entanglement, each zero below 1e-10."""
-    if e_ce_pure(state) > _CLASS_TOL:
+    """C if some sector has Schmidt rank >= 2 (CE > 0), else B if p_tau > 0 (ACE > 0), else A."""
+    if state.max_rank >= 2:
         return StateClass.TYPE_C
-    if e_ace_pure(state) > _CLASS_TOL:
+    if Charge.TAU in state.charges:
         return StateClass.TYPE_B
     return StateClass.TYPE_A

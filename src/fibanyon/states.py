@@ -72,6 +72,11 @@ class SchmidtState:
     def ranks(self) -> dict[Charge, int]:
         return {c: self.rank(c) for c in self.charges}
 
+    @property
+    def max_rank(self) -> int:
+        """Largest sector Schmidt rank; >= 2 exactly when CE > 0 and the state is nonlocal."""
+        return max(map(self.rank, self.charges), default=0)
+
     def grouped(self, c: Charge) -> tuple[np.ndarray, np.ndarray]:
         """(values, multiplicities) for sector ``c``, values descending."""
         if c not in self._sectors:
@@ -85,7 +90,8 @@ class SchmidtState:
 
     def sector_probability(self, c: Charge) -> float:
         values, mults = self.grouped(c)
-        return float(np.dot(values, mults))
+        # np.sum, not BLAS np.dot, whose last bit depends on the thread count.
+        return float(np.sum(values * mults))
 
     @property
     def p_tau(self) -> float:
@@ -155,7 +161,7 @@ def from_arrays(sectors: Mapping[Charge, tuple[np.ndarray, np.ndarray]]) -> Schm
                 canonical[c] = (values, mults)
     if not canonical:
         raise ValidationError("state needs at least one positive Schmidt coefficient")
-    total = sum(float(np.dot(v, m)) for v, m in canonical.values())
+    total = SchmidtState(canonical).total()
     if abs(total - 1.0) > _SUM_TOL:
         raise NormalizationError(
             f"Schmidt coefficients sum to {total!r}, deviating from 1 by more than {_SUM_TOL}"

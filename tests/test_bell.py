@@ -14,7 +14,7 @@ from fibanyon.errors import (
     TargetRankError,
     ValidationError,
 )
-from fibanyon.measures import e_ce_pure
+from fibanyon.measures import StateClass, classify, e_ce_pure
 from fibanyon.model import PHI, Charge
 from fibanyon.multicopy import n_copy
 from fibanyon.oracle import (
@@ -320,6 +320,41 @@ class TestOptimizeChsh:
         assert sum(result.ranks.values()) > 2048
         with pytest.raises(CopyLimitExceeded):
             witness(result)
+
+
+class TestLocalityPredicate:
+    """The CHSH verdict, ``local_terms``, ``classify`` and CE read one rank predicate."""
+
+    def test_all_agree_on_random_joint_states(self):
+        rng = np.random.default_rng(131)
+        verdicts = []
+        for i in range(40):
+            # Odd draws have rank <= 1 in every sector: local at one copy,
+            # often at two, and nonlocal once a joint sector reaches rank 2.
+            state = random_schmidt_state(rng, max_rank=1 if i % 2 else 3)
+            for n in range(1, 7):
+                result = optimize_chsh(state, n)
+                joint = n_copy(state, n)
+                violation = result.verdict == "violation"
+                assert violation == (local_terms(state, n) is None)
+                assert violation == (classify(joint) is StateClass.TYPE_C)
+                assert violation == (e_ce_pure(joint) > 0.0)
+                assert violation == (joint.max_rank >= 2)
+                assert violation == (result.angles is not None) == (result.sector is not None)
+                assert result.value >= 2.0
+                verdicts.append(violation)
+        assert 50 < sum(verdicts) < len(verdicts) - 50
+
+    @pytest.mark.parametrize(
+        "sectors, copies",
+        [({TAU: [0.9999999999999, 1e-13]}, 1), ({VAC: [1.0], TAU: [1e-12]}, 2)],
+    )
+    def test_violation_below_the_old_tolerance(self, sectors, copies):
+        """A rank-2 joint sector is a violation however small its top-pair gain."""
+        result = optimize_chsh(new_schmidt_state(sectors), copies)
+        assert result.value - 2.0 < 1e-9
+        assert result.verdict == "violation"
+        assert result.sector is TAU and result.angles is not None
 
 
 class TestWitness:

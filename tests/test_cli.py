@@ -8,11 +8,12 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fibanyon as fa
@@ -34,7 +35,7 @@ VERIFY_SEED42_CASES3 = (
     "PASS  separable-oracle-value: max |numeric - closed| = 2.220e-16 over 3 states\n"
     "PASS  separable-oracle-gradient: min gradient = 7.349e-01 over 2 states x 40 directions\n"
     "PASS  aee-additivity: max |aee(n-copy) - n aee| = 3.553e-15\n"
-    "PASS  multicopy-closed-form: max |closed - constructed| = 5.329e-15 for n <= 6\n"
+    "PASS  multicopy-closed-form: max |closed - constructed| = 3.553e-15 for n <= 6\n"
     "PASS  omega-idempotence: max deviation = 0.000e+00\n"
     "PASS  omega-from-joint: max |Omega(embed) - Omega| = 0.000e+00\n"
     "PASS  omega-expectations: max product-observable deviation = 5.551e-17\n"
@@ -42,8 +43,8 @@ VERIFY_SEED42_CASES3 = (
     "PASS  chsh-omega-invariance: max deviation = 2.220e-16\n"
     "PASS  copy-series-trends: aee drift 2.220e-16; CE zeros at n=1,2; ACE strictly decreasing\n"
     "PASS  chsh-three-copies: n=3 optimum 2.632862 (target 2.632862); n<=2 stays local\n"
-    "PASS  locality-certificate: closed-form terms iff dense gap < 1e-12 on 6 states; "
-    "max local gap = 5.551e-17\n"
+    "PASS  locality-certificate: closed-form terms iff dense gap < 1e-12 iff local verdict "
+    "iff type A/B on 6 states; max local gap = 5.551e-17\n"
     "17/17 checks passed\n"
 )
 
@@ -66,8 +67,8 @@ VERIFY_SEED42 = (
     "PASS  chsh-omega-invariance: max deviation = 2.220e-16\n"
     "PASS  copy-series-trends: aee drift 2.220e-16; CE zeros at n=1,2; ACE strictly decreasing\n"
     "PASS  chsh-three-copies: n=3 optimum 2.632862 (target 2.632862); n<=2 stays local\n"
-    "PASS  locality-certificate: closed-form terms iff dense gap < 1e-12 on 13 states; "
-    "max local gap = 5.551e-17\n"
+    "PASS  locality-certificate: closed-form terms iff dense gap < 1e-12 iff local verdict "
+    "iff type A/B on 13 states; max local gap = 5.551e-17\n"
     "17/17 checks passed\n"
 )
 
@@ -120,6 +121,54 @@ CERTIFY_STATES = {
     "mixed": MIXED_STATE,
     "rank-one": {"sectors": {"1": [0.4], "tau": [0.6]}},
     "vacuum": {"sectors": {"1": [1.0]}},
+}
+
+#: States with a rank->=2 joint sector whose top-pair CHSH value lies within
+#: 1e-9 of 2: ``MIXED_STATE`` at many copies, a tau pair with one tiny
+#: coefficient, and a faint tau sector: rank 1 at one copy, rank 2 at two.
+NEAR_LOCAL_STATES = {
+    "mixed": MIXED_STATE,
+    "tiny-pair": {"sectors": {"tau": [0.9999999999999, 1e-13]}},
+    "faint-tau": {"sectors": {"1": [1.0], "tau": [1e-12]}},
+}
+
+_ANGLES_TOP_PAIR = '"angles":[0.0,1.570796326795,0.785398163397,5.497787143782]'
+
+#: ``(command, copies): stdout`` on each of ``NEAR_LOCAL_STATES``: the chsh
+#: verdict is a violation exactly when ``certify`` refuses.
+NEAR_LOCAL_GOLDEN = {
+    "mixed": {
+        **{
+            ("chsh", n): (
+                f'{{"value":{value},{_ANGLES_TOP_PAIR},"copies":{n},"verdict":"violation"}}\n'
+            )
+            for n, value in ((18, "2.00000000177"), (19, "2.000000000547"), (24, "2.000000000002"))
+        },
+        **{
+            ("certify", n): f'{{"local":false,"reason":"CE_POSITIVE","copies":{n}}}\n'
+            for n in (18, 19, 24)
+        },
+    },
+    "tiny-pair": {
+        ("chsh", 1): (
+            '{"value":2.0,"angles":[0.0,1.570796326795,6.32456e-07,6.283184674724],'
+            '"copies":1,"verdict":"violation"}\n'
+        ),
+        ("certify", 1): '{"local":false,"reason":"CE_POSITIVE","copies":1}\n',
+        ("measures", 1): (
+            '{"aee":0.694241913635,"aree":1.388483827266,"ace":1.388483827261,"ce":4e-12}\n'
+        ),
+    },
+    "faint-tau": {
+        ("certify", 1): (
+            '{"local":true,"copies":1,"terms":[{"p":0.999999999999,"charge":"1","index":0},'
+            '{"p":1e-12,"charge":"tau","index":0}],"reconstruction_residual":0.0}\n'
+        ),
+        ("chsh", 2): (
+            f'{{"value":2.000000000002,{_ANGLES_TOP_PAIR},"copies":2,"verdict":"violation"}}\n'
+        ),
+        ("certify", 2): '{"local":false,"reason":"CE_POSITIVE","copies":2}\n',
+    },
 }
 
 #: ``series --max-n 12`` stdout on the tau-pair.
@@ -294,6 +343,28 @@ class TestChsh:
         assert json.loads(out)["copies"] == 24
 
 
+class TestExactVerdict:
+    """``chsh``, ``certify``, ``measures`` and ``classify`` agree on near-local states."""
+
+    @pytest.mark.parametrize("name", sorted(NEAR_LOCAL_GOLDEN))
+    def test_golden(self, capsys, tmp_path, name):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(NEAR_LOCAL_STATES[name]), encoding="utf-8")
+        for (command, copies), expected in NEAR_LOCAL_GOLDEN[name].items():
+            extra = [] if command == "measures" else ["--copies", str(copies)]
+            code, out, err = run(capsys, [command, "--state", str(path), *extra])
+            assert (code, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize(
+        "name, single, double",
+        [("tiny-pair", "TYPE_C", "TYPE_C"), ("faint-tau", "TYPE_B", "TYPE_C")],
+    )
+    def test_classify(self, name, single, double):
+        state = fa.state_from_dict(NEAR_LOCAL_STATES[name])
+        assert fa.classify(state).name == single
+        assert fa.classify(fa.n_copy(state, 2)).name == double
+
+
 class TestCertify:
     def test_two_copies_certificate(self, capsys, tau_file):
         code, out, _ = run(capsys, ["certify", "--state", tau_file, "--copies", "2"])
@@ -363,6 +434,32 @@ class TestVerify:
         assert code == 2
         assert "FAIL  decomposition-closed-form: max |AREE - ACE - CE| = 1.000e-06" in out
         assert out.endswith("16/17 checks passed\n")
+
+
+    def test_raising_oracle_is_a_failed_check(self, capsys, monkeypatch):
+        """An oracle that raises fails each check of its group; the suite goes on."""
+        real = oracle.omega_project
+
+        def shifted(state):
+            omega = real(state)
+            blocks = {key: omega.block(key) for key in omega.keys()}
+            first = omega.keys()[0]
+            blocks[first] = blocks[first] + 1e-6
+            return GradedDensityOperator(blocks, ranks=omega.ranks)
+
+        monkeypatch.setattr(oracle, "omega_project", shifted)
+        code, out, err = run(capsys, ["verify", "--seed", "42", "--cases", "3"])
+        assert (code, err) == (2, "")
+        lines = out.splitlines()
+        raised = "SupportViolation: rho has weight outside sigma's support in a matched block"
+        assert lines[3:5] == [
+            f"FAIL  decomposition-closed-form: {raised}",
+            f"FAIL  decomposition-numeric: {raised}",
+        ]
+        assert lines[16].startswith("FAIL  locality-certificate: ")
+        golden = VERIFY_SEED42_CASES3.splitlines()
+        assert [line.split()[1] for line in lines[:-1]] == [line.split()[1] for line in golden[:-1]]
+        assert lines[-1] == "14/17 checks passed"
 
 
 class TestModuleEntryPoint:
@@ -684,3 +781,63 @@ class TestMeasuresRobustness:
             assert code in (1, 2)
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def _more_than_three_cases(text):
+    """True when ``text`` is a valid ``--cases`` above 3, which the property must not run."""
+    try:
+        return 3 < int(text) <= 10_000
+    except ValueError:
+        return False
+
+
+#: Digit strings of 19 to 6000 digits: past int64, and past the 4300 digits
+#: that ``int`` converts.
+_HUGE = st.builds(lambda digit, k: digit * k, st.sampled_from("123456789"), st.integers(19, 6000))
+_SEEDS = st.one_of(
+    st.integers(0, 2**64).map(str),
+    st.integers(max_value=-1).map(str),
+    _HUGE,
+    st.text(max_size=8),
+)
+#: Half valid, 1 to 3; half out of range, huge or free text.
+_CASES = st.integers(1, 3).map(str) | st.one_of(
+    st.integers(max_value=0).map(str),
+    st.integers(10_001).map(str),
+    _HUGE,
+    st.text(max_size=8).filter(lambda text: not _more_than_three_cases(text)),
+)
+
+
+@st.composite
+def verify_argv(draw):
+    """``verify`` with an optional ``--seed`` and a ``--cases`` that runs at most 3 cases."""
+    argv = ["verify"]
+    for flag, values in (("--seed", _SEEDS), ("--cases", _CASES)):
+        if flag == "--cases" or draw(st.booleans()):
+            value = draw(values)
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+class TestVerifyRobustness:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(argv=verify_argv())
+    @example(argv=["verify", "--seed", "9" * 4300, "--cases", "1"])
+    @example(argv=["verify", "--seed", "9" * 4301, "--cases", "1"])
+    @example(argv=["verify", "--seed= 7_0 ", "--cases=\u0663"])
+    def test_exit_code_without_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 10.0
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in err
+        if code == 64:
+            assert out == ""
+            assert err.startswith("usage: fibanyon verify") and err.count("error: ") == 1
+        else:
+            assert code in (0, 2)
+            assert err == ""
+            assert out.endswith("/17 checks passed\n")

@@ -89,7 +89,7 @@ def reference_n_copy(state, n):
             bucket = acc[c_total]
             bucket[coeff] = bucket.get(coeff, 0) + ways * paths
     sectors = {c: _merged(bucket.items()) for c, bucket in acc.items() if bucket}
-    total = sum(float(np.dot(v, m)) for v, m in sectors.values())
+    total = sum(float(np.sum(v * m)) for v, m in sectors.values())
     return {
         c: _merged((float(v) / total, int(m)) for v, m in zip(*vm)) for c, vm in sectors.items()
     }

@@ -1,7 +1,11 @@
 """Schmidt states, graded density operators, entropy, classification."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +203,36 @@ class TestClassification:
         forward = classify(new_schmidt_state({VAC: [0.3, 0.2], TAU: [0.5]}))
         backward = classify(new_schmidt_state({VAC: [0.2, 0.3], TAU: [0.5]}))
         assert forward is backward
+
+
+#: Prints the sector sum of a raw 40 000-group sector, and a digest of the
+#: values ``from_arrays`` normalizes by its own total.
+_SECTOR_SUMS = """
+import hashlib
+import numpy as np
+from fibanyon.model import Charge
+from fibanyon.states import SchmidtState, from_arrays
+rng = np.random.default_rng(0)
+values = rng.random(40_000)
+mults = rng.integers(1, 30, values.size)
+print(SchmidtState({Charge.TAU: (values, mults)}).sector_probability(Charge.TAU).hex())
+state = from_arrays({Charge.TAU: (values / float(np.sum(values * mults)), mults)})
+print(hashlib.sha256(state.grouped(Charge.TAU)[0].tobytes()).hexdigest())
+"""
+
+
+class TestSectorSums:
+    def test_bits_do_not_depend_on_blas_threads(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run(
+                [sys.executable, "-c", _SECTOR_SUMS],
+                capture_output=True, text=True, env=env, timeout=120, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestShannonEntropy:
