@@ -31,11 +31,15 @@ joint rank does not fit in int64, is refused with exit code 1.  The
 Each error exit writes one ``error:`` line to stderr.  Numbers are
 emitted with fixed precision so identical inputs and seeds produce
 byte-identical outputs.
+
+The argument parser is built on the first :func:`main` call and reused by
+every later call in the same process; importing this module builds none.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -64,7 +68,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self.format_usage())
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The process's single shared parser, built on the first call.
+
+    Every later call returns the same object, so callers must not mutate
+    it.  Reuse is safe because argparse keeps no state between parses:
+    each ``parse_args`` starts from a fresh namespace with the defaults,
+    and :class:`_Parser` formats its usage message when an error occurs.
+    """
     parser = _Parser(prog="fibanyon", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
