@@ -16,7 +16,7 @@ from fibanyon import oracle
 tau_pair = fa.new_schmidt_state({"tau": [1.0]})
 
 print("single tau pair, total charge vacuum")
-print(f"  entanglement entropy (AEE): {fa.aee(tau_pair):.10f}  (= log2 phi)")
+print(f"  entanglement entropy (AEE): {fa.measure_report(tau_pair).aee:.10f}  (= log2 phi)")
 print(f"  class: {fa.classify(tau_pair).name}  (charge entanglement only)")
 print()
 

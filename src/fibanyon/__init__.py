@@ -27,16 +27,7 @@ from .errors import (
     TargetRankError,
     ValidationError,
 )
-from .measures import (
-    MeasureReport,
-    StateClass,
-    aee,
-    classify,
-    e_ace_pure,
-    e_aree_pure,
-    e_ce_pure,
-    measure_report,
-)
+from .measures import MeasureReport, StateClass, classify, measure_report, shannon_entropy
 from .model import (
     CHARGE_ORDER,
     LOG2_PHI,
@@ -55,7 +46,6 @@ from .states import (
     SchmidtState,
     new_schmidt_state,
     random_schmidt_state,
-    shannon_entropy,
     state_from_dict,
     state_to_dict,
 )
@@ -90,13 +80,9 @@ __all__ = [
     "TSIRELSON",
     "TargetRankError",
     "ValidationError",
-    "aee",
     "classify",
     "copy_series",
-    "e_ace_pure",
     "e_aree_ncopy",
-    "e_aree_pure",
-    "e_ce_pure",
     "fuse",
     "fusion_space_dim",
     "local_terms",

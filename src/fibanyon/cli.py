@@ -34,6 +34,8 @@ byte-identical outputs.
 
 The argument parser is built on the first :func:`main` call and reused by
 every later call in the same process; importing this module builds none.
+:func:`main` returns an exit code on every path, ``-h`` included, and
+raises no ``SystemExit``.
 """
 
 from __future__ import annotations
@@ -63,9 +65,17 @@ class _UsageError(Exception):
         self.usage = usage
 
 
+class _HelpShown(Exception):
+    """argparse printed the help; :func:`main` returns 0 instead of exiting."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message, self.format_usage())
+
+    def exit(self, status: int = 0, message: str | None = None) -> None:  # type: ignore[override]
+        # Reached only from the help action: error() above never returns here.
+        raise _HelpShown
 
 
 @functools.cache
@@ -280,6 +290,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(exc.usage)
         sys.stderr.write(f"error: {exc}\n")
         return _USAGE_EXIT
+    except _HelpShown:
+        return 0
     if args.command is None:
         sys.stderr.write(parser.format_usage())
         return _USAGE_EXIT

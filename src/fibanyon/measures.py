@@ -10,8 +10,9 @@ Four measures are computed, all in bits:
   with tensor-product structure);
 * CE   -- conventional entanglement, the AREE of the Omega image.
 
-Each is a closed form in the grouped Schmidt data.  For pure states
-AREE = ACE + CE holds exactly; :func:`measure_report` asserts it.
+Each is a closed form in the grouped Schmidt data, built from
+:func:`shannon_entropy`.  :func:`measure_report` is the one route to all
+four; for pure states AREE = ACE + CE holds exactly, and it asserts that.
 :func:`classify` sorts states into types A, B and C exactly by the
 sector ranks, the predicate that also decides the CHSH verdict.
 The numeric route through block relative entropies, which rebuilds these
@@ -23,14 +24,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DecompositionViolation
 from .model import LOG2_PHI, Charge
-from .states import SchmidtState, shannon_entropy
+from .states import SchmidtState
 
 _DECOMP_TOL = 1e-9
+
+
+def shannon_entropy(
+    values: Sequence[float] | np.ndarray, mults: Sequence[int] | np.ndarray | None = None
+) -> float:
+    """Shannon entropy in bits; zero-probability entries contribute 0.
+
+    A distribution on one point gives +0.0, not -0.0.
+    """
+    vals = np.asarray(values, dtype=float)
+    m = np.ones_like(vals) if mults is None else np.asarray(mults, dtype=float)
+    mask = vals > 0.0
+    if not np.any(mask):
+        return 0.0
+    v = vals[mask]
+    return 0.0 - float(np.sum(m[mask] * v * np.log2(v)))
 
 
 def _schmidt_entropy(state: SchmidtState) -> float:
@@ -44,53 +62,6 @@ def _schmidt_entropy(state: SchmidtState) -> float:
         mults * values * np.log2(values) for values, mults in map(state.grouped, state.charges)
     ]
     return 0.0 - float(np.cumsum(np.concatenate(terms))[-1])
-
-
-def _sector_probabilities(state: SchmidtState) -> dict[Charge, float]:
-    """p_c = sum_i lambda_{c,i} for each sector of the state, in charge order."""
-    return {c: state.sector_probability(c) for c in state.charges}
-
-
-def _aee(h: float, p_tau: float) -> float:
-    return h + p_tau * LOG2_PHI
-
-
-def _aree(h: float, p_tau: float) -> float:
-    return h + 2.0 * p_tau * LOG2_PHI
-
-
-def _ace(probs: dict[Charge, float]) -> float:
-    return shannon_entropy(list(probs.values())) + 2.0 * probs.get(Charge.TAU, 0.0) * LOG2_PHI
-
-
-def _ce(state: SchmidtState, probs: dict[Charge, float]) -> float:
-    total = 0.0
-    for c, p in probs.items():
-        if p <= 0.0:
-            continue
-        values, mults = state.grouped(c)
-        total += p * shannon_entropy(values / p, mults)
-    return total
-
-
-def aee(state: SchmidtState) -> float:
-    """Anyonic entanglement entropy H({lambda_{c,i}}) + p_tau * log2(d_tau)."""
-    return _aee(_schmidt_entropy(state), state.p_tau)
-
-
-def e_aree_pure(state: SchmidtState) -> float:
-    """AREE of a pure state: H({lambda}) + 2 * p_tau * log2(d_tau)."""
-    return _aree(_schmidt_entropy(state), state.p_tau)
-
-
-def e_ace_pure(state: SchmidtState) -> float:
-    """Charge entanglement of a pure state: H({p_c}) + 2 * p_tau * log2(d_tau)."""
-    return _ace(_sector_probabilities(state))
-
-
-def e_ce_pure(state: SchmidtState) -> float:
-    """Conventional entanglement: sum_c p_c * H({lambda_{c,i} / p_c})."""
-    return _ce(state, _sector_probabilities(state))
 
 
 @dataclass(frozen=True)
@@ -115,19 +86,25 @@ class MeasureReport:
 
 
 def measure_report(state: SchmidtState) -> MeasureReport:
-    """All four closed-form measures; asserts AREE = ACE + CE before returning.
+    """All four closed-form measures of a pure state, the one route to each.
 
-    H({lambda}) and the sector probabilities are computed once and shared,
-    so each measure has the bits of its single-measure function.
+    With H = H({lambda_{c,i}}) and p_c the sector probabilities:
+    AEE = H + p_tau log2(d_tau), AREE = H + 2 p_tau log2(d_tau),
+    ACE = H({p_c}) + 2 p_tau log2(d_tau) and CE = sum_c p_c H({lambda_{c,i} / p_c}).
+    :class:`MeasureReport` asserts AREE = ACE + CE before it is returned.
     """
     h = _schmidt_entropy(state)
-    probs = _sector_probabilities(state)
+    probs = {c: state.sector_probability(c) for c in state.charges}
     p_tau = probs.get(Charge.TAU, 0.0)
+    ce = 0.0
+    for c, p in probs.items():
+        values, mults = state.grouped(c)
+        ce += p * shannon_entropy(values / p, mults)
     return MeasureReport(
-        aee=_aee(h, p_tau),
-        aree=_aree(h, p_tau),
-        ace=_ace(probs),
-        ce=_ce(state, probs),
+        aee=h + p_tau * LOG2_PHI,
+        aree=h + 2.0 * p_tau * LOG2_PHI,
+        ace=shannon_entropy(list(probs.values())) + 2.0 * p_tau * LOG2_PHI,
+        ce=ce,
     )
 
 

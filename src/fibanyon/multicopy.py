@@ -187,7 +187,8 @@ def e_aree_ncopy(state: SchmidtState, n: int) -> float:
 
     Equals ``n H({lambda}) + n p_tau log2(d_tau) + p_tau^(n) log2(d_tau)``
     where p_tau^(n) is the n-copy tau-sector probability; matches
-    ``e_aree_pure(n_copy(state, n))`` whenever the construction is feasible.
+    ``measure_report(n_copy(state, n)).aree`` whenever the construction is
+    feasible.
     """
     if n < 1:
         raise DomainError(f"copy count must be positive, got {n}")

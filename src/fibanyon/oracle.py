@@ -51,7 +51,7 @@ from .errors import (
     TargetRankError,
     ValidationError,
 )
-from .measures import e_aree_pure
+from .measures import measure_report
 from .model import CHARGE_ORDER, Charge, qdim_float
 from .states import SchmidtState
 
@@ -555,14 +555,15 @@ def minimality_gradient(state: SchmidtState, direction: SeparableState) -> float
 def pythagorean_residual(state: SchmidtState) -> float:
     """AREE minus the two-step path through the Omega image; vanishes for states.
 
-    Computes e_aree_pure - S(rho || Omega(rho)) - S(Omega(rho) || rho_0)
-    entirely through block relative entropies.
+    Computes AREE - S(rho || Omega(rho)) - S(Omega(rho) || rho_0), with
+    the AREE read from :func:`~fibanyon.measures.measure_report` and both
+    relative entropies computed through blocks.
     """
     rho = embed(state)
     omega = omega_project(state)
     candidate = closest_separable_candidate(state).to_operator(state.ranks)
     return (
-        e_aree_pure(state)
+        measure_report(state).aree
         - relative_entropy(rho, omega)
         - relative_entropy(omega, candidate)
     )

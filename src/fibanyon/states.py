@@ -4,8 +4,11 @@ A pure bipartite state of total vacuum charge is stored in Schmidt form:
 per charge sector ``c`` a list of nonnegative coefficients ``lambda_{c,i}``
 with ``sum_{c,i} lambda_{c,i} = 1``.  Coefficients are grouped as
 ``(value, multiplicity)`` pairs so that multi-copy states with heavily
-repeated coefficients stay compact.  The dense graded operators built
-from these states live in :mod:`fibanyon.oracle`.
+repeated coefficients stay compact.  This module parses and validates
+that data (:func:`from_grouped` makes every check of a coefficient) and
+keeps it canonical; the measures computed from it live in
+:mod:`fibanyon.measures`, and the dense graded operators built from it
+in :mod:`fibanyon.oracle`.
 """
 
 from __future__ import annotations
@@ -21,22 +24,6 @@ from .model import CHARGE_ORDER, Charge
 _SUM_TOL = 1e-9
 #: No single coefficient of a state can exceed 1 by more than the sum tolerance.
 _COEFF_MAX = 1.0 + _SUM_TOL
-
-
-def shannon_entropy(
-    values: Sequence[float] | np.ndarray, mults: Sequence[int] | np.ndarray | None = None
-) -> float:
-    """Shannon entropy in bits; zero-probability entries contribute 0.
-
-    A distribution on one point gives +0.0, not -0.0.
-    """
-    vals = np.asarray(values, dtype=float)
-    m = np.ones_like(vals) if mults is None else np.asarray(mults, dtype=float)
-    mask = vals > 0.0
-    if not np.any(mask):
-        return 0.0
-    v = vals[mask]
-    return 0.0 - float(np.sum(m[mask] * v * np.log2(v)))
 
 
 def _as_charge(key: Charge | str) -> Charge:
@@ -175,55 +162,24 @@ def from_arrays(sectors: Mapping[Charge, tuple[np.ndarray, np.ndarray]]) -> Schm
 
 
 def from_grouped(
-    grouped: Mapping[Charge, Sequence[tuple[float, int]]],
+    grouped: Mapping[Charge | str, Sequence[tuple[float, int]]],
 ) -> SchmidtState:
-    """Build a state from ``(value, multiplicity)`` groups, renormalizing.
+    """Validate ``(value, multiplicity)`` groups and build the canonical state.
 
-    Same contract as :func:`new_schmidt_state`: negatives, non-finite
-    values and values above 1 + 1e-9 rejected, zeros stripped, and the
-    total may deviate from 1 by at most 1e-9.
+    The one check of Schmidt data from outside the package.  Each value
+    must convert to a float that is nonnegative, finite and at most
+    1 + 1e-9, and each multiplicity must be nonnegative; the first faulty
+    group, in input order, names the error.  At least one value must be
+    positive, and the total may deviate from 1 by at most 1e-9 (the
+    state is then renormalized exactly).  Zeros are stripped; within each
+    sector the values are sorted descending.
     """
-    for c, entries in grouped.items():
-        label = _as_charge(c).value
-        for value, mult in entries:
-            if not 0.0 <= value <= _COEFF_MAX:
-                if not math.isfinite(value):
-                    raise ValidationError(
-                        f"non-finite Schmidt coefficient {value!r} in sector {label!r}"
-                    )
-                if value < 0.0:
-                    raise ValidationError(
-                        f"negative Schmidt coefficient {value!r} in sector {label!r}"
-                    )
-                raise NormalizationError(
-                    f"Schmidt coefficient {value!r} in sector {label!r} exceeds 1"
-                )
-            if mult < 0:
-                raise ValidationError(f"negative multiplicity {mult!r} in sector {label!r}")
-    return from_arrays(
-        {
-            _as_charge(c): (
-                np.array([v for v, _ in entries], dtype=float),
-                np.array([m for _, m in entries], dtype=np.int64),
-            )
-            for c, entries in grouped.items()
-        }
-    )
-
-
-def new_schmidt_state(sectors: Mapping[Charge | str, Sequence[float]]) -> SchmidtState:
-    """Validate and canonicalize sector-indexed Schmidt coefficients.
-
-    Coefficients must be finite, nonnegative numbers with at least one
-    positive entry and total within 1e-9 of 1 (they are then renormalized
-    exactly).  Zeros are stripped; within each sector the list is sorted
-    descending.
-    """
-    grouped: dict[Charge, list[tuple[float, int]]] = {}
-    for key, values in sectors.items():
+    sectors = {}
+    for key, entries in grouped.items():
         c = _as_charge(key)
-        entries: list[tuple[float, int]] = []
-        for i, value in enumerate(values):
+        values: list[float] = []
+        mults: list[int] = []
+        for i, (value, mult) in enumerate(entries):
             try:
                 v = float(value)
             except (TypeError, ValueError, OverflowError):
@@ -231,13 +187,29 @@ def new_schmidt_state(sectors: Mapping[Charge | str, Sequence[float]]) -> Schmid
                     f"Schmidt coefficient {value!r} at sector {c.value!r} index {i} "
                     "is not a number"
                 ) from None
-            if v < 0.0:
-                raise ValidationError(
-                    f"negative Schmidt coefficient {value!r} at sector {c.value!r} index {i}"
+            if not 0.0 <= v <= _COEFF_MAX:
+                if v < 0.0:
+                    raise ValidationError(
+                        f"negative Schmidt coefficient {value!r} at sector {c.value!r} index {i}"
+                    )
+                if not math.isfinite(v):
+                    raise ValidationError(
+                        f"non-finite Schmidt coefficient {v!r} in sector {c.value!r}"
+                    )
+                raise NormalizationError(
+                    f"Schmidt coefficient {v!r} in sector {c.value!r} exceeds 1"
                 )
-            entries.append((v, 1))
-        grouped[c] = entries
-    return from_grouped(grouped)
+            if mult < 0:
+                raise ValidationError(f"negative multiplicity {mult!r} in sector {c.value!r}")
+            values.append(v)
+            mults.append(mult)
+        sectors[c] = (np.array(values, dtype=float), np.array(mults, dtype=np.int64))
+    return from_arrays(sectors)
+
+
+def new_schmidt_state(sectors: Mapping[Charge | str, Sequence[float]]) -> SchmidtState:
+    """Sector-indexed Schmidt coefficients, each a group of one; see :func:`from_grouped`."""
+    return from_grouped({key: [(value, 1) for value in values] for key, values in sectors.items()})
 
 
 def state_from_dict(payload: Mapping) -> SchmidtState:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bell import TSIRELSON, local_terms, optimize_chsh
 from .errors import FibanyonError
-from .measures import StateClass, aee, classify, e_ace_pure, e_aree_pure, e_ce_pure
+from .measures import StateClass, classify, measure_report
 from .model import (
     CHARGE_ORDER,
     LOG2_PHI,
@@ -102,51 +102,35 @@ def check_model_identities() -> list[CheckResult]:
     ]
 
 
-def check_decomposition(states: Sequence[SchmidtState]) -> list[CheckResult]:
-    """AREE = ACE + CE in closed form, and numerically on the first 100 states."""
-    return _check_decomposition_closed(states) + _check_decomposition_numeric(states)
-
-
-def _check_decomposition_closed(states: Sequence[SchmidtState]) -> list[CheckResult]:
-    """The closed-form residual, taken from the three measure functions
-    directly: :class:`MeasureReport` raises on a violation, which would
-    end the suite instead of reporting a failed check."""
-    closed = max(abs(e_aree_pure(s) - e_ace_pure(s) - e_ce_pure(s)) for s in states)
+def check_decomposition_closed(states: Sequence[SchmidtState]) -> list[CheckResult]:
+    """AREE = ACE + CE in closed form, over every state."""
+    closed = max(abs(r.aree - r.ace - r.ce) for r in map(measure_report, states))
     detail = f"max |AREE - ACE - CE| = {closed:.3e} over {len(states)} states"
     return [CheckResult("decomposition-closed-form", closed < 1e-9, detail)]
 
 
-def _check_decomposition_numeric(states: Sequence[SchmidtState]) -> list[CheckResult]:
+def check_decomposition_numeric(states: Sequence[SchmidtState]) -> list[CheckResult]:
+    """AREE = ACE + CE through block relative entropies, on the first 100 states."""
     numeric_states = states[:100]
     numeric = max(abs(pythagorean_residual(s)) for s in numeric_states)
     detail = f"max numeric residual = {numeric:.3e} over {len(numeric_states)} states"
     return [CheckResult("decomposition-numeric", numeric < 1e-8, detail)]
 
 
-def check_separable_oracle(
-    rng: np.random.Generator,
-    value_states: Sequence[SchmidtState],
-    gradient_states: Sequence[SchmidtState],
-    directions: int,
-) -> list[CheckResult]:
-    """Closest-separable value equals the AREE; its gradient is >= 0 along random directions."""
-    return _check_separable_value(value_states) + _check_separable_gradient(
-        rng, gradient_states, directions
-    )
-
-
-def _check_separable_value(states: Sequence[SchmidtState]) -> list[CheckResult]:
+def check_separable_value(states: Sequence[SchmidtState]) -> list[CheckResult]:
+    """The relative entropy to the closest-separable candidate equals the AREE."""
     worst = 0.0
     for s in states:
         candidate = closest_separable_candidate(s).to_operator(s.ranks)
-        worst = max(worst, abs(relative_entropy(embed(s), candidate) - e_aree_pure(s)))
+        worst = max(worst, abs(relative_entropy(embed(s), candidate) - measure_report(s).aree))
     detail = f"max |numeric - closed| = {worst:.3e} over {len(states)} states"
     return [CheckResult("separable-oracle-value", worst < 1e-8, detail)]
 
 
-def _check_separable_gradient(
+def check_separable_gradient(
     rng: np.random.Generator, states: Sequence[SchmidtState], directions: int
 ) -> list[CheckResult]:
+    """The candidate's gradient is >= 0 along random separable directions."""
     lowest = math.inf
     for s in states:
         for _ in range(directions):
@@ -234,14 +218,20 @@ def check_copy_series_trends(series: CopySeries) -> list[CheckResult]:
 
 
 def _check_aee_additivity(states: Sequence[SchmidtState]) -> list[CheckResult]:
-    worst = max(abs(aee(n_copy(s, n)) - n * aee(s)) for s in states for n in (2, 3))
+    worst = max(
+        abs(measure_report(n_copy(s, n)).aee - n * measure_report(s).aee)
+        for s in states
+        for n in (2, 3)
+    )
     detail = f"max |aee(n-copy) - n aee| = {worst:.3e}"
     return [CheckResult("aee-additivity", worst < 1e-9, detail)]
 
 
 def _check_multicopy_closed_form(states: Sequence[SchmidtState]) -> list[CheckResult]:
     worst = max(
-        abs(e_aree_ncopy(s, n) - e_aree_pure(n_copy(s, n))) for s in states for n in range(2, 7)
+        abs(e_aree_ncopy(s, n) - measure_report(n_copy(s, n)).aree)
+        for s in states
+        for n in range(2, 7)
     )
     detail = f"max |closed - constructed| = {worst:.3e} for n <= 6"
     return [CheckResult("multicopy-closed-form", worst < 1e-9, detail)]
@@ -344,12 +334,12 @@ def run_suite(seed: int = 42, cases: int = 100) -> list[CheckResult]:
     joints = [(s, 1) for s in states[:10]] + [(tau_state, n) for n in (1, 2, 3)]
     groups: list[tuple[tuple[str, ...], Callable[[], list[CheckResult]]]] = [
         (("golden-identity", "total-dimension", "fusion-paths"), check_model_identities),
-        (("decomposition-closed-form",), lambda: _check_decomposition_closed(states)),
-        (("decomposition-numeric",), lambda: _check_decomposition_numeric(states)),
-        (("separable-oracle-value",), lambda: _check_separable_value(states[:100])),
+        (("decomposition-closed-form",), lambda: check_decomposition_closed(states)),
+        (("decomposition-numeric",), lambda: check_decomposition_numeric(states)),
+        (("separable-oracle-value",), lambda: check_separable_value(states[:100])),
         (
             ("separable-oracle-gradient",),
-            lambda: _check_separable_gradient(rng, states[:n_grad_states], 40),
+            lambda: check_separable_gradient(rng, states[:n_grad_states], 40),
         ),
         (("aee-additivity",), lambda: _check_aee_additivity(states[:10])),
         (("multicopy-closed-form",), lambda: _check_multicopy_closed_form(states[:10])),

@@ -20,9 +20,11 @@ from fibanyon.oracle import chsh_value, witness
 from fibanyon.states import new_schmidt_state, random_schmidt_state
 from fibanyon.verify import (
     check_copy_series_trends,
-    check_decomposition,
+    check_decomposition_closed,
+    check_decomposition_numeric,
     check_model_identities,
-    check_separable_oracle,
+    check_separable_gradient,
+    check_separable_value,
     check_tsirelson,
 )
 
@@ -137,7 +139,8 @@ def test_criterion_3_copy_series_reproduction():
 def test_criterion_4_pythagorean_decomposition():
     rng = np.random.default_rng(42)
     states = [random_schmidt_state(rng) for _ in range(1000)]
-    report_checks(4, "pythagorean decomposition", check_decomposition(states))
+    results = check_decomposition_closed(states) + check_decomposition_numeric(states)
+    report_checks(4, "pythagorean decomposition", results)
 
 
 def test_criterion_5_separable_minimum_oracle():
@@ -147,7 +150,8 @@ def test_criterion_5_separable_minimum_oracle():
     report_checks(
         5,
         "closest-separable oracle",
-        check_separable_oracle(rng, value_states, gradient_states, 200),
+        check_separable_value(value_states)
+        + check_separable_gradient(rng, gradient_states, 200),
     )
 
 

@@ -14,7 +14,7 @@ from fibanyon.errors import (
     TargetRankError,
     ValidationError,
 )
-from fibanyon.measures import StateClass, classify, e_ce_pure
+from fibanyon.measures import StateClass, classify, measure_report
 from fibanyon.model import PHI, Charge
 from fibanyon.multicopy import n_copy
 from fibanyon.oracle import (
@@ -338,7 +338,7 @@ class TestLocalityPredicate:
                 violation = result.verdict == "violation"
                 assert violation == (local_terms(state, n) is None)
                 assert violation == (classify(joint) is StateClass.TYPE_C)
-                assert violation == (e_ce_pure(joint) > 0.0)
+                assert violation == (measure_report(joint).ce > 0.0)
                 assert violation == (joint.max_rank >= 2)
                 assert violation == (result.angles is not None) == (result.sector is not None)
                 assert result.value >= 2.0
@@ -414,7 +414,7 @@ class TestLocalityCertificate:
                 continue
             local += 1
             assert sum(p for p, _ in terms) == pytest.approx(1.0, abs=1e-12)
-            assert e_ce_pure(joint) == 0.0
+            assert measure_report(joint).ce == 0.0
             result = optimize_chsh(state, copies)
             assert result.value == 2.0
             assert result.verdict == "local-bound-respected"

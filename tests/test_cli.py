@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -428,8 +429,14 @@ class TestVerify:
         assert out == VERIFY_SEED42
 
     def test_decomposition_violation_is_a_failed_check(self, capsys, monkeypatch):
-        real = verify.e_ce_pure
-        monkeypatch.setattr(verify, "e_ce_pure", lambda state: real(state) + 1e-6)
+        real = verify.measure_report
+
+        def shifted(state):
+            # A plain namespace: MeasureReport itself would raise on the shifted CE.
+            fields = real(state).as_dict()
+            return SimpleNamespace(**{**fields, "ce": fields["ce"] + 1e-6})
+
+        monkeypatch.setattr(verify, "measure_report", shifted)
         code, out, _ = run(capsys, ["verify", "--seed", "42", "--cases", "3"])
         assert code == 2
         assert "FAIL  decomposition-closed-form: max |AREE - ACE - CE| = 1.000e-06" in out
@@ -537,15 +544,24 @@ class TestSharedParser:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m_runs_verify(self):
+    @staticmethod
+    def run_module(*argv):
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run(
-            [sys.executable, "-m", "fibanyon", "verify", "--seed", "42", "--cases", "3"],
+        return subprocess.run(
+            [sys.executable, "-m", "fibanyon", *argv],
             capture_output=True, text=True, env=env, timeout=120,
         )
+
+    def test_python_dash_m_runs_verify(self):
+        done = self.run_module("verify", "--seed", "42", "--cases", "3")
         assert done.returncode == 0, done.stderr
         assert done.stdout == VERIFY_SEED42_CASES3
+
+    def test_python_dash_m_help_exits_zero(self):
+        done = self.run_module("-h")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage: fibanyon [-h]")
 
 
 class TestExitCodes:
@@ -610,9 +626,37 @@ class TestExitCodes:
         assert f"argument --cases: must be at most 10000, got '{cases}'" in err
 
     def test_case_limit_is_in_the_help(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["verify", "--help"])
+        assert main(["verify", "--help"]) == 0
         assert "at most 10000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [(["-h"], "usage: fibanyon [-h]"), (["measures", "-h"], "usage: fibanyon measures")],
+    )
+    def test_help_returns_zero_in_process(self, capsys, argv, usage):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(usage)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                '{"sectors":{"1":[NaN],"tau":[-0.5]}}',
+                "error: non-finite Schmidt coefficient nan in sector '1'\n",
+            ),
+            (
+                '{"sectors":{"tau":[2.0,-0.5]}}',
+                "error: Schmidt coefficient 2.0 in sector 'tau' exceeds 1\n",
+            ),
+        ],
+    )
+    def test_first_faulty_coefficient_names_the_error(self, tmp_path, capsys, text, message):
+        """Coefficients are checked in one pass, so the first fault in file
+        order is the one reported, whatever its kind."""
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert run(capsys, ["measures", "--state", str(path)]) == (1, "", message)
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -2,22 +2,19 @@
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fibanyon
+import fibanyon.measures
+import fibanyon.states
 from fibanyon.cli import main
 from fibanyon.errors import BlockMismatch, DecompositionViolation, NotAState, SupportViolation
-from fibanyon.measures import (
-    MeasureReport,
-    _schmidt_entropy,
-    e_ace_pure,
-    e_aree_pure,
-    e_ce_pure,
-    measure_report,
-)
+from fibanyon.measures import MeasureReport, _schmidt_entropy, measure_report, shannon_entropy
 from fibanyon.model import CHARGE_ORDER, LOG2_PHI, PHI, Charge
 from fibanyon.multicopy import n_copy
 from fibanyon.oracle import (
@@ -33,7 +30,7 @@ from fibanyon.oracle import (
     random_separable_direction,
     relative_entropy,
 )
-from fibanyon.states import new_schmidt_state, random_schmidt_state, shannon_entropy
+from fibanyon.states import new_schmidt_state, random_schmidt_state
 
 TAU = Charge.TAU
 VAC = Charge.VACUUM
@@ -48,41 +45,41 @@ def random_states(seed, count, **kwargs):
 
 class TestClosedForms:
     def test_aree_single_tau(self):
-        assert e_aree_pure(new_schmidt_state({TAU: [1.0]})) == pytest.approx(
+        assert measure_report(new_schmidt_state({TAU: [1.0]})).aree == pytest.approx(
             TWO_LOG2_PHI, abs=1e-9
         )
 
     def test_aree_product(self):
-        assert e_aree_pure(new_schmidt_state({VAC: [1.0]})) == 0.0
+        assert measure_report(new_schmidt_state({VAC: [1.0]})).aree == 0.0
 
     def test_aree_even_split(self):
         state = new_schmidt_state({VAC: [0.5], TAU: [0.5]})
-        assert e_aree_pure(state) == pytest.approx(1.6942419136, abs=1e-9)
+        assert measure_report(state).aree == pytest.approx(1.6942419136, abs=1e-9)
 
     def test_ace_single_tau(self):
-        assert e_ace_pure(new_schmidt_state({TAU: [1.0]})) == pytest.approx(
+        assert measure_report(new_schmidt_state({TAU: [1.0]})).ace == pytest.approx(
             TWO_LOG2_PHI, abs=1e-9
         )
 
     def test_ace_single_sector_vanishes(self):
-        assert e_ace_pure(new_schmidt_state({VAC: [0.5, 0.5]})) == 0.0
+        assert measure_report(new_schmidt_state({VAC: [0.5, 0.5]})).ace == 0.0
 
     def test_ace_even_split(self):
         state = new_schmidt_state({VAC: [0.5], TAU: [0.5]})
-        assert e_ace_pure(state) == pytest.approx(1.6942419136, abs=1e-9)
+        assert measure_report(state).ace == pytest.approx(1.6942419136, abs=1e-9)
 
     def test_ce_single_tau(self):
-        assert e_ce_pure(new_schmidt_state({TAU: [1.0]})) == 0.0
+        assert measure_report(new_schmidt_state({TAU: [1.0]})).ce == 0.0
 
     def test_ce_vacuum_pair(self):
-        assert e_ce_pure(new_schmidt_state({VAC: [0.5, 0.5]})) == pytest.approx(
+        assert measure_report(new_schmidt_state({VAC: [0.5, 0.5]})).ce == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_ce_three_copy_sectors(self):
         # p_tau * H(1/2, 1/2) with p_tau = 2 / phi**2.
         state = new_schmidt_state({VAC: [0.2360680], TAU: [0.3819660, 0.3819660]})
-        assert e_ce_pure(state) == pytest.approx(0.7639320, abs=1e-6)
+        assert measure_report(state).ce == pytest.approx(0.7639320, abs=1e-6)
 
     def test_report_single_tau(self):
         report = measure_report(new_schmidt_state({TAU: [1.0]}))
@@ -331,18 +328,18 @@ class TestRelativeEntropy:
     def test_matches_aree_closed_form(self, state):
         candidate = closest_separable_candidate(state).to_operator(state.ranks)
         numeric = relative_entropy(embed(state), candidate)
-        assert numeric == pytest.approx(e_aree_pure(state), abs=1e-8)
+        assert numeric == pytest.approx(measure_report(state).aree, abs=1e-8)
 
     @pytest.mark.parametrize("state", random_states(27, 40))
     def test_matches_ace_closed_form(self, state):
         numeric = relative_entropy(embed(state), omega_project(state))
-        assert numeric == pytest.approx(e_ace_pure(state), abs=1e-8)
+        assert numeric == pytest.approx(measure_report(state).ace, abs=1e-8)
 
     @pytest.mark.parametrize("state", random_states(28, 20))
     def test_separable_states_never_beat_the_candidate(self, state):
         rng = np.random.default_rng(99)
         rho = embed(state)
-        floor = e_aree_pure(state)
+        floor = measure_report(state).aree
         for _ in range(5):
             sigma = random_separable_direction(rng, state.ranks).to_operator(state.ranks)
             assert relative_entropy(rho, sigma) >= floor - 1e-6
@@ -464,3 +461,25 @@ class TestDomainChecks:
         direction = random_separable_direction(rng, other.ranks)
         with pytest.raises(BlockMismatch):
             minimality_gradient(state, direction)
+
+
+class TestPackageSurface:
+    """``measure_report`` is the only route to the four measures."""
+
+    @pytest.mark.parametrize("name", ["aee", "e_aree_pure", "e_ace_pure", "e_ce_pure"])
+    def test_single_measure_functions_are_gone(self, name):
+        assert not hasattr(fibanyon, name)
+        assert not hasattr(fibanyon.measures, name)
+
+    def test_shannon_entropy_lives_in_measures(self):
+        assert fibanyon.shannon_entropy is fibanyon.measures.shannon_entropy
+        assert not hasattr(fibanyon.states, "shannon_entropy")
+
+    def test_all_lists_exactly_the_public_names(self):
+        assert all(hasattr(fibanyon, name) for name in fibanyon.__all__)
+        public = {
+            name
+            for name, value in vars(fibanyon).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert public == set(fibanyon.__all__)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibanyon.errors import CopyLimitExceeded
-from fibanyon.measures import aee, e_aree_pure
+from fibanyon.measures import measure_report
 from fibanyon.model import CHARGE_ORDER, LOG2_PHI, PHI, Charge, fusion_space_dim, qdim_float
 from fibanyon.multicopy import (
     _joint_rank,
@@ -234,7 +234,7 @@ class TestClosedForm:
         for _ in range(4):
             state = random_schmidt_state(rng)
             closed = e_aree_ncopy(state, n)
-            constructed = e_aree_pure(n_copy(state, n))
+            constructed = measure_report(n_copy(state, n)).aree
             assert closed == pytest.approx(constructed, abs=1e-9)
 
 
@@ -291,22 +291,24 @@ class TestAsymptotes:
 
 class TestAdditivity:
     def test_three_copies_of_tau_line(self):
-        assert abs(aee(n_copy(tau_line(), 3)) - 3 * aee(tau_line())) <= 1e-9
+        joint = measure_report(n_copy(tau_line(), 3))
+        assert abs(joint.aee - 3 * measure_report(tau_line()).aee) <= 1e-9
 
     def test_single_copy_trivial(self):
         state = new_schmidt_state({VAC: [0.2, 0.1], TAU: [0.7]})
-        assert aee(n_copy(state, 1)) - aee(state) == 0.0
+        assert measure_report(n_copy(state, 1)).aee - measure_report(state).aee == 0.0
 
     def test_mixed_sector_state(self):
         state = new_schmidt_state({VAC: [0.5], TAU: [0.5]})
-        assert abs(aee(n_copy(state, 4)) - 4 * aee(state)) <= 1e-9
+        assert abs(measure_report(n_copy(state, 4)).aee - 4 * measure_report(state).aee) <= 1e-9
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_random_states(self, n):
         rng = np.random.default_rng(60 + n)
         for _ in range(5):
             state = random_schmidt_state(rng)
-            assert abs(aee(n_copy(state, n)) - n * aee(state)) <= 1e-9
+            joint = measure_report(n_copy(state, n))
+            assert abs(joint.aee - n * measure_report(state).aee) <= 1e-9
 
 
 class TestCopySeries:
@@ -333,7 +335,7 @@ class TestCopySeries:
     def test_aee_additive_for_mixed_state(self):
         state = new_schmidt_state({VAC: [0.25, 0.25], TAU: [0.5]})
         series = copy_series(state, 5)
-        single = aee(state)
+        single = measure_report(state).aee
         for _, aee_pc, *_ in series.rows:
             assert aee_pc == pytest.approx(single, abs=1e-9)
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibanyon.errors import NormalizationError, NotAState, ValidationError
-from fibanyon.measures import StateClass, aee, classify
+from fibanyon.measures import StateClass, classify, measure_report, shannon_entropy
 from fibanyon.model import LOG2_PHI, PHI, Charge
 from fibanyon.oracle import (
     GradedDensityOperator,
@@ -26,7 +26,6 @@ from fibanyon.oracle import (
 from fibanyon.states import (
     new_schmidt_state,
     random_schmidt_state,
-    shannon_entropy,
     state_from_dict,
     state_to_dict,
 )
@@ -103,17 +102,17 @@ class TestConstruction:
 
 class TestAee:
     def test_single_tau(self):
-        assert aee(new_schmidt_state({TAU: [1.0]})) == pytest.approx(
+        assert measure_report(new_schmidt_state({TAU: [1.0]})).aee == pytest.approx(
             0.6942419136, abs=1e-9
         )
 
     def test_product_state(self):
-        assert aee(new_schmidt_state({VAC: [1.0]})) == 0.0
+        assert measure_report(new_schmidt_state({VAC: [1.0]})).aee == 0.0
 
     def test_even_sector_split(self):
         # H(0.5, 0.5) + 0.5 * log2(phi) = 1 + 0.5 * 0.69424191...
         state = new_schmidt_state({VAC: [0.5], TAU: [0.5]})
-        assert aee(state) == pytest.approx(1.3471209568, abs=1e-9)
+        assert measure_report(state).aee == pytest.approx(1.3471209568, abs=1e-9)
 
 
 class TestReducedDensity:
@@ -167,7 +166,7 @@ class TestAnyonicEntropy:
     @pytest.mark.parametrize("state", random_states(13, 25))
     def test_matches_aee(self, state):
         entropy = anyonic_entropy(reduced_density(state))
-        assert entropy == pytest.approx(aee(state), abs=1e-10)
+        assert entropy == pytest.approx(measure_report(state).aee, abs=1e-10)
 
     def test_not_a_state(self):
         op = GradedDensityOperator({TAU: np.array([[1.0]])})  # trace phi, not 1
