@@ -362,11 +362,7 @@ class SeparableState:
         for _, left, right in self.terms:
             for factor in (left, right):
                 for c in factor.keys():
-                    if ranks.get(c) != factor.block(c).shape[0]:
-                        raise BlockMismatch(
-                            f"factor sector {c.value!r} has rank "
-                            f"{factor.block(c).shape[0]}, target ranks are {ranks!r}"
-                        )
+                    _check_factor_rank(c, factor.block(c).shape[0], ranks)
 
     def to_operator(self, ranks: Mapping[Charge, int]) -> GradedDensityOperator:
         """Bipartite product-basis operator sum_k p_k rho_A^k (x) rho_B^k."""
@@ -384,6 +380,13 @@ class SeparableState:
                 if hit:
                     blocks[(a, b)] = acc
         return GradedDensityOperator(blocks, ranks=ranks)
+
+
+def _check_factor_rank(c: Charge, rank: int, ranks: Mapping[Charge, int]) -> None:
+    if ranks.get(c) != rank:
+        raise BlockMismatch(
+            f"factor sector {c.value!r} has rank {rank}, target ranks are {ranks!r}"
+        )
 
 
 def _basis_factor(c: Charge, index: int, rank: int) -> GradedDensityOperator:
@@ -535,20 +538,48 @@ def minimality_gradient(state: SchmidtState, direction: SeparableState) -> float
 
     with M_c = sum_k p_k (A_k^c o B_k^c) the elementwise product of the
     direction's sector-c factor blocks and L the divided difference of ln.
-    Nonnegative values certify local minimality of rho_0.
+    Nonnegative values certify local minimality of rho_0.  This is the
+    count-1 view of :func:`_separable_gradients`, which evaluates the
+    formula; a factor without a sector-c block enters it as a zero block.
     """
     direction._check_ranks(state.ranks)
+    weights = np.array([[p for p, _, _ in direction.terms]])
+    blocks = {
+        c: np.array(
+            [[[f.block(c) if c in f.keys() else np.zeros((k, k)) for f in pair]
+              for _, *pair in direction.terms]],
+            dtype=complex,
+        )
+        for c, k in state.ranks.items()
+    }
+    return float(_separable_gradients(state, weights, blocks)[0])
+
+
+def _separable_gradients(
+    state: SchmidtState, weights: np.ndarray, blocks: Mapping[Charge, np.ndarray]
+) -> np.ndarray:
+    """:func:`minimality_gradient` along a stack of separable mixtures, one value each.
+
+    ``weights`` (count, terms) holds the mixture weights and, for every
+    sector c of the state, ``blocks[c]`` (count, terms, 2, k, k) the
+    sector-c blocks of the left and right factors.  A padded term has
+    weight 0 and finite blocks, so it adds nothing.  Each mixture's
+    overlap M_c is accumulated term by term, in term order.
+    """
+    ranks = state.ranks
+    for c, stack in blocks.items():
+        _check_factor_rank(c, stack.shape[-1], ranks)
     pairing = 0.0
     for c in state.charges:
         lam = state.coefficients(c)
-        overlap = np.zeros((lam.size, lam.size), dtype=complex)
-        for p, left, right in direction.terms:
-            if c in left.keys() and c in right.keys():
-                overlap += p * left.block(c) * right.block(c)
+        stack = blocks[c]
+        overlap = np.zeros((weights.shape[0], lam.size, lam.size), dtype=complex)
+        for t in range(weights.shape[1]):
+            overlap += weights[:, t, None, None] * stack[:, t, 0] * stack[:, t, 1]
         s = lam / qdim_float(c) ** 2
         amp = np.sqrt(lam)
-        weights = np.outer(amp, amp) * _log_divided_difference(s[:, None], s[None, :])
-        pairing += float(np.sum(weights * overlap).real)
+        dk = np.outer(amp, amp) * _log_divided_difference(s[:, None], s[None, :])
+        pairing = pairing + np.sum(dk * overlap, axis=(-2, -1)).real
     return (1.0 - pairing) / math.log(2.0)
 
 
@@ -573,27 +604,116 @@ def random_separable_direction(
     rng: np.random.Generator,
     ranks: Mapping[Charge, int],
 ) -> SeparableState:
-    """Random mixture of one to three random product states on the given sector ranks."""
-    ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
-    n_terms = int(rng.integers(1, 4))
-    weights = rng.dirichlet(np.ones(n_terms))
-    terms = []
-    for w in weights:
-        terms.append((float(w), _random_factor(rng, ranks), _random_factor(rng, ranks)))
-    return SeparableState(tuple(terms))
+    """Random mixture of one to three random product states on the given sector ranks.
 
+    Reads ``rng`` in this order: ``integers(1, 4)`` for the term count,
+    ``dirichlet`` for the weights, then for each term, its left factor
+    before its right, and each sector in rank order, the real and then
+    the imaginary parts of a Gaussian k x k matrix g.  A factor's sector
+    block is g g^dagger, scaled so the factor has unit quantum trace.
+    This is the count-1 view of :func:`_random_separable_stack`.
+    """
+    terms, weights, blocks = _random_separable_stack(rng, ranks, 1)
+    ranks = {c: stack.shape[-1] for c, stack in blocks.items()}
 
-def _random_factor(
-    rng: np.random.Generator, ranks: Mapping[Charge, int]
-) -> GradedDensityOperator:
-    blocks: dict = {}
-    for c, k in ranks.items():
-        g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        blocks[c] = g @ g.conj().T
-    norm = sum(qdim_float(c) * np.trace(m).real for c, m in blocks.items())
-    return GradedDensityOperator(
-        {c: m / norm for c, m in blocks.items()}, ranks=ranks
+    def factor(t: int, side: int) -> GradedDensityOperator:
+        return GradedDensityOperator({c: b[0, t, side] for c, b in blocks.items()}, ranks=ranks)
+
+    return SeparableState(
+        tuple((float(weights[0, t]), factor(t, 0), factor(t, 1)) for t in range(terms[0]))
     )
+
+
+def random_minimality_gradients(
+    rng: np.random.Generator, state: SchmidtState, count: int
+) -> np.ndarray:
+    """:func:`minimality_gradient` along ``count`` random separable directions, stacked.
+
+    The directions are those of ``count`` calls of
+    ``random_separable_direction(rng, state.ranks)``: the generator is
+    read in the same order, every direction passes the same checks, and
+    the gradients, in draw order, are those of the per-direction loop.
+    When a check fails, the generator has already read all ``count``
+    directions.
+    """
+    _, weights, blocks = _random_separable_stack(rng, state.ranks, count)
+    return _separable_gradients(state, weights, blocks)
+
+
+def _random_separable_stack(
+    rng: np.random.Generator, ranks: Mapping[Charge, int], count: int
+) -> tuple[np.ndarray, np.ndarray, dict[Charge, np.ndarray]]:
+    """``count`` validated random separable mixtures, drawn as
+    :func:`random_separable_direction` documents.
+
+    Returns ``(terms, weights, blocks)``: the term counts (count,), the
+    weights (count, 3) and, per sector in rank order, the factor blocks
+    (count, 3, 2, k, k), left then right.  Past its term count a mixture
+    is padded with zero weights and zero blocks.
+    """
+    ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
+    if not ranks:
+        raise ValidationError("operator needs at least one block")
+    size = sum(2 * k * k for k in ranks.values())
+    terms = np.zeros(count, dtype=int)
+    weights = np.zeros((count, 3))
+    normals = np.zeros((count, 3, 2, size))
+    for d in range(count):
+        n = terms[d] = int(rng.integers(1, 4))
+        weights[d, :n] = rng.dirichlet(np.ones(n))
+        normals[d, :n] = rng.normal(size=(n, 2, size))
+    blocks = {}
+    norm = 0.0
+    offset = 0
+    for c, k in ranks.items():
+        parts = normals[..., offset : offset + 2 * k * k].reshape(count, 3, 2, 2, k, k)
+        offset += 2 * k * k
+        g = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
+        blocks[c] = g @ _dagger(g)
+        norm = norm + qdim_float(c) * np.trace(blocks[c], axis1=-2, axis2=-1).real
+    # A padded factor is all zeros; a unit norm keeps it so.
+    norm[np.arange(3) >= terms[:, None]] = 1.0
+    blocks = {c: m / norm[..., None, None] for c, m in blocks.items()}
+    _check_separable_stack(terms, weights, blocks)
+    return terms, weights, blocks
+
+
+def _check_separable_stack(
+    terms: np.ndarray, weights: np.ndarray, blocks: Mapping[Charge, np.ndarray]
+) -> None:
+    """Make every check of :class:`SeparableState` on the used terms of a stack.
+
+    Arrays are laid out as :func:`_random_separable_stack` returns them.
+    The weights must be >= 0 and sum to 1 within 1e-12
+    (:class:`ValidationError`), and every factor must pass
+    :meth:`GradedDensityOperator.assert_state`: Hermitian, positive
+    semidefinite (one stacked ``eigvalsh`` per sector) and of unit
+    quantum trace, to 1e-10 (:class:`NotAState`).  The messages are
+    those of the one-at-a-time checks; when several checks fail, the
+    first in that order names the error.
+    """
+    used = np.arange(weights.shape[1]) < terms[:, None]
+    p = weights[used]
+    if (p < 0.0).any():
+        raise ValidationError(f"negative mixture weight {float(p[p < 0.0][0])!r}")
+    factors = {c: stack[used] for c, stack in blocks.items()}
+    if not all(_allclose(m, _dagger(m), _STATE_TOL) for m in factors.values()):
+        raise NotAState("operator is not Hermitian")
+    for c, m in factors.items():
+        if np.linalg.eigvalsh(m).min(initial=math.inf) < -_STATE_TOL:
+            raise NotAState(f"block {c!r} is not positive semidefinite")
+    # Summed in sector order, as GradedDensityOperator.quantum_trace sums.
+    trace = sum(
+        qdim_float(c) * np.trace(m, axis1=-2, axis2=-1).real for c, m in factors.items()
+    )
+    off = np.abs(trace - 1.0) > _STATE_TOL
+    if off.any():
+        raise NotAState(f"quantum trace is {float(trace[off][0])!r}, not 1")
+    # Summed in term order, as SeparableState sums; padded weights add 0.
+    total = sum(weights[:, t] for t in range(weights.shape[1]))
+    off = np.abs(total - 1.0) > 1e-12
+    if off.any():
+        raise ValidationError(f"mixture weights sum to {float(total[off][0])!r}, not 1")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from .model import CHARGE_ORDER, Charge
 _SUM_TOL = 1e-9
 #: No single coefficient of a state can exceed 1 by more than the sum tolerance.
 _COEFF_MAX = 1.0 + _SUM_TOL
+#: Multiplicities are stored as int64.
+_MULT_MAX = 2**63 - 1
 
 
 def _as_charge(key: Charge | str) -> Charge:
@@ -168,10 +170,11 @@ def from_grouped(
 
     The one check of Schmidt data from outside the package.  Each value
     must convert to a float that is nonnegative, finite and at most
-    1 + 1e-9, and each multiplicity must be nonnegative; the first faulty
-    group, in input order, names the error.  At least one value must be
-    positive, and the total may deviate from 1 by at most 1e-9 (the
-    state is then renormalized exactly).  Zeros are stripped; within each
+    1 + 1e-9, and each multiplicity must be a Python or numpy integer
+    (not a bool) from 0 to 2**63 - 1; the first faulty group, in input
+    order, names the error.  At least one value must be positive, and the
+    total may deviate from 1 by at most 1e-9 (the state is then
+    renormalized exactly).  Zeros are stripped; within each
     sector the values are sorted descending.
     """
     sectors = {}
@@ -199,8 +202,18 @@ def from_grouped(
                 raise NormalizationError(
                     f"Schmidt coefficient {v!r} in sector {c.value!r} exceeds 1"
                 )
-            if mult < 0:
-                raise ValidationError(f"negative multiplicity {mult!r} in sector {c.value!r}")
+            if isinstance(mult, bool) or not isinstance(mult, (int, np.integer)):
+                raise ValidationError(
+                    f"multiplicity {mult!r} at sector {c.value!r} index {i} is not an integer"
+                )
+            if not 0 <= mult <= _MULT_MAX:
+                if mult < 0:
+                    raise ValidationError(
+                        f"negative multiplicity {mult!r} at sector {c.value!r} index {i}"
+                    )
+                raise ValidationError(
+                    f"multiplicity {mult!r} at sector {c.value!r} index {i} exceeds 2**63 - 1"
+                )
             values.append(v)
             mults.append(mult)
         sectors[c] = (np.array(values, dtype=float), np.array(mults, dtype=np.int64))

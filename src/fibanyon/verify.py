@@ -10,11 +10,14 @@ public ``check_*`` ones, which the acceptance tests also run, let
 callers choose the seed and sample sizes.
 
 The numeric side of each comparison comes from :mod:`fibanyon.oracle`.
-The Tsirelson check, the bulk of the suite's draws, batches them: it
+The two checks that draw the most are stacked.  The Tsirelson check
 reads the generator in the same order as drawing one observable at a
 time, validates every observable as :class:`~fibanyon.oracle.Observable`
-does, and evaluates stacks of them at once, so its output is that of
-the one-at-a-time loop.
+does, and evaluates batches of them at once.  The separable-oracle
+gradient check makes one pass per state: it draws all of the state's
+random separable directions as one call at a time would, validates them
+as :class:`~fibanyon.oracle.SeparableState` does, and evaluates every
+gradient at once.  Both outputs are those of the one-at-a-time loops.
 """
 
 from __future__ import annotations
@@ -51,12 +54,11 @@ from .oracle import (
     expectation,
     expectation_operator,
     max_block_gap,
-    minimality_gradient,
     omega_project,
     omega_project_operator,
     pythagorean_residual,
     random_involution_observable,
-    random_separable_direction,
+    random_minimality_gradients,
     relative_entropy,
 )
 from .states import SchmidtState, new_schmidt_state, random_schmidt_state
@@ -130,12 +132,18 @@ def check_separable_value(states: Sequence[SchmidtState]) -> list[CheckResult]:
 def check_separable_gradient(
     rng: np.random.Generator, states: Sequence[SchmidtState], directions: int
 ) -> list[CheckResult]:
-    """The candidate's gradient is >= 0 along random separable directions."""
+    """The candidate's gradient is >= 0 along random separable directions.
+
+    One stacked pass per state: :func:`random_minimality_gradients` draws
+    and validates the directions as the per-direction loop of
+    :func:`~fibanyon.oracle.random_separable_direction` and
+    :func:`~fibanyon.oracle.minimality_gradient` would, and gives the
+    same gradients.
+    """
     lowest = math.inf
     for s in states:
-        for _ in range(directions):
-            direction = random_separable_direction(rng, s.ranks)
-            lowest = min(lowest, minimality_gradient(s, direction))
+        gradients = random_minimality_gradients(rng, s, directions)
+        lowest = min(lowest, float(gradients.min(initial=math.inf)))
     detail = f"min gradient = {lowest:.3e} over {len(states)} states x {directions} directions"
     return [CheckResult("separable-oracle-gradient", lowest >= -1e-6, detail)]
 

@@ -7,18 +7,22 @@ import pytest
 
 from fibanyon import oracle, verify
 from fibanyon.bell import TSIRELSON, local_terms, optimize_chsh, type_c_bound
+from fibanyon.cli import main
 from fibanyon.errors import (
     CopyLimitExceeded,
     DimensionMismatch,
     DomainError,
+    NotAState,
     TargetRankError,
     ValidationError,
 )
 from fibanyon.measures import StateClass, classify, measure_report
-from fibanyon.model import PHI, Charge
+from fibanyon.model import PHI, Charge, qdim_float
 from fibanyon.multicopy import n_copy
 from fibanyon.oracle import (
+    GradedDensityOperator,
     Observable,
+    SeparableState,
     certificate_gap,
     chsh_value,
     chsh_value_operator,
@@ -226,6 +230,239 @@ class TestBatchedTsirelson:
         monkeypatch.setattr(oracle, "_check_involutions", scaling_check)
         with pytest.raises(ValidationError, match="random involution block is not an involution"):
             check_tsirelson(np.random.default_rng(7), 10, 2)
+
+
+def _reference_direction(rng, ranks):
+    """The per-factor recipe: per sector a (k, k) real and a (k, k) imaginary draw,
+    g g^dagger, then one scale to unit quantum trace over the factor."""
+    n_terms = int(rng.integers(1, 4))
+    weights = rng.dirichlet(np.ones(n_terms))
+    terms = []
+    for w in weights:
+        pair = []
+        for _ in range(2):
+            blocks = {}
+            for c, k in ranks.items():
+                g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+                blocks[c] = g @ g.conj().T
+            norm = sum(qdim_float(c) * np.trace(m).real for c, m in blocks.items())
+            pair.append(GradedDensityOperator({c: m / norm for c, m in blocks.items()}))
+        terms.append((float(w), *pair))
+    return SeparableState(tuple(terms))
+
+
+def _reference_gradient(state, direction):
+    """The Daleckii-Krein sum, one term at a time; a factor without a sector block adds nothing."""
+    pairing = 0.0
+    for c in state.charges:
+        lam = state.coefficients(c)
+        overlap = np.zeros((lam.size, lam.size), dtype=complex)
+        for p, left, right in direction.terms:
+            if c in left.keys() and c in right.keys():
+                overlap += p * left.block(c) * right.block(c)
+        s = lam / qdim_float(c) ** 2
+        amp = np.sqrt(lam)
+        hi, lo = np.maximum(s[:, None], s[None, :]), np.minimum(s[:, None], s[None, :])
+        t = (hi - lo) / lo
+        ratio = np.ones_like(t)
+        np.divide(np.log1p(t), t, out=ratio, where=t > 0.0)
+        pairing += float(np.sum(np.outer(amp, amp) * ratio / lo * overlap).real)
+    return (1.0 - pairing) / math.log(2.0)
+
+
+#: One-sector and two-sector states, sector ranks 1 to 4, with equal coefficients.
+SEPARABLE_STATES = [
+    {TAU: [1.0]},
+    {VAC: [0.5, 0.5]},
+    {TAU: [0.4, 0.3, 0.2, 0.1]},
+    {VAC: [0.3], TAU: [0.7]},
+    {VAC: [0.2, 0.1], TAU: [0.3, 0.3, 0.1]},
+    {VAC: [0.1, 0.1, 0.1, 0.1], TAU: [0.3, 0.2, 0.1]},
+]
+
+
+class TestStackedSeparableGradient:
+    """``random_minimality_gradients`` against the per-direction loop it stacks."""
+
+    def test_random_direction_keeps_its_draws(self):
+        ranks = {VAC: 2, TAU: 3}
+        rng, reference_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(10):
+            direction = oracle.random_separable_direction(rng, ranks)
+            reference = _reference_direction(reference_rng, ranks)
+            assert len(direction.terms) == len(reference.terms)
+            for (p, *pair), (q, *reference_pair) in zip(direction.terms, reference.terms):
+                assert p == q
+                for factor, reference_factor in zip(pair, reference_pair):
+                    for c in ranks:
+                        np.testing.assert_array_equal(
+                            factor.block(c), reference_factor.block(c)
+                        )
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("count", [1, 40])
+    @pytest.mark.parametrize("sectors", SEPARABLE_STATES)
+    def test_matches_per_direction_loop(self, sectors, count):
+        state = new_schmidt_state(sectors)
+        rng, reference_rng = np.random.default_rng(9), np.random.default_rng(9)
+        stacked = [oracle.random_minimality_gradients(rng, state, count) for _ in range(3)]
+        loop = [
+            [
+                _reference_gradient(state, _reference_direction(reference_rng, state.ranks))
+                for _ in range(count)
+            ]
+            for _ in range(3)
+        ]
+        np.testing.assert_allclose(np.concatenate(stacked), np.ravel(loop), rtol=0, atol=1e-12)
+        assert min(map(np.min, stacked)) == pytest.approx(np.min(loop), abs=1e-12)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("sectors", SEPARABLE_STATES)
+    def test_count_one_views_match_the_loop(self, sectors):
+        state = new_schmidt_state(sectors)
+        rng, reference_rng = np.random.default_rng(10), np.random.default_rng(10)
+        for _ in range(20):
+            gradient = oracle.minimality_gradient(
+                state, oracle.random_separable_direction(rng, state.ranks)
+            )
+            reference = _reference_gradient(
+                state, _reference_direction(reference_rng, state.ranks)
+            )
+            assert gradient == pytest.approx(reference, abs=1e-12)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("sectors", SEPARABLE_STATES)
+    def test_candidate_gradient_is_unchanged(self, sectors):
+        # Each candidate factor holds one sector's block and lacks the other's.
+        state = new_schmidt_state(sectors)
+        candidate = oracle.closest_separable_candidate(state)
+        assert oracle.minimality_gradient(state, candidate) == pytest.approx(
+            _reference_gradient(state, candidate), abs=1e-12
+        )
+
+    def test_check_draws_as_the_loop(self):
+        states = [new_schmidt_state(sectors) for sectors in SEPARABLE_STATES]
+        rng, reference_rng = np.random.default_rng(12), np.random.default_rng(12)
+        [result] = verify.check_separable_gradient(rng, states, 40)
+        lowest = min(
+            _reference_gradient(s, _reference_direction(reference_rng, s.ranks))
+            for s in states
+            for _ in range(40)
+        )
+        assert result.detail == (
+            f"min gradient = {lowest:.3e} over {len(states)} states x 40 directions"
+        )
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("ranks", [{}, {TAU: 0}])
+    def test_direction_needs_a_sector(self, ranks):
+        with pytest.raises(ValidationError, match="operator needs at least one block"):
+            oracle.random_separable_direction(np.random.default_rng(0), ranks)
+
+    def test_no_directions(self):
+        state = new_schmidt_state({TAU: [0.6, 0.4]})
+        assert oracle.random_minimality_gradients(np.random.default_rng(0), state, 0).shape == (0,)
+        [result] = verify.check_separable_gradient(np.random.default_rng(0), [state], 0)
+        assert result.passed and result.detail.startswith("min gradient = inf")
+
+
+def _scaled(blocks):
+    return {c: 1.01 * m for c, m in blocks.items()}
+
+
+def _non_hermitian(blocks):
+    blocks = dict(blocks)
+    c = next(iter(blocks))
+    blocks[c] = blocks[c].copy()
+    blocks[c][0, 1] += 1e-3
+    return blocks
+
+
+def _negative_eigenvalue(blocks):
+    blocks = dict(blocks)
+    c = list(blocks)[-1]
+    m = blocks[c]
+    blocks[c] = m - (np.linalg.eigvalsh(m).min() + 1e-3) * np.eye(m.shape[0])
+    return blocks
+
+
+#: One faulty factor of a stack, and the message its state check gives today.
+FAULTS = [
+    pytest.param(_scaled, "quantum trace is", id="scaled"),
+    pytest.param(_non_hermitian, "operator is not Hermitian", id="non-hermitian"),
+    pytest.param(_negative_eigenvalue, "is not positive semidefinite", id="negative-eigenvalue"),
+]
+
+
+def perturb_one_factor(monkeypatch, fault):
+    """Make ``oracle._check_separable_stack`` see one faulty factor (the right
+    factor of the first term of the last mixture); returns the messages that
+    ``assert_state`` gives on each faulty factor."""
+    real = oracle._check_separable_stack
+    messages = []
+
+    def perturbing(terms, weights, blocks):
+        factor = {c: stack[-1, 0, 1] for c, stack in blocks.items()}
+        faulty = fault(factor)
+        blocks = {c: stack.copy() for c, stack in blocks.items()}
+        for c in blocks:
+            blocks[c][-1, 0, 1] = faulty[c]
+        with pytest.raises(NotAState) as today:
+            GradedDensityOperator(faulty).assert_state()
+        messages.append(str(today.value))
+        real(terms, weights, blocks)
+
+    monkeypatch.setattr(oracle, "_check_separable_stack", perturbing)
+    return messages
+
+
+class TestStackedSeparableValidation:
+    @pytest.mark.parametrize("fault, text", FAULTS)
+    @pytest.mark.parametrize("count", [1, 40])
+    def test_faulty_factor_is_rejected(self, monkeypatch, fault, text, count):
+        messages = perturb_one_factor(monkeypatch, fault)
+        state = new_schmidt_state({VAC: [0.2, 0.1], TAU: [0.3, 0.3, 0.1]})
+        with pytest.raises(NotAState) as raised:
+            oracle.random_minimality_gradients(np.random.default_rng(13), state, count)
+        assert text in str(raised.value)
+        assert str(raised.value) == messages[0]
+
+    @pytest.mark.parametrize("fault, text", FAULTS)
+    def test_verify_reports_a_failed_check(self, monkeypatch, capsys, fault, text):
+        messages = perturb_one_factor(monkeypatch, fault)
+        code = main(["verify", "--seed", "42", "--cases", "3"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert text in messages[0]
+        assert lines[6] == f"FAIL  separable-oracle-gradient: NotAState: {messages[0]}"
+        assert lines[-1] == "16/17 checks passed"
+
+    @pytest.mark.parametrize(
+        "scale, text",
+        [(-1.0, "negative mixture weight"), (1.0 + 1e-9, "mixture weights sum to")],
+        ids=["negative-weight", "weight-sum"],
+    )
+    def test_weight_faults_match_separable_state(self, scale, text):
+        rng = np.random.default_rng(14)
+        terms, weights, blocks = oracle._random_separable_stack(rng, {VAC: 2, TAU: 1}, 6)
+        assert weights.shape == (6, 3) and blocks[VAC].shape == (6, 3, 2, 2, 2)
+        for d, n in enumerate(terms):
+            assert np.all(weights[d, n:] == 0.0) and np.all(blocks[TAU][d, n:] == 0.0)
+        weights[3, 0] *= scale
+        mixture = tuple(
+            (
+                float(weights[3, t]),
+                *(GradedDensityOperator({c: b[3, t, side] for c, b in blocks.items()})
+                  for side in (0, 1)),
+            )
+            for t in range(terms[3])
+        )
+        with pytest.raises(ValidationError) as today:
+            SeparableState(mixture)
+        with pytest.raises(ValidationError) as stacked:
+            oracle._check_separable_stack(terms, weights, blocks)
+        assert text in str(stacked.value)
+        assert str(stacked.value) == str(today.value)
 
 
 class TestTypeCBound:

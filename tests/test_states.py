@@ -24,6 +24,7 @@ from fibanyon.oracle import (
     reduced_density,
 )
 from fibanyon.states import (
+    from_grouped,
     new_schmidt_state,
     random_schmidt_state,
     state_from_dict,
@@ -58,6 +59,33 @@ class TestConstruction:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             new_schmidt_state({TAU: [-0.1, 1.1]})
+
+    @pytest.mark.parametrize(
+        "mult, text",
+        [
+            (1.5, "multiplicity 1.5 at sector 'tau' index 1 is not an integer"),
+            (1.0, "multiplicity 1.0 at sector 'tau' index 1 is not an integer"),
+            (True, "multiplicity True at sector 'tau' index 1 is not an integer"),
+            ("2", "multiplicity '2' at sector 'tau' index 1 is not an integer"),
+            (-1, "negative multiplicity -1 at sector 'tau' index 1"),
+            (np.int8(-1), "negative multiplicity np.int8(-1) at sector 'tau' index 1"),
+            (2**70, f"multiplicity {2**70} at sector 'tau' index 1 exceeds 2**63 - 1"),
+            (2**63, f"multiplicity {2**63} at sector 'tau' index 1 exceeds 2**63 - 1"),
+            (np.uint64(2**63), f"multiplicity np.uint64({2**63}) at sector 'tau' index 1 exceeds"),
+        ],
+    )
+    def test_bad_multiplicity_rejected(self, mult, text):
+        with pytest.raises(ValidationError) as raised:
+            from_grouped({TAU: [(0.25, 2), (0.5, mult)]})
+        assert str(raised.value).startswith(text)
+
+    @pytest.mark.parametrize(
+        "mult", [0, 2**63 - 1, np.int64(2**63 - 1), np.uint64(0), np.int32(0)]
+    )
+    def test_int64_multiplicities_accepted(self, mult):
+        state = from_grouped({VAC: [(1.0, 1)], TAU: [(0.0, mult)]})
+        assert state.ranks == {VAC: 1}
+        assert from_grouped({TAU: [(0.5, np.int16(2))]}).ranks == {TAU: 2}
 
     def test_bad_sum_rejected(self):
         with pytest.raises(NormalizationError):
