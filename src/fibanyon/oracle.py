@@ -18,6 +18,10 @@ with a quantum-trace weight.  Three block layouts appear:
   between charge sectors are allowed.
 
 The quantum trace of any of these is ``sum_blocks weight * tr(block)``.
+A separable mixture (:class:`SeparableState`) has one format: arrays of
+term weights and, per sector, of its left and right factors' blocks,
+with leading axes for a stack of mixtures.  :func:`_check_states` is the
+one test of "is a state", for dense operators and mixture factors alike.
 
 Observables are party-local Hermitian involutions (eigenvalues +-1),
 block diagonal across charge sectors: superselection forbids coherences
@@ -96,6 +100,35 @@ def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
 # ---------------------------------------------------------------------------
 
 BlockKey = object  # Charge | tuple[Charge, Charge] | VACUUM_BLOCK
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _check_states(
+    blocks: Mapping[BlockKey, np.ndarray], weights: Mapping[BlockKey, float]
+) -> None:
+    """Raise :class:`NotAState` unless every state of a stack is one, to 1e-10.
+
+    ``blocks[key]`` (..., k, k) holds block ``key`` of every state, with
+    quantum-trace weight ``weights[key]``.  In this order: Hermitian
+    (``np.allclose``, through the exact helper :func:`_allclose`),
+    positive semidefinite (one stacked ``eigvalsh`` per key) and of unit
+    quantum trace, summed in key order; the first failing check names the
+    error.
+    """
+    if not all(_allclose(m, _dagger(m), _STATE_TOL) for m in blocks.values()):
+        raise NotAState("operator is not Hermitian")
+    for key, m in blocks.items():
+        if np.linalg.eigvalsh(m).min(initial=math.inf) < -_STATE_TOL:
+            raise NotAState(f"block {key!r} is not positive semidefinite")
+    trace = np.asarray(
+        sum(weights[key] * np.trace(m, axis1=-2, axis2=-1).real for key, m in blocks.items())
+    )
+    off = np.abs(trace - 1.0) > _STATE_TOL
+    if off.any():
+        raise NotAState(f"quantum trace is {float(trace[off][0])!r}, not 1")
 
 
 class GradedDensityOperator:
@@ -199,19 +232,8 @@ class GradedDensityOperator:
         )
 
     def assert_state(self) -> None:
-        """Raise :class:`NotAState` unless Hermitian, PSD, and unit quantum trace, to 1e-10.
-
-        The Hermitian test is ``np.allclose`` at ``atol`` 1e-10, evaluated by
-        the exact helper :func:`_allclose`.
-        """
-        if not all(_allclose(m, m.conj().T, _STATE_TOL) for m in self._blocks.values()):
-            raise NotAState("operator is not Hermitian")
-        for key, m in self._blocks.items():
-            if m.shape[0] and np.linalg.eigvalsh(m).min() < -_STATE_TOL:
-                raise NotAState(f"block {key!r} is not positive semidefinite")
-        trace = self.quantum_trace()
-        if abs(trace - 1.0) > _STATE_TOL:
-            raise NotAState(f"quantum trace is {trace!r}, not 1")
+        """Raise :class:`NotAState` unless a state, as :func:`_check_states` tests."""
+        _check_states(self._blocks, {key: self.weight(key) for key in self._blocks})
 
     def __repr__(self) -> str:
         keys = ", ".join(repr(getattr(k, "value", k)) for k in self._blocks)
@@ -335,64 +357,53 @@ def omega_project_operator(op: GradedDensityOperator) -> GradedDensityOperator:
 
 @dataclass(frozen=True)
 class SeparableState:
-    """Convex mixture of product states, each factor a subsystem operator."""
+    """Convex mixtures of product states, as arrays; leading axes stack mixtures.
 
-    terms: tuple[tuple[float, GradedDensityOperator, GradedDensityOperator], ...]
+    ``weights`` (..., T) holds the term weights and ``blocks[c]``
+    (..., T, 2, k, k) the sector-c blocks of each term's left and right
+    subsystem factors, for every sector c of the target ranks; a factor
+    without support in c holds zeros there.  The weights must be >= 0 and
+    sum to 1 within 1e-12 in term order (:class:`ValidationError`), and
+    every factor must be a state (:func:`_check_states`); the first
+    failing check, in that order, names the error.
+    """
+
+    weights: np.ndarray
+    blocks: Mapping[Charge, np.ndarray]
 
     def __post_init__(self) -> None:
-        # Factor blocks are read-only, so a factor object that recurs (both
-        # sides of a term, or several terms) needs its state check only once.
-        checked: set[int] = set()
-        total = 0.0
-        for p, left, right in self.terms:
-            if p < 0.0:
-                raise ValidationError(f"negative mixture weight {p!r}")
-            total += p
-            for factor in (left, right):
-                if factor.kind != KIND_SUBSYSTEM:
-                    raise ValidationError("separable factors must be subsystem operators")
-                if id(factor) not in checked:
-                    factor.assert_state()
-                    checked.add(id(factor))
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"mixture weights sum to {total!r}, not 1")
+        negative = self.weights < 0.0
+        if negative.any():
+            raise ValidationError(f"negative mixture weight {float(self.weights[negative][0])!r}")
+        _check_states(self.blocks, {c: qdim_float(c) for c in self.blocks})
+        total = np.asarray(sum(np.moveaxis(self.weights, -1, 0)))
+        off = np.abs(total - 1.0) > 1e-12
+        if off.any():
+            raise ValidationError(f"mixture weights sum to {float(total[off][0])!r}, not 1")
 
     def _check_ranks(self, ranks: Mapping[Charge, int]) -> None:
-        """Raise :class:`BlockMismatch` unless every factor block has its sector's rank."""
-        for _, left, right in self.terms:
-            for factor in (left, right):
-                for c in factor.keys():
-                    _check_factor_rank(c, factor.block(c).shape[0], ranks)
+        """Raise :class:`BlockMismatch` unless the factors have exactly the target sector ranks."""
+        sizes = {c: m.shape[-1] for c, m in self.blocks.items()}
+        if sizes != ranks:
+            raise BlockMismatch(f"factor sector ranks {sizes!r}, target ranks {ranks!r}")
 
     def to_operator(self, ranks: Mapping[Charge, int]) -> GradedDensityOperator:
-        """Bipartite product-basis operator sum_k p_k rho_A^k (x) rho_B^k."""
+        """Product-basis operator sum_t p_t rho_A^t (x) rho_B^t of one mixture; a charge
+        pair with no term supported on both sides gets a zero block."""
         ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
         self._check_ranks(ranks)
         blocks: dict = {}
-        for a in ranks:
-            for b in ranks:
-                acc = np.zeros((ranks[a] * ranks[b],) * 2, dtype=complex)
-                hit = False
-                for p, left, right in self.terms:
-                    if a in left.keys() and b in right.keys():
-                        acc += p * np.kron(left.block(a), right.block(b))
-                        hit = True
-                if hit:
-                    blocks[(a, b)] = acc
+        for a, ka in ranks.items():
+            left = self.blocks[a][:, 0, :, None, :, None]
+            for b, kb in ranks.items():
+                right = self.blocks[b][:, 1, None, :, None, :]
+                dim = ka * kb
+                # Kronecker product, weight, then a sum from zero in term order: bits depend on it.
+                kron = (left * right).reshape(-1, dim, dim)
+                blocks[(a, b)] = sum(
+                    self.weights[:, None, None] * kron, np.zeros((dim, dim), dtype=complex)
+                )
         return GradedDensityOperator(blocks, ranks=ranks)
-
-
-def _check_factor_rank(c: Charge, rank: int, ranks: Mapping[Charge, int]) -> None:
-    if ranks.get(c) != rank:
-        raise BlockMismatch(
-            f"factor sector {c.value!r} has rank {rank}, target ranks are {ranks!r}"
-        )
-
-
-def _basis_factor(c: Charge, index: int, rank: int) -> GradedDensityOperator:
-    block = np.zeros((rank, rank), dtype=complex)
-    block[index, index] = 1.0 / qdim_float(c)
-    return GradedDensityOperator({c: block}, ranks={c: rank})
 
 
 def closest_separable_candidate(state: SchmidtState) -> SeparableState:
@@ -401,13 +412,15 @@ def closest_separable_candidate(state: SchmidtState) -> SeparableState:
     One product term per Schmidt coefficient: with probability
     lambda_{c,i}, both sides hold (1/d_c) |i; c><i; c|.
     """
-    ranks = state.ranks
-    terms = []
-    for c in state.charges:
-        for i, value in enumerate(state.coefficients(c)):
-            factor = _basis_factor(c, i, ranks[c])
-            terms.append((float(value), factor, factor))
-    return SeparableState(tuple(terms))
+    weights = np.concatenate([state.coefficients(c) for c in state.charges])
+    blocks = {}
+    first = 0
+    for c, k in state.ranks.items():
+        blocks[c] = np.zeros((weights.size, 2, k, k), dtype=complex)
+        diagonal = np.arange(k)
+        blocks[c][first + diagonal, :, diagonal, diagonal] = 1.0 / qdim_float(c)
+        first += k
+    return SeparableState(weights, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +539,7 @@ def _log_divided_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ratio / lo
 
 
-def minimality_gradient(state: SchmidtState, direction: SeparableState) -> float:
+def minimality_gradient(state: SchmidtState, direction: SeparableState) -> float | np.ndarray:
     """Directional derivative of x -> S(rho || (1-x) rho_0 + x rho') at x = 0.
 
     rho_0 is the closest-separable candidate.  On the vacuum channel it is
@@ -536,51 +549,28 @@ def minimality_gradient(state: SchmidtState, direction: SeparableState) -> float
 
         (1 - sum_c sum_{i,j} sqrt(lambda_{c,i} lambda_{c,j}) M_c[i,j] L(s_{c,i}, s_{c,j})) / ln 2
 
-    with M_c = sum_k p_k (A_k^c o B_k^c) the elementwise product of the
-    direction's sector-c factor blocks and L the divided difference of ln.
-    Nonnegative values certify local minimality of rho_0.  This is the
-    count-1 view of :func:`_separable_gradients`, which evaluates the
-    formula; a factor without a sector-c block enters it as a zero block.
+    with M_c = sum_t p_t (A_t^c o B_t^c) the elementwise product of the
+    direction's sector-c factor blocks, accumulated in term order, and L
+    the divided difference of ln.  Nonnegative values certify local
+    minimality of rho_0.  A float for one mixture; for a stack, an array
+    of one value per mixture.
     """
     direction._check_ranks(state.ranks)
-    weights = np.array([[p for p, _, _ in direction.terms]])
-    blocks = {
-        c: np.array(
-            [[[f.block(c) if c in f.keys() else np.zeros((k, k)) for f in pair]
-              for _, *pair in direction.terms]],
-            dtype=complex,
-        )
-        for c, k in state.ranks.items()
-    }
-    return float(_separable_gradients(state, weights, blocks)[0])
-
-
-def _separable_gradients(
-    state: SchmidtState, weights: np.ndarray, blocks: Mapping[Charge, np.ndarray]
-) -> np.ndarray:
-    """:func:`minimality_gradient` along a stack of separable mixtures, one value each.
-
-    ``weights`` (count, terms) holds the mixture weights and, for every
-    sector c of the state, ``blocks[c]`` (count, terms, 2, k, k) the
-    sector-c blocks of the left and right factors.  A padded term has
-    weight 0 and finite blocks, so it adds nothing.  Each mixture's
-    overlap M_c is accumulated term by term, in term order.
-    """
-    ranks = state.ranks
-    for c, stack in blocks.items():
-        _check_factor_rank(c, stack.shape[-1], ranks)
+    weights = direction.weights
     pairing = 0.0
     for c in state.charges:
         lam = state.coefficients(c)
-        stack = blocks[c]
-        overlap = np.zeros((weights.shape[0], lam.size, lam.size), dtype=complex)
-        for t in range(weights.shape[1]):
-            overlap += weights[:, t, None, None] * stack[:, t, 0] * stack[:, t, 1]
+        stack = direction.blocks[c]
+        overlap = np.zeros((*weights.shape[:-1], lam.size, lam.size), dtype=complex)
+        for t in range(weights.shape[-1]):
+            left, right = stack[..., t, 0, :, :], stack[..., t, 1, :, :]
+            overlap += weights[..., t, None, None] * left * right
         s = lam / qdim_float(c) ** 2
         amp = np.sqrt(lam)
         dk = np.outer(amp, amp) * _log_divided_difference(s[:, None], s[None, :])
         pairing = pairing + np.sum(dk * overlap, axis=(-2, -1)).real
-    return (1.0 - pairing) / math.log(2.0)
+    gradient = (1.0 - pairing) / math.log(2.0)
+    return float(gradient) if weights.ndim == 1 else gradient
 
 
 def pythagorean_residual(state: SchmidtState) -> float:
@@ -600,66 +590,30 @@ def pythagorean_residual(state: SchmidtState) -> float:
     )
 
 
-def random_separable_direction(
-    rng: np.random.Generator,
-    ranks: Mapping[Charge, int],
-) -> SeparableState:
-    """Random mixture of one to three random product states on the given sector ranks.
-
-    Reads ``rng`` in this order: ``integers(1, 4)`` for the term count,
-    ``dirichlet`` for the weights, then for each term, its left factor
-    before its right, and each sector in rank order, the real and then
-    the imaginary parts of a Gaussian k x k matrix g.  A factor's sector
-    block is g g^dagger, scaled so the factor has unit quantum trace.
-    This is the count-1 view of :func:`_random_separable_stack`.
-    """
-    terms, weights, blocks = _random_separable_stack(rng, ranks, 1)
-    ranks = {c: stack.shape[-1] for c, stack in blocks.items()}
-
-    def factor(t: int, side: int) -> GradedDensityOperator:
-        return GradedDensityOperator({c: b[0, t, side] for c, b in blocks.items()}, ranks=ranks)
-
-    return SeparableState(
-        tuple((float(weights[0, t]), factor(t, 0), factor(t, 1)) for t in range(terms[0]))
-    )
-
-
-def random_minimality_gradients(
-    rng: np.random.Generator, state: SchmidtState, count: int
-) -> np.ndarray:
-    """:func:`minimality_gradient` along ``count`` random separable directions, stacked.
-
-    The directions are those of ``count`` calls of
-    ``random_separable_direction(rng, state.ranks)``: the generator is
-    read in the same order, every direction passes the same checks, and
-    the gradients, in draw order, are those of the per-direction loop.
-    When a check fails, the generator has already read all ``count``
-    directions.
-    """
-    _, weights, blocks = _random_separable_stack(rng, state.ranks, count)
-    return _separable_gradients(state, weights, blocks)
-
-
-def _random_separable_stack(
+def random_separable_directions(
     rng: np.random.Generator, ranks: Mapping[Charge, int], count: int
-) -> tuple[np.ndarray, np.ndarray, dict[Charge, np.ndarray]]:
-    """``count`` validated random separable mixtures, drawn as
-    :func:`random_separable_direction` documents.
+) -> SeparableState:
+    """A stack of ``count`` random mixtures of one to three random product states.
 
-    Returns ``(terms, weights, blocks)``: the term counts (count,), the
-    weights (count, 3) and, per sector in rank order, the factor blocks
-    (count, 3, 2, k, k), left then right.  Past its term count a mixture
-    is padded with zero weights and zero blocks.
+    Reads ``rng`` one direction at a time, in this order: ``integers(1, 4)``
+    for the term count n, ``dirichlet`` for the n weights, then for each
+    term, its left factor before its right, and each sector in rank order,
+    the real and then the imaginary parts of a Gaussian k x k matrix g.  A
+    factor's sector block is g g^dagger, scaled so the factor has unit
+    quantum trace.  Each direction has three term slots; a slot past n
+    has weight 0 and g = 1, the maximally mixed factor on both sides, so
+    it passes the same checks and adds nothing.
     """
     ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
     if not ranks:
         raise ValidationError("operator needs at least one block")
     size = sum(2 * k * k for k in ranks.values())
-    terms = np.zeros(count, dtype=int)
     weights = np.zeros((count, 3))
-    normals = np.zeros((count, 3, 2, size))
+    # A slot past n keeps these normals: g = 1 in every sector.
+    unit = [np.stack([np.eye(k), np.zeros((k, k))]).ravel() for k in ranks.values()]
+    normals = np.tile(np.concatenate(unit), (count, 3, 2, 1))
     for d in range(count):
-        n = terms[d] = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 4))
         weights[d, :n] = rng.dirichlet(np.ones(n))
         normals[d, :n] = rng.normal(size=(n, 2, size))
     blocks = {}
@@ -671,58 +625,13 @@ def _random_separable_stack(
         g = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
         blocks[c] = g @ _dagger(g)
         norm = norm + qdim_float(c) * np.trace(blocks[c], axis1=-2, axis2=-1).real
-    # A padded factor is all zeros; a unit norm keeps it so.
-    norm[np.arange(3) >= terms[:, None]] = 1.0
     blocks = {c: m / norm[..., None, None] for c, m in blocks.items()}
-    _check_separable_stack(terms, weights, blocks)
-    return terms, weights, blocks
-
-
-def _check_separable_stack(
-    terms: np.ndarray, weights: np.ndarray, blocks: Mapping[Charge, np.ndarray]
-) -> None:
-    """Make every check of :class:`SeparableState` on the used terms of a stack.
-
-    Arrays are laid out as :func:`_random_separable_stack` returns them.
-    The weights must be >= 0 and sum to 1 within 1e-12
-    (:class:`ValidationError`), and every factor must pass
-    :meth:`GradedDensityOperator.assert_state`: Hermitian, positive
-    semidefinite (one stacked ``eigvalsh`` per sector) and of unit
-    quantum trace, to 1e-10 (:class:`NotAState`).  The messages are
-    those of the one-at-a-time checks; when several checks fail, the
-    first in that order names the error.
-    """
-    used = np.arange(weights.shape[1]) < terms[:, None]
-    p = weights[used]
-    if (p < 0.0).any():
-        raise ValidationError(f"negative mixture weight {float(p[p < 0.0][0])!r}")
-    factors = {c: stack[used] for c, stack in blocks.items()}
-    if not all(_allclose(m, _dagger(m), _STATE_TOL) for m in factors.values()):
-        raise NotAState("operator is not Hermitian")
-    for c, m in factors.items():
-        if np.linalg.eigvalsh(m).min(initial=math.inf) < -_STATE_TOL:
-            raise NotAState(f"block {c!r} is not positive semidefinite")
-    # Summed in sector order, as GradedDensityOperator.quantum_trace sums.
-    trace = sum(
-        qdim_float(c) * np.trace(m, axis1=-2, axis2=-1).real for c, m in factors.items()
-    )
-    off = np.abs(trace - 1.0) > _STATE_TOL
-    if off.any():
-        raise NotAState(f"quantum trace is {float(trace[off][0])!r}, not 1")
-    # Summed in term order, as SeparableState sums; padded weights add 0.
-    total = sum(weights[:, t] for t in range(weights.shape[1]))
-    off = np.abs(total - 1.0) > 1e-12
-    if off.any():
-        raise ValidationError(f"mixture weights sum to {float(total[off][0])!r}, not 1")
+    return SeparableState(weights, blocks)
 
 
 # ---------------------------------------------------------------------------
 # Observables
 # ---------------------------------------------------------------------------
-
-
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
 
 
 def _check_involutions(m: np.ndarray, label: str) -> None:
@@ -738,7 +647,7 @@ def _check_involutions(m: np.ndarray, label: str) -> None:
         raise ValidationError(f"{label} is not an involution (eigenvalues +-1)")
 
 
-def _random_involutions(normals: np.ndarray) -> np.ndarray:
+def random_involutions(normals: np.ndarray) -> np.ndarray:
     """Validated stack (..., k, k) of random Hermitian involutions.
 
     ``normals`` (..., 2, k, k) holds the real and imaginary parts of
@@ -820,7 +729,7 @@ def random_involution_observable(
     for c, k in ranks.items():
         k = int(k)
         if k > 0:
-            blocks[c] = _random_involutions(rng.normal(size=(2, k, k)))
+            blocks[c] = random_involutions(rng.normal(size=(2, k, k)))
     return Observable(blocks)
 
 

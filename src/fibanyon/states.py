@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NormalizationError, ValidationError
+from .errors import DomainError, NormalizationError, ValidationError
 from .model import CHARGE_ORDER, Charge
 
 _SUM_TOL = 1e-9
@@ -171,8 +171,9 @@ def from_grouped(
     The one check of Schmidt data from outside the package.  Each value
     must convert to a float that is nonnegative, finite and at most
     1 + 1e-9, and each multiplicity must be a Python or numpy integer
-    (not a bool) from 0 to 2**63 - 1; the first faulty group, in input
-    order, names the error.  At least one value must be positive, and the
+    (not a bool) from 0 to 2**63 - 1, and each sector's multiplicities
+    must total at most 2**63 - 1; the first faulty group, in input order,
+    names the error.  At least one value must be positive, and the
     total may deviate from 1 by at most 1e-9 (the state is then
     renormalized exactly).  Zeros are stripped; within each
     sector the values are sorted descending.
@@ -182,6 +183,7 @@ def from_grouped(
         c = _as_charge(key)
         values: list[float] = []
         mults: list[int] = []
+        rank = 0
         for i, (value, mult) in enumerate(entries):
             try:
                 v = float(value)
@@ -213,6 +215,11 @@ def from_grouped(
                     )
                 raise ValidationError(
                     f"multiplicity {mult!r} at sector {c.value!r} index {i} exceeds 2**63 - 1"
+                )
+            rank += int(mult)
+            if rank > _MULT_MAX:
+                raise ValidationError(
+                    f"multiplicities of sector {c.value!r} total past 2**63 - 1 at index {i}"
                 )
             values.append(v)
             mults.append(mult)
@@ -263,7 +270,12 @@ def random_schmidt_state(
 
     Sector ranks are uniform on 0..max_rank (at least one sector kept
     nonempty).  With ``require_rank2`` some sector is forced to rank >= 2.
+    A ``max_rank`` below 1, or below 2 with ``require_rank2``, admits no
+    state and raises :class:`DomainError` before ``rng`` is read.
     """
+    lowest = 2 if require_rank2 else 1
+    if max_rank < lowest:
+        raise DomainError(f"max_rank {max_rank!r} is below {lowest}; no state can be drawn")
     while True:
         k_vac = int(rng.integers(0, max_rank + 1))
         k_tau = int(rng.integers(0, max_rank + 1))

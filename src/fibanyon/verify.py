@@ -13,11 +13,11 @@ The numeric side of each comparison comes from :mod:`fibanyon.oracle`.
 The two checks that draw the most are stacked.  The Tsirelson check
 reads the generator in the same order as drawing one observable at a
 time, validates every observable as :class:`~fibanyon.oracle.Observable`
-does, and evaluates batches of them at once.  The separable-oracle
-gradient check makes one pass per state: it draws all of the state's
-random separable directions as one call at a time would, validates them
-as :class:`~fibanyon.oracle.SeparableState` does, and evaluates every
-gradient at once.  Both outputs are those of the one-at-a-time loops.
+does, and evaluates batches of them at once; its output is that of the
+one-at-a-time loop.  The separable-oracle gradient check makes one pass
+per state: one draw of all the state's random separable directions as a
+stack of mixtures, which :class:`~fibanyon.oracle.SeparableState`
+validates, and one evaluation of every gradient.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .model import (
 )
 from .multicopy import CopySeries, copy_series, e_aree_ncopy, n_copy
 from .oracle import (
-    _random_involutions,
     certificate_gap,
     chsh_value,
     chsh_value_operator,
@@ -54,11 +53,13 @@ from .oracle import (
     expectation,
     expectation_operator,
     max_block_gap,
+    minimality_gradient,
     omega_project,
     omega_project_operator,
     pythagorean_residual,
     random_involution_observable,
-    random_minimality_gradients,
+    random_involutions,
+    random_separable_directions,
     relative_entropy,
 )
 from .states import SchmidtState, new_schmidt_state, random_schmidt_state
@@ -134,15 +135,13 @@ def check_separable_gradient(
 ) -> list[CheckResult]:
     """The candidate's gradient is >= 0 along random separable directions.
 
-    One stacked pass per state: :func:`random_minimality_gradients` draws
-    and validates the directions as the per-direction loop of
-    :func:`~fibanyon.oracle.random_separable_direction` and
-    :func:`~fibanyon.oracle.minimality_gradient` would, and gives the
-    same gradients.
+    One pass per state: :func:`~fibanyon.oracle.random_separable_directions`
+    draws the state's directions as one validated stack, and
+    :func:`~fibanyon.oracle.minimality_gradient` evaluates all of them.
     """
     lowest = math.inf
     for s in states:
-        gradients = random_minimality_gradients(rng, s, directions)
+        gradients = minimality_gradient(s, random_separable_directions(rng, s.ranks, directions))
         lowest = min(lowest, float(gradients.min(initial=math.inf)))
     detail = f"min gradient = {lowest:.3e} over {len(states)} states x {directions} directions"
     return [CheckResult("separable-oracle-gradient", lowest >= -1e-6, detail)]
@@ -203,7 +202,7 @@ def _worst_chsh(
     for c, k in ranks:
         block = normals[..., offset : offset + 2 * k * k]
         offset += 2 * k * k
-        obs = _random_involutions(block.reshape(*block.shape[:-1], 2, k, k))
+        obs = random_involutions(block.reshape(*block.shape[:-1], 2, k, k))
         phi = np.sqrt([s.coefficients(c) for s, _ in batch])
         pairs = pairs + np.einsum(
             "si,sk,sdxik,sdyik->sdxy", phi, phi, obs[:, :, :2], obs[:, :, 2:]

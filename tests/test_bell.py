@@ -213,7 +213,7 @@ class TestBatchedTsirelson:
         assert sum(validated) == blocks
 
     def test_scaled_block_is_rejected(self):
-        stack = oracle._random_involutions(np.random.default_rng(6).normal(size=(4, 5, 2, 3, 3)))
+        stack = oracle.random_involutions(np.random.default_rng(6).normal(size=(4, 5, 2, 3, 3)))
         oracle._check_involutions(stack, "stack")
         stack[2, 1] *= 1.01
         with pytest.raises(ValidationError, match="stack is not an involution"):
@@ -233,8 +233,9 @@ class TestBatchedTsirelson:
 
 
 def _reference_direction(rng, ranks):
-    """The per-factor recipe: per sector a (k, k) real and a (k, k) imaginary draw,
-    g g^dagger, then one scale to unit quantum trace over the factor."""
+    """The per-factor recipe, as plain (p, left blocks, right blocks) terms: per sector
+    a (k, k) real and a (k, k) imaginary draw, g g^dagger, then one scale to unit
+    quantum trace over the factor."""
     n_terms = int(rng.integers(1, 4))
     weights = rng.dirichlet(np.ones(n_terms))
     terms = []
@@ -246,20 +247,20 @@ def _reference_direction(rng, ranks):
                 g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
                 blocks[c] = g @ g.conj().T
             norm = sum(qdim_float(c) * np.trace(m).real for c, m in blocks.items())
-            pair.append(GradedDensityOperator({c: m / norm for c, m in blocks.items()}))
+            pair.append({c: m / norm for c, m in blocks.items()})
         terms.append((float(w), *pair))
-    return SeparableState(tuple(terms))
+    return tuple(terms)
 
 
-def _reference_gradient(state, direction):
+def _reference_gradient(state, terms):
     """The Daleckii-Krein sum, one term at a time; a factor without a sector block adds nothing."""
     pairing = 0.0
     for c in state.charges:
         lam = state.coefficients(c)
         overlap = np.zeros((lam.size, lam.size), dtype=complex)
-        for p, left, right in direction.terms:
-            if c in left.keys() and c in right.keys():
-                overlap += p * left.block(c) * right.block(c)
+        for p, left, right in terms:
+            if c in left and c in right:
+                overlap += p * left[c] * right[c]
         s = lam / qdim_float(c) ** 2
         amp = np.sqrt(lam)
         hi, lo = np.maximum(s[:, None], s[None, :]), np.minimum(s[:, None], s[None, :])
@@ -268,6 +269,19 @@ def _reference_gradient(state, direction):
         np.divide(np.log1p(t), t, out=ratio, where=t > 0.0)
         pairing += float(np.sum(np.outer(amp, amp) * ratio / lo * overlap).real)
     return (1.0 - pairing) / math.log(2.0)
+
+
+def _mixture(stack, d):
+    """Mixture ``d`` of a stack, as a separable state of its own."""
+    return SeparableState(stack.weights[d], {c: b[d] for c, b in stack.blocks.items()})
+
+
+def _terms(mixture):
+    """The plain (p, left blocks, right blocks) terms of one mixture."""
+    return tuple(
+        (float(p), *({c: b[t, side] for c, b in mixture.blocks.items()} for side in (0, 1)))
+        for t, p in enumerate(mixture.weights)
+    )
 
 
 #: One-sector and two-sector states, sector ranks 1 to 4, with equal coefficients.
@@ -282,22 +296,27 @@ SEPARABLE_STATES = [
 
 
 class TestStackedSeparableGradient:
-    """``random_minimality_gradients`` against the per-direction loop it stacks."""
+    """Stacked random directions and their gradients against the per-direction loop."""
 
     def test_random_direction_keeps_its_draws(self):
         ranks = {VAC: 2, TAU: 3}
+        mixed = sum(qdim_float(c) * k for c, k in ranks.items())
         rng, reference_rng = np.random.default_rng(8), np.random.default_rng(8)
         for _ in range(10):
-            direction = oracle.random_separable_direction(rng, ranks)
+            terms = _terms(_mixture(oracle.random_separable_directions(rng, ranks, 1), 0))
             reference = _reference_direction(reference_rng, ranks)
-            assert len(direction.terms) == len(reference.terms)
-            for (p, *pair), (q, *reference_pair) in zip(direction.terms, reference.terms):
+            assert len(terms) == 3
+            for (p, *pair), (q, *reference_pair) in zip(terms, reference):
                 assert p == q
                 for factor, reference_factor in zip(pair, reference_pair):
                     for c in ranks:
-                        np.testing.assert_array_equal(
-                            factor.block(c), reference_factor.block(c)
-                        )
+                        np.testing.assert_array_equal(factor[c], reference_factor[c])
+            # A slot past the drawn terms: weight 0, the maximally mixed factor on both sides.
+            for p, *pair in terms[len(reference):]:
+                assert p == 0.0
+                for factor in pair:
+                    for c, k in ranks.items():
+                        np.testing.assert_array_equal(factor[c], np.eye(k) / mixed)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     @pytest.mark.parametrize("count", [1, 40])
@@ -305,7 +324,12 @@ class TestStackedSeparableGradient:
     def test_matches_per_direction_loop(self, sectors, count):
         state = new_schmidt_state(sectors)
         rng, reference_rng = np.random.default_rng(9), np.random.default_rng(9)
-        stacked = [oracle.random_minimality_gradients(rng, state, count) for _ in range(3)]
+        stacked = [
+            oracle.minimality_gradient(
+                state, oracle.random_separable_directions(rng, state.ranks, count)
+            )
+            for _ in range(3)
+        ]
         loop = [
             [
                 _reference_gradient(state, _reference_direction(reference_rng, state.ranks))
@@ -319,25 +343,27 @@ class TestStackedSeparableGradient:
 
     @pytest.mark.parametrize("sectors", SEPARABLE_STATES)
     def test_count_one_views_match_the_loop(self, sectors):
+        # A stack of one gives an array of one; the same mixture on its own, a float.
         state = new_schmidt_state(sectors)
         rng, reference_rng = np.random.default_rng(10), np.random.default_rng(10)
         for _ in range(20):
-            gradient = oracle.minimality_gradient(
-                state, oracle.random_separable_direction(rng, state.ranks)
-            )
+            stack = oracle.random_separable_directions(rng, state.ranks, 1)
+            gradient = oracle.minimality_gradient(state, _mixture(stack, 0))
             reference = _reference_gradient(
                 state, _reference_direction(reference_rng, state.ranks)
             )
+            assert isinstance(gradient, float)
             assert gradient == pytest.approx(reference, abs=1e-12)
+            assert oracle.minimality_gradient(state, stack).tolist() == [gradient]
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     @pytest.mark.parametrize("sectors", SEPARABLE_STATES)
     def test_candidate_gradient_is_unchanged(self, sectors):
-        # Each candidate factor holds one sector's block and lacks the other's.
+        # Each candidate factor holds one sector's block and zeros in the other's.
         state = new_schmidt_state(sectors)
         candidate = oracle.closest_separable_candidate(state)
         assert oracle.minimality_gradient(state, candidate) == pytest.approx(
-            _reference_gradient(state, candidate), abs=1e-12
+            _reference_gradient(state, _terms(candidate)), abs=1e-12
         )
 
     def test_check_draws_as_the_loop(self):
@@ -357,11 +383,12 @@ class TestStackedSeparableGradient:
     @pytest.mark.parametrize("ranks", [{}, {TAU: 0}])
     def test_direction_needs_a_sector(self, ranks):
         with pytest.raises(ValidationError, match="operator needs at least one block"):
-            oracle.random_separable_direction(np.random.default_rng(0), ranks)
+            oracle.random_separable_directions(np.random.default_rng(0), ranks, 1)
 
     def test_no_directions(self):
         state = new_schmidt_state({TAU: [0.6, 0.4]})
-        assert oracle.random_minimality_gradients(np.random.default_rng(0), state, 0).shape == (0,)
+        directions = oracle.random_separable_directions(np.random.default_rng(0), state.ranks, 0)
+        assert oracle.minimality_gradient(state, directions).shape == (0,)
         [result] = verify.check_separable_gradient(np.random.default_rng(0), [state], 0)
         assert result.passed and result.detail.startswith("min gradient = inf")
 
@@ -395,13 +422,16 @@ FAULTS = [
 
 
 def perturb_one_factor(monkeypatch, fault):
-    """Make ``oracle._check_separable_stack`` see one faulty factor (the right
-    factor of the first term of the last mixture); returns the messages that
-    ``assert_state`` gives on each faulty factor."""
-    real = oracle._check_separable_stack
+    """Make ``oracle._check_states`` see one faulty factor in each stack of random
+    directions (the right factor of the first term of the last direction); returns the
+    messages that ``assert_state`` gives on each faulty factor."""
+    real = oracle._check_states
     messages = []
 
-    def perturbing(terms, weights, blocks):
+    def perturbing(blocks, weights):
+        # Other callers (operators, the candidate) have fewer axes; they see no fault.
+        if next(iter(blocks.values())).ndim != 5:
+            return real(blocks, weights)
         factor = {c: stack[-1, 0, 1] for c, stack in blocks.items()}
         faulty = fault(factor)
         blocks = {c: stack.copy() for c, stack in blocks.items()}
@@ -410,9 +440,9 @@ def perturb_one_factor(monkeypatch, fault):
         with pytest.raises(NotAState) as today:
             GradedDensityOperator(faulty).assert_state()
         messages.append(str(today.value))
-        real(terms, weights, blocks)
+        real(blocks, weights)
 
-    monkeypatch.setattr(oracle, "_check_separable_stack", perturbing)
+    monkeypatch.setattr(oracle, "_check_states", perturbing)
     return messages
 
 
@@ -423,7 +453,7 @@ class TestStackedSeparableValidation:
         messages = perturb_one_factor(monkeypatch, fault)
         state = new_schmidt_state({VAC: [0.2, 0.1], TAU: [0.3, 0.3, 0.1]})
         with pytest.raises(NotAState) as raised:
-            oracle.random_minimality_gradients(np.random.default_rng(13), state, count)
+            oracle.random_separable_directions(np.random.default_rng(13), state.ranks, count)
         assert text in str(raised.value)
         assert str(raised.value) == messages[0]
 
@@ -443,26 +473,22 @@ class TestStackedSeparableValidation:
         ids=["negative-weight", "weight-sum"],
     )
     def test_weight_faults_match_separable_state(self, scale, text):
-        rng = np.random.default_rng(14)
-        terms, weights, blocks = oracle._random_separable_stack(rng, {VAC: 2, TAU: 1}, 6)
+        ranks = {VAC: 2, TAU: 1}
+        mixed = sum(qdim_float(c) * k for c, k in ranks.items())
+        rng, reference_rng = np.random.default_rng(14), np.random.default_rng(14)
+        stack = oracle.random_separable_directions(rng, ranks, 6)
+        weights, blocks = stack.weights.copy(), stack.blocks
         assert weights.shape == (6, 3) and blocks[VAC].shape == (6, 3, 2, 2, 2)
-        for d, n in enumerate(terms):
-            assert np.all(weights[d, n:] == 0.0) and np.all(blocks[TAU][d, n:] == 0.0)
+        for d in range(6):
+            n = len(_reference_direction(reference_rng, ranks))
+            assert np.all(weights[d, n:] == 0.0) and np.all(blocks[TAU][d, n:] == 1.0 / mixed)
         weights[3, 0] *= scale
-        mixture = tuple(
-            (
-                float(weights[3, t]),
-                *(GradedDensityOperator({c: b[3, t, side] for c, b in blocks.items()})
-                  for side in (0, 1)),
-            )
-            for t in range(terms[3])
-        )
-        with pytest.raises(ValidationError) as today:
-            SeparableState(mixture)
+        with pytest.raises(ValidationError) as alone:
+            SeparableState(weights[3], {c: b[3] for c, b in blocks.items()})
         with pytest.raises(ValidationError) as stacked:
-            oracle._check_separable_stack(terms, weights, blocks)
+            SeparableState(weights, blocks)
         assert text in str(stacked.value)
-        assert str(stacked.value) == str(today.value)
+        assert str(stacked.value) == str(alone.value)
 
 
 class TestTypeCBound:

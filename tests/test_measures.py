@@ -27,7 +27,7 @@ from fibanyon.oracle import (
     omega_project,
     omega_project_operator,
     pythagorean_residual,
-    random_separable_direction,
+    random_separable_directions,
     relative_entropy,
 )
 from fibanyon.states import new_schmidt_state, random_schmidt_state
@@ -251,42 +251,32 @@ class TestEmbedding:
 class TestSeparableCandidate:
     def test_single_tau_term(self):
         sep = closest_separable_candidate(new_schmidt_state({TAU: [1.0]}))
-        assert len(sep.terms) == 1
-        p, left, right = sep.terms[0]
+        assert sep.weights.shape == (1,)
+        p, (left, right) = sep.weights[0], sep.blocks[TAU][0]
         assert p == 1.0
-        assert left.block(TAU)[0, 0].real == pytest.approx(1.0 / PHI, abs=1e-12)
-        assert right.block(TAU)[0, 0].real == pytest.approx(1.0 / PHI, abs=1e-12)
+        assert left[0, 0].real == pytest.approx(1.0 / PHI, abs=1e-12)
+        assert right[0, 0].real == pytest.approx(1.0 / PHI, abs=1e-12)
 
     def test_vacuum_pair_terms(self):
         sep = closest_separable_candidate(new_schmidt_state({VAC: [0.5, 0.5]}))
-        assert len(sep.terms) == 2
-        assert all(p == 0.5 for p, _, _ in sep.terms)
+        assert sep.weights.shape == (2,)
+        assert all(p == 0.5 for p in sep.weights)
 
     @pytest.mark.parametrize("state", random_states(25, 20))
     def test_operator_trace(self, state):
         op = closest_separable_candidate(state).to_operator(state.ranks)
         assert op.quantum_trace() == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("sectors", [{TAU: [1.0]}, {VAC: [0.5, 0.2], TAU: [0.2, 0.1]}])
-    def test_each_factor_is_validated_once(self, monkeypatch, sectors):
-        state = new_schmidt_state(sectors)
-        calls = []
-        real = GradedDensityOperator.assert_state
-
-        def counting(op):
-            calls.append(id(op))
-            real(op)
-
-        monkeypatch.setattr(GradedDensityOperator, "assert_state", counting)
-        sep = closest_separable_candidate(state)
-        factors = {id(left) for _, left, _ in sep.terms} | {id(right) for _, _, right in sep.terms}
-        assert len(factors) == len(sep.terms) == sum(state.ranks.values())
-        assert sorted(calls) == sorted(factors)
-
 
 def _factor(scale):
-    """Rank-1 tau factor; a scale other than 1 breaks the unit quantum trace."""
-    return GradedDensityOperator({TAU: np.array([[scale / PHI]])})
+    """Rank-1 tau factor block; a scale other than 1 breaks the unit quantum trace."""
+    return np.array([[scale / PHI]])
+
+
+def _separable(terms):
+    """Mixture of rank-1 tau (p, left block, right block) terms."""
+    weights = np.array([p for p, _, _ in terms])
+    return SeparableState(weights, {TAU: np.array([[left, right] for _, left, right in terms])})
 
 
 class TestSeparableValidation:
@@ -305,11 +295,18 @@ class TestSeparableValidation:
     )
     def test_invalid_factor_is_rejected(self, layout):
         with pytest.raises(NotAState):
-            SeparableState(layout(_factor(1.0), _factor(1.5)))
+            _separable(layout(_factor(1.0), _factor(1.5)))
+
+    def test_first_check_kind_names_the_error(self):
+        # Every factor is checked before the weights are summed, and every factor's
+        # Hermitian test before any trace: the later term's fault names the error.
+        non_hermitian = _factor(1.0) + 1e-3j
+        with pytest.raises(NotAState, match="operator is not Hermitian"):
+            _separable(((0.5, _factor(1.5), _factor(1.0)), (0.6, _factor(1.0), non_hermitian)))
 
     def test_shared_valid_factor_is_accepted(self):
         good = _factor(1.0)
-        SeparableState(((0.25, good, good), (0.75, good, good)))
+        _separable(((0.25, good, good), (0.75, good, good)))
 
 
 class TestRelativeEntropy:
@@ -340,16 +337,16 @@ class TestRelativeEntropy:
         rng = np.random.default_rng(99)
         rho = embed(state)
         floor = measure_report(state).aree
-        for _ in range(5):
-            sigma = random_separable_direction(rng, state.ranks).to_operator(state.ranks)
+        directions = random_separable_directions(rng, state.ranks, 5)
+        for d in range(5):
+            sigma = _mixture(directions, d).to_operator(state.ranks)
             assert relative_entropy(rho, sigma) >= floor - 1e-6
 
     def test_support_violation(self):
         state = new_schmidt_state({VAC: [0.5, 0.5]})
-        factor = GradedDensityOperator(
-            {VAC: np.array([[1.0, 0.0], [0.0, 0.0]])}, ranks={VAC: 2}
-        )
-        narrow = SeparableState(((1.0, factor, factor),)).to_operator(state.ranks)
+        factor = np.array([[1.0, 0.0], [0.0, 0.0]])
+        mixture = SeparableState(np.array([1.0]), {VAC: np.array([[factor, factor]])})
+        narrow = mixture.to_operator(state.ranks)
         with pytest.raises(SupportViolation):
             relative_entropy(embed(state), narrow)
 
@@ -366,12 +363,17 @@ class TestRelativeEntropy:
             relative_entropy(embed(one), omega_project(two))
 
 
+def _mixture(stack, d):
+    """Mixture ``d`` of a stack, as a separable state of its own."""
+    return SeparableState(stack.weights[d], {c: b[d] for c, b in stack.blocks.items()})
+
+
 def forward_difference(state, direction, h):
     """One-sided difference of x -> S(rho || (1-x) rho_0 + x rho') at x = 0."""
     base = closest_separable_candidate(state)
-    terms = [((1.0 - h) * p, left, right) for p, left, right in base.terms]
-    terms += [(h * p, left, right) for p, left, right in direction.terms]
-    mixed = SeparableState(tuple(terms)).to_operator(state.ranks)
+    weights = np.concatenate([(1.0 - h) * base.weights, h * direction.weights])
+    blocks = {c: np.concatenate([base.blocks[c], direction.blocks[c]]) for c in base.blocks}
+    mixed = SeparableState(weights, blocks).to_operator(state.ranks)
     rho = embed(state)
     f0 = relative_entropy(rho, base.to_operator(state.ranks))
     return (relative_entropy(rho, mixed) - f0) / h
@@ -392,9 +394,9 @@ class TestMinimalityGradient:
     )
     def test_matches_forward_difference(self, sectors):
         state = new_schmidt_state(sectors)
-        rng = np.random.default_rng(2718)
-        for _ in range(5):
-            direction = random_separable_direction(rng, state.ranks)
+        directions = random_separable_directions(np.random.default_rng(2718), state.ranks, 5)
+        for d in range(5):
+            direction = _mixture(directions, d)
             exact = minimality_gradient(state, direction)
             assert math.isfinite(exact)
             assert exact == pytest.approx(
@@ -409,16 +411,14 @@ class TestMinimalityGradient:
     def test_tau_sector_directions(self):
         rng = np.random.default_rng(5150)
         state = new_schmidt_state({TAU: [0.6, 0.4]})
-        for _ in range(25):
-            direction = random_separable_direction(rng, state.ranks)
-            assert minimality_gradient(state, direction) >= -1e-6
+        directions = random_separable_directions(rng, state.ranks, 25)
+        assert np.all(minimality_gradient(state, directions) >= -1e-6)
 
     def test_vacuum_pair_directions(self):
         rng = np.random.default_rng(5151)
         state = new_schmidt_state({VAC: [0.5, 0.5]})
-        for _ in range(25):
-            direction = random_separable_direction(rng, state.ranks)
-            assert minimality_gradient(state, direction) >= -1e-6
+        directions = random_separable_directions(rng, state.ranks, 25)
+        assert np.all(minimality_gradient(state, directions) >= -1e-6)
 
 
 class TestPythagoreanResidual:
@@ -458,7 +458,7 @@ class TestDomainChecks:
         state = new_schmidt_state({TAU: [0.6, 0.4]})
         other = new_schmidt_state({TAU: [1.0]})
         rng = np.random.default_rng(0)
-        direction = random_separable_direction(rng, other.ranks)
+        direction = random_separable_directions(rng, other.ranks, 1)
         with pytest.raises(BlockMismatch):
             minimality_gradient(state, direction)
 

@@ -83,3 +83,14 @@ def test_closed_form_module_stays_off_the_dense_route(module):
 )
 def test_block_format_is_read_only_in_oracle(module):
     assert not _referenced_names(_tree(module)) & FORMAT_NAMES
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "oracle")
+)
+def test_private_oracle_names_stay_in_oracle(module):
+    private = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "oracle":
+            private.update(alias.name for alias in node.names if alias.name.startswith("_"))
+    assert not private

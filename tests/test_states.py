@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibanyon.errors import NormalizationError, NotAState, ValidationError
+from fibanyon.errors import DomainError, NormalizationError, NotAState, ValidationError
 from fibanyon.measures import StateClass, classify, measure_report, shannon_entropy
 from fibanyon.model import LOG2_PHI, PHI, Charge
 from fibanyon.oracle import (
@@ -87,6 +87,26 @@ class TestConstruction:
         assert state.ranks == {VAC: 1}
         assert from_grouped({TAU: [(0.5, np.int16(2))]}).ranks == {TAU: 2}
 
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            # Each total would wrap int64: to a negative sum, or to rank -2**63.
+            [(0.5 / 2**62, 2**62), (0.5 / 2**62, 2**62)],
+            [(0.6 / 2**62, 2**62), (0.4 / 2**62, 2**62)],
+        ],
+        ids=["equal-values", "distinct-values"],
+    )
+    def test_multiplicity_total_past_int64_rejected(self, groups):
+        with pytest.raises(ValidationError) as raised:
+            from_grouped({TAU: groups})
+        assert type(raised.value) is ValidationError
+        message = "multiplicities of sector 'tau' total past 2**63 - 1 at index 1"
+        assert str(raised.value) == message
+
+    def test_multiplicity_total_at_int64_accepted(self):
+        state = from_grouped({TAU: [(0.5 / 2**62, 2**62), (0.5 / (2**62 - 1), 2**62 - 1)]})
+        assert state.rank(TAU) == 2**63 - 1
+
     def test_bad_sum_rejected(self):
         with pytest.raises(NormalizationError):
             new_schmidt_state({TAU: [0.9]})
@@ -126,6 +146,39 @@ class TestConstruction:
         state = state_from_dict(payload)
         again = state_from_dict(state_to_dict(state))
         assert state == again
+
+
+class TestRandomSchmidtState:
+    @pytest.mark.parametrize(
+        "max_rank, require_rank2",
+        [(0, False), (1, True), (0, True), (-1, False), (-3, True)],
+    )
+    def test_empty_domain_is_refused_before_drawing(self, max_rank, require_rank2):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(DomainError, match=f"max_rank {max_rank} is below"):
+            random_schmidt_state(rng, max_rank=max_rank, require_rank2=require_rank2)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize(
+        "max_rank, require_rank2", [(1, False), (2, True), (3, False), (3, True)]
+    )
+    def test_valid_arguments_keep_their_draws(self, max_rank, require_rank2):
+        """The draws of the rejection loop, written out: ranks, then Dirichlet coefficients."""
+        rng, reference = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(20):
+            state = random_schmidt_state(rng, max_rank=max_rank, require_rank2=require_rank2)
+            while True:
+                k_vac = int(reference.integers(0, max_rank + 1))
+                k_tau = int(reference.integers(0, max_rank + 1))
+                if k_vac + k_tau and (max(k_vac, k_tau) >= 2 or not require_rank2):
+                    break
+            coeffs = reference.dirichlet(np.ones(k_vac + k_tau))
+            assert state.ranks == {c: k for c, k in ((VAC, k_vac), (TAU, k_tau)) if k}
+            assert sorted(np.concatenate([state.coefficients(c) for c in state.charges])) == (
+                pytest.approx(sorted(coeffs), abs=1e-15)
+            )
+            assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestAee:
