@@ -10,11 +10,13 @@ accumulated as (value, multiplicity) groups and the total equals 1 by the
 identity ``sum_c dim(m, c) * d_c = d_tau**m``.
 
 :func:`n_copy` enumerates the compositions of n over the state's groups
-with numpy arrays, and :func:`fibanyon.states.from_arrays` merges equal
-coefficients.  Timed by ``perfbench/sweep.py`` on a 2-core machine, it
-takes about 20 ms for the 24 310 compositions of 10 groups at n = 8 and
-about 0.15 s for the 177 100 of 20 groups at n = 6; with one OpenBLAS
-thread (``OPENBLAS_NUM_THREADS=1``) about 7 ms and 0.08 s.
+with numpy arrays, one letter (group) at a time, updating them in place,
+and :func:`fibanyon.states.from_arrays` merges equal coefficients.
+Timed by ``perfbench/sweep.py`` on a 2-core machine with one OpenBLAS
+thread, a first call takes about 5 ms for the 24 310 compositions of 10
+groups at n = 8 and about 0.07 s for the 177 100 of 20 groups at n = 6.
+Its traced peak memory is about 2.4 times the joint state it returns:
+12.5 MB for the 5.3 MB of 329 175 groups at 20 groups and n = 6.
 """
 
 from __future__ import annotations
@@ -93,11 +95,12 @@ def _paths(m_tau: int, c: Charge) -> int:
     return fusion_space_dim(m_tau, c)
 
 
-#: Exact tables over copy counts 0..N_MAX: binomials C(r, k), fusion paths
+#: Exact tables over copy counts 0..N_MAX: binomials C(r, k), flat at index
+#: r * (N_MAX + 1) + k, fusion paths
 #: of m tau charges to each total charge, and PHI**m from Python's float
 #: pow, so that no coefficient depends on numpy's vectorised pow.
 _BINOMIAL = np.array(
-    [[math.comb(r, k) for k in range(N_MAX + 1)] for r in range(N_MAX + 1)], dtype=np.int64
+    [math.comb(r, k) for r in range(N_MAX + 1) for k in range(N_MAX + 1)], dtype=np.int64
 )
 _PATHS = {
     c: np.array([_paths(m, c) for m in range(N_MAX + 1)], dtype=np.int64) for c in CHARGE_ORDER
@@ -115,9 +118,14 @@ def n_copy(state: SchmidtState, n: int) -> SchmidtState:
     The compositions of n over the L groups (letters) are expanded one
     letter at a time as flat arrays, one row per partial composition:
     copies left, exact int64 multiplicity, coefficient product and tau
-    count.  Powers of each letter come from tables built with Python's
-    pow and multiplied in letter order.  Every partial multiplicity
-    divides a final one, which the rank guard keeps within int64.
+    count (carried from the first tau letter on).  A letter splits row r
+    into ``left[r] + 1`` rows, one per count k it takes: one row index
+    gathers the arrays and gives k, the binomial C(left, k) is read from
+    a flat table, and the updates are made in place.  Powers of each
+    letter come from tables built with Python's pow and multiplied in
+    letter order.  Every partial multiplicity divides a final one, which
+    the rank guard keeps within int64.  The expansion arrays are freed
+    before the per-sector arrays are built.
     """
     _check_copies(state, n)
     if n == 1:
@@ -126,7 +134,7 @@ def n_copy(state: SchmidtState, n: int) -> SchmidtState:
     left = np.array([n])
     ways = np.ones(1, dtype=np.int64)
     base = np.ones(1)
-    m_tau = np.zeros(1, dtype=np.int64)
+    m_tau = None  # no tau count is carried before the first tau letter
     letters = []
     for c in state.charges:
         values, mults = state.grouped(c)
@@ -136,24 +144,50 @@ def n_copy(state: SchmidtState, n: int) -> SchmidtState:
             # Row r splits into left[r] + 1 rows giving k = 0..left[r] copies to this letter.
             counts = left + 1
             row = np.repeat(np.arange(left.size), counts)
-            k = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            left, ways, base, m_tau = left[row], ways[row], base[row], m_tau[row]
-            ways = ways * _BINOMIAL[left, k]
-            left = left - k
+            starts = np.cumsum(counts)
+            starts -= counts
+            del counts
+            k = np.arange(row.size)
+            k -= starts.take(row)
+            del starts
+            # One gather at a time, so that each parent array is freed before the next.
+            left = left.take(row)
+            ways = ways.take(row)
+            base = base.take(row)
+            if m_tau is not None:
+                m_tau = m_tau.take(row)
+            # Flat index left * (N_MAX + 1) + k into the binomial table, in row's buffer.
+            np.multiply(left, N_MAX + 1, out=row)
+            row += k
+            ways *= _BINOMIAL.take(row)
+            del row
+            left -= k
         else:
             k = left  # the last letter takes every copy left, in C(left, left) = 1 ways
         if mult > 1:
-            ways = ways * np.array([mult**j for j in range(n + 1)], dtype=np.int64)[k]
-        base = base * np.array([value**j for j in range(n + 1)])[k]
+            ways *= np.array([mult**j for j in range(n + 1)], dtype=np.int64).take(k)
+        base *= np.array([value**j for j in range(n + 1)]).take(k)
         if c is Charge.TAU:
-            m_tau = m_tau + k
+            if m_tau is None:
+                m_tau = k
+            else:
+                m_tau += k
+    del left, k
+    if m_tau is None:
+        m_tau = np.zeros_like(ways)
 
     sectors = {}
     for c in CHARGE_ORDER:
-        paths = _PATHS[c][m_tau]
+        paths = _PATHS[c].take(m_tau)
         hit = paths > 0
-        coeff = base[hit] * qdim_float(c) / _PHI_POWERS[m_tau[hit]]
-        sectors[c] = (coeff, ways[hit] * paths[hit])
+        coeff = base[hit]
+        coeff *= qdim_float(c)
+        coeff /= _PHI_POWERS.take(m_tau[hit])
+        mults = ways[hit]
+        mults *= paths[hit]
+        sectors[c] = (coeff, mults)
+        del paths, hit
+    del ways, base, m_tau
     return from_arrays(sectors)
 
 
@@ -234,6 +268,7 @@ def copy_series(state: SchmidtState, n_max: int = 12) -> CopySeries:
             raise DecompositionViolation(
                 f"n={n}: constructed AREE {report.aree!r} != closed form {closed!r}"
             )
+        del joint  # before the next, larger joint state is built
         rows.append(
             (n, report.aee / n, report.aree / n, report.ace / n, report.ce / n)
         )

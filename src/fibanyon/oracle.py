@@ -77,6 +77,10 @@ _INVOLUTION_TOL = 1e-9
 #: materialized at all (blocks are K x K dense matrices).
 _MATERIALIZE_LIMIT = 2048
 
+#: Matrix entries of the weighted Kronecker products that
+#: :meth:`SeparableState.to_operator` holds at once (4 MB of complex).
+_PRODUCT_CHUNK = 1 << 18
+
 
 def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
     """Exactly ``bool(np.allclose(a, b, atol=atol))``, at a fraction of its cost.
@@ -389,20 +393,32 @@ class SeparableState:
 
     def to_operator(self, ranks: Mapping[Charge, int]) -> GradedDensityOperator:
         """Product-basis operator sum_t p_t rho_A^t (x) rho_B^t of one mixture; a charge
-        pair with no term supported on both sides gets a zero block."""
+        pair with no term supported on both sides gets a zero block.
+
+        Each charge pair (a, b) sums only the terms whose left factor has
+        support in a and right factor in b, a bounded chunk of terms at a
+        time; a skipped term would add exact zeros, which leave the sum's
+        bits unchanged.
+        """
         ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
         self._check_ranks(ranks)
+        support = {c: m.any(axis=(-2, -1)) for c, m in self.blocks.items()}
         blocks: dict = {}
         for a, ka in ranks.items():
-            left = self.blocks[a][:, 0, :, None, :, None]
             for b, kb in ranks.items():
-                right = self.blocks[b][:, 1, None, :, None, :]
                 dim = ka * kb
-                # Kronecker product, weight, then a sum from zero in term order: bits depend on it.
-                kron = (left * right).reshape(-1, dim, dim)
-                blocks[(a, b)] = sum(
-                    self.weights[:, None, None] * kron, np.zeros((dim, dim), dtype=complex)
-                )
+                both = support[a][:, 0] & support[b][:, 1]
+                weights = self.weights[both, None, None]
+                left = self.blocks[a][both, 0, :, None, :, None]
+                right = self.blocks[b][both, 1, None, :, None, :]
+                chunk = max(1, _PRODUCT_CHUNK // (dim * dim))
+                total = np.zeros((dim, dim), dtype=complex)
+                for start in range(0, weights.shape[0], chunk):
+                    part = slice(start, start + chunk)
+                    # Kronecker product, weight, then a sum in term order: bits depend on it.
+                    kron = (left[part] * right[part]).reshape(-1, dim, dim)
+                    total = sum(weights[part] * kron, total)
+                blocks[(a, b)] = total
         return GradedDensityOperator(blocks, ranks=ranks)
 
 

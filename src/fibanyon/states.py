@@ -156,7 +156,11 @@ def from_arrays(sectors: Mapping[Charge, tuple[np.ndarray, np.ndarray]]) -> Schm
             f"Schmidt coefficients sum to {total!r}, deviating from 1 by more than {_SUM_TOL}"
         )
     for c, (values, mults) in canonical.items():
-        values, mults = _merge_equal(values / total, mults)
+        if values.size > 1:
+            values /= total  # the sorted copy made by _canonical; never the caller's array
+        else:
+            values = values / total
+        values, mults = _merge_equal(values, mults)
         values.setflags(write=False)
         mults.setflags(write=False)
         canonical[c] = (values, mults)

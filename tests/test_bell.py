@@ -1,6 +1,7 @@
 """Observables, expectations, CHSH optimization, locality certificates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -661,6 +662,18 @@ class TestLocalityCertificate:
     def test_three_copies_refused(self):
         assert local_terms(tau_line(), copies=3) is None
         assert certificate_gap(three_copy()) >= 1e-12
+
+    def test_eight_copy_gap_memory(self):
+        # Only terms supported on both sides enter a charge pair's product.
+        joint = n_copy(tau_line(), 8)
+        tracemalloc.start()
+        try:
+            gap = certificate_gap(joint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap >= 1e-12
+        assert peak < 50e6
 
     # Dense Omega blocks grow as the fourth power of a sector's joint rank,
     # so the draws shrink as the copy count grows.

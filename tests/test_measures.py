@@ -268,6 +268,36 @@ class TestSeparableCandidate:
         assert op.quantum_trace() == pytest.approx(1.0, abs=1e-10)
 
 
+def dense_operator_block(sep, a, b):
+    """Charge-pair block (a, b) with every term multiplied in, summed from zero in term order."""
+    dim = sep.blocks[a].shape[-1] * sep.blocks[b].shape[-1]
+    kron = sep.blocks[a][:, 0, :, None, :, None] * sep.blocks[b][:, 1, None, :, None, :]
+    weighted = sep.weights[:, None, None] * kron.reshape(-1, dim, dim)
+    return sum(weighted, np.zeros((dim, dim), dtype=complex))
+
+
+class TestSeparableOperator:
+    @pytest.mark.parametrize("state", random_states(29, 12, max_rank=2))
+    def test_bits_match_the_dense_sum(self, state):
+        # Candidates hold each term in one sector; the random directions in every sector.
+        rng = np.random.default_rng(30)
+        base = closest_separable_candidate(state)
+        stack = random_separable_directions(rng, state.ranks, 4)
+        weights = np.concatenate([0.2 * base.weights, 0.2 * stack.weights.ravel()])
+        blocks = {c: np.concatenate([base.blocks[c], *stack.blocks[c]]) for c in base.blocks}
+        joint = n_copy(state, 2)
+        cases = [
+            (base, state.ranks),
+            (SeparableState(weights, blocks), state.ranks),
+            (closest_separable_candidate(joint), joint.ranks),
+        ]
+        for sep, ranks in cases:
+            op = sep.to_operator(ranks)
+            for a in ranks:
+                for b in ranks:
+                    assert np.array_equal(op.block((a, b)), dense_operator_block(sep, a, b))
+
+
 def _factor(scale):
     """Rank-1 tau factor block; a scale other than 1 breaks the unit quantum trace."""
     return np.array([[scale / PHI]])

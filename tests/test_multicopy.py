@@ -1,6 +1,7 @@
 """Joint copies, multi-copy closed forms, and the per-copy series."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,13 +13,15 @@ from fibanyon.errors import CopyLimitExceeded
 from fibanyon.measures import measure_report
 from fibanyon.model import CHARGE_ORDER, LOG2_PHI, PHI, Charge, fusion_space_dim, qdim_float
 from fibanyon.multicopy import (
+    N_MAX,
+    _check_copies,
     _joint_rank,
     _ncopy_sector_probability,
     copy_series,
     e_aree_ncopy,
     n_copy,
 )
-from fibanyon.states import from_grouped, new_schmidt_state, random_schmidt_state
+from fibanyon.states import from_arrays, from_grouped, new_schmidt_state, random_schmidt_state
 
 TAU = Charge.TAU
 VAC = Charge.VACUUM
@@ -115,6 +118,82 @@ def grouped_states(draw):
     for c, weight, mult in groups:
         grouped.setdefault(c, []).append((weight / total, mult))
     return from_grouped(grouped)
+
+
+# Reference kernel: the letter-by-letter gather that n_copy used before it
+# expanded in place.  It builds fresh arrays at every step and indexes the
+# 2-D binomial table; n_copy must reproduce its groups bit for bit.
+
+_REF_BINOMIAL = np.array(
+    [[math.comb(r, k) for k in range(N_MAX + 1)] for r in range(N_MAX + 1)], dtype=np.int64
+)
+_REF_PATHS = {c: np.array([_paths(m, c) for m in range(N_MAX + 1)]) for c in CHARGE_ORDER}
+_REF_PHI_POWERS = np.array([PHI**m for m in range(N_MAX + 1)])
+
+
+def gather_n_copy(state, n):
+    """The joint n-copy by fresh-array gathers, one letter at a time."""
+    left = np.array([n])
+    ways = np.ones(1, dtype=np.int64)
+    base = np.ones(1)
+    m_tau = np.zeros(1, dtype=np.int64)
+    letters = []
+    for c in state.charges:
+        values, mults = state.grouped(c)
+        letters += [(c, value, mult) for value, mult in zip(values.tolist(), mults.tolist())]
+    for i, (c, value, mult) in enumerate(letters):
+        if i < len(letters) - 1:
+            counts = left + 1
+            row = np.repeat(np.arange(left.size), counts)
+            k = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            left, ways, base, m_tau = left[row], ways[row], base[row], m_tau[row]
+            ways = ways * _REF_BINOMIAL[left, k]
+            left = left - k
+        else:
+            k = left
+        if mult > 1:
+            ways = ways * np.array([mult**j for j in range(n + 1)], dtype=np.int64)[k]
+        base = base * np.array([value**j for j in range(n + 1)])[k]
+        if c is TAU:
+            m_tau = m_tau + k
+    sectors = {}
+    for c in CHARGE_ORDER:
+        paths = _REF_PATHS[c][m_tau]
+        hit = paths > 0
+        coeff = base[hit] * qdim_float(c) / _REF_PHI_POWERS[m_tau[hit]]
+        sectors[c] = (coeff, ways[hit] * paths[hit])
+    return from_arrays(sectors)
+
+
+def assert_same_groups(joint, expected):
+    assert joint.charges == expected.charges
+    for c in expected.charges:
+        assert np.array_equal(joint.grouped(c)[0], expected.grouped(c)[0])
+        assert np.array_equal(joint.grouped(c)[1], expected.grouped(c)[1])
+
+
+def within_budget(state, n):
+    try:
+        _check_copies(state, n)
+    except CopyLimitExceeded:
+        return False
+    return True
+
+
+#: The paper's tau-pair, a two-sector pair and the CLI tests' mixed state.
+TAU_PAIR = {TAU: [1.0]}
+SEVEN_THREE = {VAC: [0.7], TAU: [0.3]}
+MIXED = {VAC: [0.3, 0.2], TAU: [0.5]}
+
+
+@st.composite
+def small_states(draw, per_sector=4):
+    """Up to ``per_sector`` coefficients in each sector, with ties, normalized."""
+    weights = st.sampled_from(_TIED_WEIGHTS) | st.floats(0.01, 1.0)
+    vac = draw(st.lists(weights, max_size=per_sector))
+    tau = draw(st.lists(weights, min_size=0 if vac else 1, max_size=per_sector))
+    total = sum(vac) + sum(tau)
+    return new_schmidt_state({VAC: [v / total for v in vac], TAU: [v / total for v in tau]})
 
 
 def tau_line():
@@ -350,3 +429,96 @@ class TestCopySeries:
     def test_series_limit(self):
         with pytest.raises(CopyLimitExceeded):
             copy_series(tau_line(), 25)
+
+
+class TestKernelBits:
+    """The in-place kernel against the fresh-array gather kernel, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "sectors, n_max", [(TAU_PAIR, 24), (SEVEN_THREE, 20), (MIXED, N_MAX)]
+    )
+    def test_named_states(self, sectors, n_max):
+        state = new_schmidt_state(sectors)
+        for n in range(2, n_max + 1):
+            assert_same_groups(n_copy(state, n), gather_n_copy(state, n))
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(state=small_states())
+    def test_drawn_states(self, state):
+        for n in range(2, 9):
+            if within_budget(state, n):
+                assert_same_groups(n_copy(state, n), gather_n_copy(state, n))
+
+    def test_vacuum_only_state(self):
+        state = new_schmidt_state({VAC: [0.5, 0.3, 0.2]})
+        for n in range(2, 9):
+            joint = n_copy(state, n)
+            assert joint.charges == (VAC,)
+            assert_same_groups(joint, gather_n_copy(state, n))
+
+
+def _ten_coefficient_state():
+    values = np.random.default_rng(0).dirichlet(np.full(10, 2.0))
+    return new_schmidt_state({VAC: list(values[:5]), TAU: list(values[5:])})
+
+
+def _group_bytes(state):
+    return sum(array.nbytes for c in state.charges for array in state.grouped(c))
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelMemory:
+    """Peak traced memory stays within a small multiple of the joint state built."""
+
+    def test_n_copy_peak(self):
+        joint, peak = _traced_peak(lambda: n_copy(_ten_coefficient_state(), 8))
+        assert peak <= 3 * _group_bytes(joint)
+
+    def test_copy_series_peak(self):
+        state = _ten_coefficient_state()
+        _, peak = _traced_peak(lambda: copy_series(state, 8))
+        assert peak <= 3 * _group_bytes(n_copy(state, 8))
+
+
+def _spectrum(state):
+    return np.sort(np.concatenate([state.coefficients(c) for c in state.charges]))
+
+
+class TestCopyAssociativity:
+    """b copies of an a-copy joint state are the ab-copy joint state: fusion is associative.
+
+    Only bit-equal coefficients are merged, so the two routes group equal
+    values differently; the spectra and the measures are compared, never
+    the groups.
+    """
+
+    FACTORS = ((2, 2), (2, 3), (3, 2), (2, 4))
+
+    def check(self, state):
+        for a, b in self.FACTORS:
+            inner = n_copy(state, a)
+            if not (within_budget(inner, b) and within_budget(state, a * b)):
+                continue
+            nested, direct = n_copy(inner, b), n_copy(state, a * b)
+            assert nested.ranks == direct.ranks
+            np.testing.assert_allclose(_spectrum(nested), _spectrum(direct), rtol=1e-14, atol=0)
+            nested_report, direct_report = measure_report(nested), measure_report(direct)
+            for field in ("aee", "aree", "ace", "ce"):
+                assert abs(getattr(nested_report, field) - getattr(direct_report, field)) <= 1e-13
+
+    @pytest.mark.parametrize("sectors", [TAU_PAIR, SEVEN_THREE, MIXED])
+    def test_named_states(self, sectors):
+        self.check(new_schmidt_state(sectors))
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(state=small_states(per_sector=2))
+    def test_drawn_states(self, state):
+        self.check(state)

@@ -24,6 +24,7 @@ from fibanyon.oracle import (
     reduced_density,
 )
 from fibanyon.states import (
+    from_arrays,
     from_grouped,
     new_schmidt_state,
     random_schmidt_state,
@@ -140,6 +141,21 @@ class TestConstruction:
     def test_unknown_label_rejected(self):
         with pytest.raises(ValidationError):
             new_schmidt_state({"sigma": [1.0]})
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.5 + 1e-10], [0.5 + 1e-10, 0.0], [0.3, 0.0, 0.2 + 1e-10], [0.25 + 5e-11, 0.25]],
+    )
+    def test_from_arrays_leaves_the_callers_arrays(self, values):
+        # With the vacuum sector the values total 1 + 1e-10, so from_arrays divides them.
+        values = np.array(values)
+        mults = np.ones(values.size, dtype=np.int64)
+        vac = np.array([1.0 + 1e-10 - np.sum(values)])
+        given_values, given_vac = values.copy(), vac.copy()
+        state = from_arrays({TAU: (values, mults), VAC: (vac, np.ones(1, dtype=np.int64))})
+        assert state.total() == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(values, given_values)
+        assert np.array_equal(vac, given_vac)
 
     def test_file_round_trip(self):
         payload = {"sectors": {"1": [0.25, 0.15], "tau": [0.6]}}
