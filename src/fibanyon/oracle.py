@@ -3,8 +3,10 @@
 The measures, the n-copy data, the CHSH values and the locality
 certificates are computed in closed form from grouped Schmidt data
 elsewhere in the package.  This module is the one place that knows the
-dense block format; ``verify``, the demos and the tests use it to
-rebuild those numbers numerically.
+dense block format; ``verify`` and the demos use it to rebuild those
+numbers numerically, and every public name here has a caller among
+them.  Checks of the oracle itself (random observables, operator
+expectations, the Tsirelson bound) live with the tests.
 
 Density-type operators carry a block per superselection sector together
 with a quantum-trace weight.  Three block layouts appear:
@@ -67,7 +69,6 @@ KIND_PRODUCT = "product"
 KIND_JOINT = "joint"
 
 _STATE_TOL = 1e-10
-_PURITY_TOL = 1e-10
 _EIG_ZERO = 1e-12
 _EIG_CLAMP = 1e-300
 _SUPPORT_TOL = 1e-10
@@ -277,11 +278,6 @@ def anyonic_entropy(op: GradedDensityOperator) -> float:
         if eigs.size:
             total -= op.weight(key) * float(np.sum(eigs * np.log2(eigs)))
     return total
-
-
-def is_pure(op: GradedDensityOperator) -> bool:
-    """True iff the anyonic entropy vanishes (below 1e-10)."""
-    return anyonic_entropy(op) <= _PURITY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -663,22 +659,6 @@ def _check_involutions(m: np.ndarray, label: str) -> None:
         raise ValidationError(f"{label} is not an involution (eigenvalues +-1)")
 
 
-def random_involutions(normals: np.ndarray) -> np.ndarray:
-    """Validated stack (..., k, k) of random Hermitian involutions.
-
-    ``normals`` (..., 2, k, k) holds the real and imaginary parts of
-    complex Gaussian matrices g; each block is the sign of the Hermitian
-    part (g + g^dagger) / 2, taken on its eigenvectors.  Stacked
-    ``eigh`` and ``matmul`` treat each block as a single call would.
-    """
-    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
-    vals, vecs = np.linalg.eigh(0.5 * (g + _dagger(g)))
-    signs = np.where(vals >= 0.0, 1.0, -1.0)
-    m = (vecs * signs[..., None, :]) @ _dagger(vecs)
-    _check_involutions(m, "random involution block")
-    return m
-
-
 class Observable:
     """Party-local Hermitian involution, one block per charge sector."""
 
@@ -730,22 +710,6 @@ def rotation_observable(
     block[1, 1] = -cos_t
     block[0, 1] = sin_t
     block[1, 0] = sin_t
-    return Observable(blocks)
-
-
-def random_involution_observable(
-    rng: np.random.Generator, ranks: Mapping[Charge, int]
-) -> Observable:
-    """Random Hermitian blocks projected onto +-1 spectrum.
-
-    Each rank-k sector reads 2 k^2 normals from ``rng``: the real parts of
-    its Gaussian matrix, then the imaginary parts.
-    """
-    blocks = {}
-    for c, k in ranks.items():
-        k = int(k)
-        if k > 0:
-            blocks[c] = random_involutions(rng.normal(size=(2, k, k)))
     return Observable(blocks)
 
 
@@ -810,46 +774,6 @@ def chsh_value(
         + expectation(state, a1, b2)
         + expectation(state, a2, b1)
         - expectation(state, a2, b2)
-    )
-
-
-def expectation_operator(
-    op: GradedDensityOperator, a: Observable, b: Observable
-) -> float:
-    """Tr~(op * (A (x) B)) via block arithmetic, for bipartite operators."""
-    if op.kind == KIND_PRODUCT:
-        total = 0.0
-        for key in op.keys():
-            ca, cb = key
-            if ca not in a.charges() or cb not in b.charges():
-                continue
-            product = np.kron(a.block(ca), b.block(cb))
-            total += op.weight(key) * float(np.trace(op.block(key) @ product).real)
-        return total
-    if op.kind == KIND_JOINT:
-        layout = op.joint_layout()
-        dim = sum(size for _, _, size in layout)
-        product = np.zeros((dim, dim), dtype=complex)
-        for c, offset, size in layout:
-            product[offset : offset + size, offset : offset + size] = np.kron(
-                a.block(c), b.block(c)
-            )
-        return float(np.trace(op.block(VACUUM_BLOCK) @ product).real)
-    raise DimensionMismatch("expectation requires a bipartite operator")
-
-
-def chsh_value_operator(
-    op: GradedDensityOperator,
-    a1: Observable,
-    a2: Observable,
-    b1: Observable,
-    b2: Observable,
-) -> float:
-    return (
-        expectation_operator(op, a1, b1)
-        + expectation_operator(op, a1, b2)
-        + expectation_operator(op, a2, b1)
-        - expectation_operator(op, a2, b2)
     )
 
 

@@ -158,8 +158,8 @@ def from_arrays(sectors: Mapping[Charge, tuple[np.ndarray, np.ndarray]]) -> Schm
     for c, (values, mults) in canonical.items():
         if values.size > 1:
             values /= total  # the sorted copy made by _canonical; never the caller's array
-        else:
-            values = values / total
+        else:  # _canonical passes a one-group sector through: copy the caller's arrays
+            values, mults = values / total, mults.copy()
         values, mults = _merge_equal(values, mults)
         values.setflags(write=False)
         mults.setflags(write=False)

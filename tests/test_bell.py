@@ -1,5 +1,6 @@
 """Observables, expectations, CHSH optimization, locality certificates."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -26,16 +27,21 @@ from fibanyon.oracle import (
     SeparableState,
     certificate_gap,
     chsh_value,
-    chsh_value_operator,
     expectation,
     identity_observable,
     omega_project,
-    random_involution_observable,
     rotation_observable,
     witness,
 )
 from fibanyon.states import new_schmidt_state, random_schmidt_state
-from fibanyon.verify import check_tsirelson
+
+import random_observables
+from random_observables import (
+    check_tsirelson,
+    chsh_value_operator,
+    expectation_operator,
+    random_involution_observable,
+)
 
 TAU = Charge.TAU
 VAC = Charge.VACUUM
@@ -151,6 +157,10 @@ class TestChshValue:
             direct = chsh_value(state, *obs)
             projected = chsh_value_operator(omega, *obs)
             assert direct == pytest.approx(projected, abs=1e-10)
+            for a, b in itertools.product(obs[:2], obs[2:]):
+                assert expectation(state, a, b) == pytest.approx(
+                    expectation_operator(omega, a, b), abs=1e-10
+                )
 
     def test_tsirelson_sweep(self):
         [result] = check_tsirelson(np.random.default_rng(78), 200, 1)
@@ -180,9 +190,11 @@ class TestBatchedTsirelson:
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     # Batch size 1 evaluates every state on its own, as soon as it is drawn.
-    @pytest.mark.parametrize("seed, batch", [(11, verify._TSIRELSON_BATCH), (12, 1)])
+    @pytest.mark.parametrize(
+        "seed, batch", [(11, random_observables._TSIRELSON_BATCH), (12, 1)]
+    )
     def test_matches_per_draw_loop(self, seed, batch, monkeypatch):
-        monkeypatch.setattr(verify, "_TSIRELSON_BATCH", batch)
+        monkeypatch.setattr(random_observables, "_TSIRELSON_BATCH", batch)
         n_states, draws = 30, 5
         reference_rng = np.random.default_rng(seed)
         worst, blocks = 0.0, 0
@@ -194,7 +206,7 @@ class TestBatchedTsirelson:
                 worst = max(worst, abs(chsh_value(state, *obs)))
 
         validated, batch_worst = [], []
-        real_check, real_worst = oracle._check_involutions, verify._worst_chsh
+        real_check, real_worst = oracle._check_involutions, random_observables._worst_chsh
 
         def counting_check(m, label):
             validated.append(m[..., 0, 0].size)
@@ -205,7 +217,7 @@ class TestBatchedTsirelson:
             return batch_worst[-1]
 
         monkeypatch.setattr(oracle, "_check_involutions", counting_check)
-        monkeypatch.setattr(verify, "_worst_chsh", recording_worst)
+        monkeypatch.setattr(random_observables, "_worst_chsh", recording_worst)
         rng = np.random.default_rng(seed)
         [result] = check_tsirelson(rng, n_states, draws)
         assert max(batch_worst) == pytest.approx(worst, abs=1e-12)
@@ -214,7 +226,8 @@ class TestBatchedTsirelson:
         assert sum(validated) == blocks
 
     def test_scaled_block_is_rejected(self):
-        stack = oracle.random_involutions(np.random.default_rng(6).normal(size=(4, 5, 2, 3, 3)))
+        normals = np.random.default_rng(6).normal(size=(4, 5, 2, 3, 3))
+        stack = random_observables.random_involutions(normals)
         oracle._check_involutions(stack, "stack")
         stack[2, 1] *= 1.01
         with pytest.raises(ValidationError, match="stack is not an involution"):
@@ -466,7 +479,7 @@ class TestStackedSeparableValidation:
         assert code == 2
         assert text in messages[0]
         assert lines[6] == f"FAIL  separable-oracle-gradient: NotAState: {messages[0]}"
-        assert lines[-1] == "16/17 checks passed"
+        assert lines[-1] == "13/14 checks passed"
 
     @pytest.mark.parametrize(
         "scale, text",

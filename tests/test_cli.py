@@ -35,18 +35,15 @@ VERIFY_SEED42_CASES3 = (
     "PASS  decomposition-numeric: max numeric residual = 4.441e-16 over 3 states\n"
     "PASS  separable-oracle-value: max |numeric - closed| = 2.220e-16 over 3 states\n"
     "PASS  separable-oracle-gradient: min gradient = 7.349e-01 over 2 states x 40 directions\n"
+    "PASS  aee-dense: max |numeric - closed| = 2.220e-16 over 3 states\n"
     "PASS  aee-additivity: max |aee(n-copy) - n aee| = 3.553e-15\n"
     "PASS  multicopy-closed-form: max |closed - constructed| = 3.553e-15 for n <= 6\n"
-    "PASS  omega-idempotence: max deviation = 0.000e+00\n"
     "PASS  omega-from-joint: max |Omega(embed) - Omega| = 0.000e+00\n"
-    "PASS  omega-expectations: max product-observable deviation = 5.551e-17\n"
-    "PASS  tsirelson: max |CHSH| = 2.2913701359 over 1000 draws\n"
-    "PASS  chsh-omega-invariance: max deviation = 2.220e-16\n"
     "PASS  copy-series-trends: aee drift 2.220e-16; CE zeros at n=1,2; ACE strictly decreasing\n"
     "PASS  chsh-three-copies: n=3 optimum 2.632862 (target 2.632862); n<=2 stays local\n"
     "PASS  locality-certificate: closed-form terms iff dense gap < 1e-12 iff local verdict "
     "iff type A/B on 6 states; max local gap = 5.551e-17\n"
-    "17/17 checks passed\n"
+    "14/14 checks passed\n"
 )
 
 #: ``verify --seed 42`` stdout at the default 100 cases, the transcript the
@@ -59,18 +56,15 @@ VERIFY_SEED42 = (
     "PASS  decomposition-numeric: max numeric residual = 1.554e-15 over 100 states\n"
     "PASS  separable-oracle-value: max |numeric - closed| = 1.332e-15 over 100 states\n"
     "PASS  separable-oracle-gradient: min gradient = -6.407e-16 over 10 states x 40 directions\n"
+    "PASS  aee-dense: max |numeric - closed| = 4.441e-16 over 100 states\n"
     "PASS  aee-additivity: max |aee(n-copy) - n aee| = 3.553e-15\n"
     "PASS  multicopy-closed-form: max |closed - constructed| = 5.329e-15 for n <= 6\n"
-    "PASS  omega-idempotence: max deviation = 0.000e+00\n"
     "PASS  omega-from-joint: max |Omega(embed) - Omega| = 0.000e+00\n"
-    "PASS  omega-expectations: max product-observable deviation = 2.220e-16\n"
-    "PASS  tsirelson: max |CHSH| = 2.5553777649 over 10000 draws\n"
-    "PASS  chsh-omega-invariance: max deviation = 2.220e-16\n"
     "PASS  copy-series-trends: aee drift 2.220e-16; CE zeros at n=1,2; ACE strictly decreasing\n"
     "PASS  chsh-three-copies: n=3 optimum 2.632862 (target 2.632862); n<=2 stays local\n"
     "PASS  locality-certificate: closed-form terms iff dense gap < 1e-12 iff local verdict "
     "iff type A/B on 13 states; max local gap = 5.551e-17\n"
-    "17/17 checks passed\n"
+    "14/14 checks passed\n"
 )
 
 #: ``chsh --copies n`` stdout on the tau-pair for n = 1, 2, 3.
@@ -440,7 +434,7 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--seed", "42", "--cases", "3"])
         assert code == 2
         assert "FAIL  decomposition-closed-form: max |AREE - ACE - CE| = 1.000e-06" in out
-        assert out.endswith("16/17 checks passed\n")
+        assert out.endswith("13/14 checks passed\n")
 
 
     def test_raising_oracle_is_a_failed_check(self, capsys, monkeypatch):
@@ -463,9 +457,9 @@ class TestVerify:
         # The closed form is its own group, so the numeric oracle's error
         # leaves it passing.
         assert lines[3:5] == [golden[3], f"FAIL  decomposition-numeric: {raised}"]
-        assert lines[16].startswith("FAIL  locality-certificate: ")
+        assert lines[13].startswith("FAIL  locality-certificate: ")
         assert [line.split()[1] for line in lines[:-1]] == [line.split()[1] for line in golden[:-1]]
-        assert lines[-1] == "15/17 checks passed"
+        assert lines[-1] == "12/14 checks passed"
 
     def test_raising_value_oracle_keeps_later_draws(self, capsys, monkeypatch):
         """Only the raising check fails; the gradient draws and every later
@@ -479,7 +473,7 @@ class TestVerify:
         assert (code, err) == (2, "")
         expected = VERIFY_SEED42_CASES3.splitlines()
         expected[5] = "FAIL  separable-oracle-value: SupportViolation: reached"
-        expected[-1] = "16/17 checks passed"
+        expected[-1] = "13/14 checks passed"
         assert out.splitlines() == expected
 
 
@@ -958,4 +952,4 @@ class TestVerifyRobustness:
         else:
             assert code in (0, 2)
             assert err == ""
-            assert out.endswith("/17 checks passed\n")
+            assert out.endswith("/14 checks passed\n")

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fibanyon"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fibanyon"
 
 #: Modules that hold only closed forms on grouped Schmidt data, and the CLI on top of them.
 CLOSED_FORM_MODULES = ("states", "measures", "multicopy", "bell", "cli")
@@ -19,16 +20,19 @@ def _tree(module):
     return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
 
 
+def _defined_by(node):
+    """Names one top-level statement defines: a function, a class or assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
 def _defined_names(tree):
     """Names a module defines at top level: functions, classes and assignments."""
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return names
+    return set().union(*map(_defined_by, tree.body))
 
 
 def _bound_names(tree):
@@ -55,6 +59,21 @@ def _imported_modules(tree):
             modules.add(base)
             modules.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
     return modules
+
+
+def _oracle_reads(tree):
+    """Names a module reads from ``oracle``: imported from it or read as ``oracle.<name>``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "oracle":
+            names.update(alias.name for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "oracle"
+        ):
+            names.add(node.attr)
+    return names
 
 
 def _referenced_names(tree):
@@ -94,3 +113,19 @@ def test_private_oracle_names_stay_in_oracle(module):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "oracle":
             private.update(alias.name for alias in node.names if alias.name.startswith("_"))
     assert not private
+
+
+def test_every_public_oracle_name_has_a_caller():
+    """Each public top-level name of ``oracle`` is read by another ``src`` module,
+    by a demo, or by ``oracle`` itself outside its own definition.  A name that
+    only the tests read belongs with the tests."""
+    readers = [_tree(p.stem) for p in SRC.glob("*.py") if p.stem != "oracle"]
+    readers += [ast.parse(p.read_text(encoding="utf-8")) for p in (ROOT / "demos").glob("*.py")]
+    read = set().union(*map(_oracle_reads, readers))
+    body = _tree("oracle").body
+    used = [{n.id for n in ast.walk(node) if isinstance(n, ast.Name)} for node in body]
+    unread = set()
+    for i, node in enumerate(body):
+        elsewhere = read.union(*used[:i], *used[i + 1 :])
+        unread |= {n for n in _defined_by(node) if not n.startswith("_") and n not in elsewhere}
+    assert not unread

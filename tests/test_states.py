@@ -20,7 +20,6 @@ from fibanyon.oracle import (
     _allclose,
     anyonic_entropy,
     embed,
-    is_pure,
     reduced_density,
 )
 from fibanyon.states import (
@@ -157,6 +156,13 @@ class TestConstruction:
         assert np.array_equal(values, given_values)
         assert np.array_equal(vac, given_vac)
 
+    def test_from_arrays_keeps_a_one_group_multiplicity_writeable(self):
+        mults = np.array([1])
+        state = from_arrays({TAU: (np.array([1.0]), mults)})
+        assert mults.flags.writeable
+        assert state.grouped(TAU)[1] is not mults
+        assert not state.grouped(TAU)[1].flags.writeable
+
     def test_file_round_trip(self):
         payload = {"sectors": {"1": [0.25, 0.15], "tau": [0.6]}}
         state = state_from_dict(payload)
@@ -269,6 +275,11 @@ class TestAnyonicEntropy:
         op = GradedDensityOperator({TAU: np.array([[1.0]])})  # trace phi, not 1
         with pytest.raises(NotAState):
             anyonic_entropy(op)
+
+
+def is_pure(op):
+    """True iff the anyonic entropy vanishes (below 1e-10)."""
+    return anyonic_entropy(op) <= 1e-10
 
 
 class TestPurity:
