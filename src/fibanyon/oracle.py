@@ -21,9 +21,20 @@ with a quantum-trace weight.  Three block layouts appear:
 
 The quantum trace of any of these is ``sum_blocks weight * tr(block)``.
 A separable mixture (:class:`SeparableState`) has one format: arrays of
-term weights and, per sector, of its left and right factors' blocks,
-with leading axes for a stack of mixtures.  :func:`_check_states` is the
-one test of "is a state", for dense operators and mixture factors alike.
+term weights and, per sector, of its left and right factors' blocks.
+:func:`_check_states` is the one test of "is a state", for dense
+operators and mixture factors alike.
+
+Every block, mixture array and value may carry leading axes that stack
+states sharing their sector ranks (a rank signature): :func:`embed`,
+:func:`omega_project`, :func:`reduced_density` and
+:func:`closest_separable_candidate` take one state or a sequence of
+them, and :func:`relative_entropy`, :func:`anyonic_entropy` and
+:func:`pythagorean_residual` return a float for one state and an array
+of one value per state for a stack.  One state is the stack without
+leading axes, on the same code; each eigen-solve is one stacked call,
+and only the ragged sums over the eigenvalues kept run state by state,
+so every value has the bits of the unstacked call.
 
 Observables are party-local Hermitian involutions (eigenvalues +-1),
 block diagonal across charge sectors: superselection forbids coherences
@@ -43,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -111,6 +122,31 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _value(x: np.ndarray) -> float | np.ndarray:
+    """A float for one state, the array of one value per state for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _coefficient_stack(
+    states: SchmidtState | Sequence[SchmidtState],
+) -> tuple[dict[Charge, np.ndarray], dict[Charge, int]]:
+    """Sector coefficients (..., k) and the sector ranks of one state or of a stack.
+
+    One state gives arrays without leading axes.  A sequence gives one
+    leading axis; its states must share their sector ranks, or
+    :class:`BlockMismatch` is raised.
+    """
+    if isinstance(states, SchmidtState):
+        return {c: states.coefficients(c) for c in states.charges}, states.ranks
+    if not states:
+        raise ValidationError("a stack needs at least one state")
+    ranks = states[0].ranks
+    for s in states:
+        if s.ranks != ranks:
+            raise BlockMismatch(f"sector ranks differ: {ranks!r} vs {s.ranks!r}")
+    return {c: np.stack([s.coefficients(c) for s in states]) for c in ranks}, ranks
+
+
 def _check_states(
     blocks: Mapping[BlockKey, np.ndarray], weights: Mapping[BlockKey, float]
 ) -> None:
@@ -137,9 +173,13 @@ def _check_states(
 
 
 class GradedDensityOperator:
-    """Charge-block operator with a quantum-trace weight per block."""
+    """Charge-block operator with a quantum-trace weight per block.
 
-    __slots__ = ("_blocks", "_ranks", "_kind")
+    Blocks are (..., k, k); leading axes, the same for every block, stack
+    operators of one kind and one set of sector ranks.
+    """
+
+    __slots__ = ("_blocks", "_ranks", "_kind", "_stack")
 
     def __init__(
         self,
@@ -152,7 +192,7 @@ class GradedDensityOperator:
         kinds = set()
         for key, matrix in blocks.items():
             m = np.array(matrix, dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
                 raise ValidationError(f"block {key!r} is not a square matrix")
             m.setflags(write=False)
             stored[key] = m
@@ -170,9 +210,13 @@ class GradedDensityOperator:
                 raise ValidationError(f"unrecognized block key {key!r}")
         if len(kinds) != 1:
             raise ValidationError(f"mixed block-key kinds {sorted(kinds)}")
+        stacks = {m.shape[:-2] for m in stored.values()}
+        if len(stacks) != 1:
+            raise ValidationError(f"blocks stack operators in different shapes {sorted(stacks)}")
+        self._stack = stacks.pop()
         self._kind = kinds.pop()
         if self._kind == KIND_SUBSYSTEM and ranks is None:
-            ranks = {c: stored[c].shape[0] for c in stored}
+            ranks = {c: stored[c].shape[-1] for c in stored}
         if self._kind != KIND_SUBSYSTEM and ranks is None:
             raise ValidationError("bipartite operators need explicit sector ranks")
         self._ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
@@ -188,9 +232,9 @@ class GradedDensityOperator:
             else:
                 a, b = key
                 expected = self._ranks.get(a, 0) * self._ranks.get(b, 0)
-            if m.shape[0] != expected:
+            if m.shape[-1] != expected:
                 raise ValidationError(
-                    f"block {key!r} has dimension {m.shape[0]}, expected {expected}"
+                    f"block {key!r} has dimension {m.shape[-1]}, expected {expected}"
                 )
 
     # -- structure ---------------------------------------------------------
@@ -202,6 +246,11 @@ class GradedDensityOperator:
     @property
     def ranks(self) -> dict[Charge, int]:
         return dict(self._ranks)
+
+    @property
+    def stack(self) -> tuple[int, ...]:
+        """Leading axes of the blocks: () for one operator."""
+        return self._stack
 
     def keys(self) -> tuple[BlockKey, ...]:
         return tuple(self._blocks)
@@ -231,9 +280,12 @@ class GradedDensityOperator:
 
     # -- numerics ----------------------------------------------------------
 
-    def quantum_trace(self) -> float:
-        return float(
-            sum(self.weight(key) * np.trace(m).real for key, m in self._blocks.items())
+    def quantum_trace(self) -> float | np.ndarray:
+        return _value(
+            sum(
+                self.weight(key) * np.trace(m, axis1=-2, axis2=-1).real
+                for key, m in self._blocks.items()
+            )
         )
 
     def assert_state(self) -> None:
@@ -255,29 +307,45 @@ def max_block_gap(x: GradedDensityOperator, y: GradedDensityOperator) -> float:
     return gap
 
 
-def reduced_density(state: SchmidtState) -> GradedDensityOperator:
+def reduced_density(states: SchmidtState | Sequence[SchmidtState]) -> GradedDensityOperator:
     """Subsystem state: block diag(lambda_{c,i}) / d_c, weight d_c.
 
     Both sides carry the same charge content (every Fibonacci charge is
-    self-dual), so this is the reduced operator of A and of B.
+    self-dual), so this is the reduced operator of A and of B.  The
+    complex block is divided by d_c, which fixes the bits.
     """
-    blocks = {
-        c: np.diag(state.coefficients(c)).astype(complex) / qdim_float(c)
-        for c in state.charges
-    }
-    return GradedDensityOperator(blocks, ranks=state.ranks)
+    coefficients, ranks = _coefficient_stack(states)
+    blocks = {}
+    for c, lam in coefficients.items():
+        k = lam.shape[-1]
+        diag = np.zeros((*lam.shape, k), dtype=complex)
+        diag[..., np.arange(k), np.arange(k)] = lam
+        blocks[c] = diag / qdim_float(c)
+    return GradedDensityOperator(blocks, ranks=ranks)
 
 
-def anyonic_entropy(op: GradedDensityOperator) -> float:
-    """Entropy -Tr~(rho log2 rho) of a graded state; 0*log(0) counts as 0."""
+def _plogp(eigs: np.ndarray) -> np.ndarray:
+    """sum_i e_i log2 e_i over the eigenvalues e_i > 1e-12 of each matrix of a stack.
+
+    The kept eigenvalues differ in number from state to state, so each
+    state's sum runs on its own, with the bits of the unstacked sum.
+    """
+    kept = eigs > _EIG_ZERO
+    terms = eigs * np.log2(np.maximum(eigs, _EIG_ZERO))
+    out = np.zeros(eigs.shape[:-1])
+    for i in np.ndindex(out.shape):
+        out[i] = terms[i][kept[i]].sum()
+    return out
+
+
+def anyonic_entropy(op: GradedDensityOperator) -> float | np.ndarray:
+    """Entropy -Tr~(rho log2 rho) of a graded state, or of each state of a
+    stack; 0*log(0) counts as 0."""
     op.assert_state()
-    total = 0.0
+    total = np.zeros(op.stack)
     for key in op.keys():
-        eigs = np.linalg.eigvalsh(op.block(key))
-        eigs = eigs[eigs > _EIG_ZERO]
-        if eigs.size:
-            total -= op.weight(key) * float(np.sum(eigs * np.log2(eigs)))
-    return total
+        total -= op.weight(key) * _plogp(np.linalg.eigvalsh(op.block(key)))
+    return _value(total)
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +353,20 @@ def anyonic_entropy(op: GradedDensityOperator) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_pair_vector(phi: np.ndarray) -> np.ndarray:
-    """Embed a sector vector on the diagonal of the paired product basis."""
-    k = phi.shape[0]
-    vec = np.zeros(k * k, dtype=complex)
-    vec[np.arange(k) * k + np.arange(k)] = phi
+def _paired_amplitudes(lam: np.ndarray) -> np.ndarray:
+    """sqrt(lambda_i) on the diagonal i (x) i of a sector's paired product basis."""
+    k = lam.shape[-1]
+    vec = np.zeros((*lam.shape[:-1], k * k), dtype=complex)
+    vec[..., np.arange(k) * (k + 1)] = np.sqrt(lam)
     return vec
 
 
-def embed(state: SchmidtState) -> GradedDensityOperator:
+def _projector(vec: np.ndarray) -> np.ndarray:
+    """|v><v| for each vector of a stack, as ``np.outer`` forms it."""
+    return vec[..., :, None] * vec.conj()[..., None, :]
+
+
+def embed(states: SchmidtState | Sequence[SchmidtState]) -> GradedDensityOperator:
     """Pure-state projector in the total-vacuum joint basis.
 
     The joint basis concatenates the paired product bases of the diagonal
@@ -301,21 +374,12 @@ def embed(state: SchmidtState) -> GradedDensityOperator:
     the projector has amplitudes sqrt(lambda_{c,i}) on the paired basis
     vectors, unit quantum trace, and zero anyonic entropy.
     """
-    ranks = state.ranks
-    dim = sum(k * k for k in ranks.values())
-    psi = np.zeros(dim, dtype=complex)
-    offset = 0
-    for c in CHARGE_ORDER:
-        k = ranks.get(c, 0)
-        if not k:
-            continue
-        phi = np.sqrt(state.coefficients(c))
-        psi[offset : offset + k * k] = _diagonal_pair_vector(phi)
-        offset += k * k
-    return GradedDensityOperator({VACUUM_BLOCK: np.outer(psi, psi.conj())}, ranks=ranks)
+    coefficients, ranks = _coefficient_stack(states)
+    psi = np.concatenate([_paired_amplitudes(lam) for lam in coefficients.values()], axis=-1)
+    return GradedDensityOperator({VACUUM_BLOCK: _projector(psi)}, ranks=ranks)
 
 
-def omega_project(state: SchmidtState) -> GradedDensityOperator:
+def omega_project(states: SchmidtState | Sequence[SchmidtState]) -> GradedDensityOperator:
     """Omega image of a pure state: severs charge lines between the subsystems.
 
     Sector-c block is (1/d_c**2) * phi_c phi_c^dagger on the paired product
@@ -323,13 +387,12 @@ def omega_project(state: SchmidtState) -> GradedDensityOperator:
     result reproduces every product-observable expectation of the state
     and is idempotent under :func:`omega_project_operator`.
     """
+    coefficients, ranks = _coefficient_stack(states)
     blocks: dict = {}
-    for c in state.charges:
-        phi = np.sqrt(state.coefficients(c))
-        vec = _diagonal_pair_vector(phi)
+    for c, lam in coefficients.items():
         d = qdim_float(c)
-        blocks[(c, c)] = np.outer(vec, vec.conj()) / (d * d)
-    return GradedDensityOperator(blocks, ranks=state.ranks)
+        blocks[(c, c)] = _projector(_paired_amplitudes(lam)) / (d * d)
+    return GradedDensityOperator(blocks, ranks=ranks)
 
 
 def omega_project_operator(op: GradedDensityOperator) -> GradedDensityOperator:
@@ -349,7 +412,7 @@ def omega_project_operator(op: GradedDensityOperator) -> GradedDensityOperator:
     matrix = op.block(VACUUM_BLOCK)
     blocks: dict = {}
     for c, offset, size in op.joint_layout():
-        sub = matrix[offset : offset + size, offset : offset + size]
+        sub = matrix[..., offset : offset + size, offset : offset + size]
         d = qdim_float(c)
         blocks[(c, c)] = sub / (d * d)
     return GradedDensityOperator(blocks, ranks=op.ranks)
@@ -388,49 +451,58 @@ class SeparableState:
             raise BlockMismatch(f"factor sector ranks {sizes!r}, target ranks {ranks!r}")
 
     def to_operator(self, ranks: Mapping[Charge, int]) -> GradedDensityOperator:
-        """Product-basis operator sum_t p_t rho_A^t (x) rho_B^t of one mixture; a charge
-        pair with no term supported on both sides gets a zero block.
+        """Product-basis operator sum_t p_t rho_A^t (x) rho_B^t of each mixture; a
+        charge pair with no term supported on both sides gets a zero block.
 
         Each charge pair (a, b) sums only the terms whose left factor has
-        support in a and right factor in b, a bounded chunk of terms at a
-        time; a skipped term would add exact zeros, which leave the sum's
-        bits unchanged.
+        support in a and right factor in b in some mixture of the stack, a
+        bounded chunk of terms at a time; a skipped term would add exact
+        zeros, which leave the sum's bits unchanged.
         """
         ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
         self._check_ranks(ranks)
-        support = {c: m.any(axis=(-2, -1)) for c, m in self.blocks.items()}
+        stack = self.weights.shape[:-1]
+        support = {
+            c: m.any(axis=(-2, -1)).reshape(-1, *m.shape[-4:-2]).any(axis=0)
+            for c, m in self.blocks.items()
+        }
         blocks: dict = {}
         for a, ka in ranks.items():
             for b, kb in ranks.items():
                 dim = ka * kb
                 both = support[a][:, 0] & support[b][:, 1]
-                weights = self.weights[both, None, None]
-                left = self.blocks[a][both, 0, :, None, :, None]
-                right = self.blocks[b][both, 1, None, :, None, :]
-                chunk = max(1, _PRODUCT_CHUNK // (dim * dim))
-                total = np.zeros((dim, dim), dtype=complex)
+                # Terms first, so that the sum below runs over them in order.
+                weights = np.moveaxis(self.weights[..., both], -1, 0)[..., None, None]
+                left = np.moveaxis(self.blocks[a][..., both, 0, :, :], -3, 0)
+                right = np.moveaxis(self.blocks[b][..., both, 1, :, :], -3, 0)
+                left, right = left[..., :, None, :, None], right[..., None, :, None, :]
+                chunk = max(1, _PRODUCT_CHUNK // (dim * dim * math.prod(stack)))
+                total = np.zeros((*stack, dim, dim), dtype=complex)
                 for start in range(0, weights.shape[0], chunk):
                     part = slice(start, start + chunk)
                     # Kronecker product, weight, then a sum in term order: bits depend on it.
-                    kron = (left[part] * right[part]).reshape(-1, dim, dim)
+                    kron = (left[part] * right[part]).reshape(-1, *stack, dim, dim)
                     total = sum(weights[part] * kron, total)
                 blocks[(a, b)] = total
         return GradedDensityOperator(blocks, ranks=ranks)
 
 
-def closest_separable_candidate(state: SchmidtState) -> SeparableState:
+def closest_separable_candidate(
+    states: SchmidtState | Sequence[SchmidtState],
+) -> SeparableState:
     """Separable mixture that minimizes the relative entropy from the state.
 
     One product term per Schmidt coefficient: with probability
     lambda_{c,i}, both sides hold (1/d_c) |i; c><i; c|.
     """
-    weights = np.concatenate([state.coefficients(c) for c in state.charges])
+    coefficients, ranks = _coefficient_stack(states)
+    weights = np.concatenate(list(coefficients.values()), axis=-1)
     blocks = {}
     first = 0
-    for c, k in state.ranks.items():
-        blocks[c] = np.zeros((weights.size, 2, k, k), dtype=complex)
+    for c, k in ranks.items():
+        blocks[c] = np.zeros((*weights.shape, 2, k, k), dtype=complex)
         diagonal = np.arange(k)
-        blocks[c][first + diagonal, :, diagonal, diagonal] = 1.0 / qdim_float(c)
+        blocks[c][..., first + diagonal, :, diagonal, diagonal] = 1.0 / qdim_float(c)
         first += k
     return SeparableState(weights, blocks)
 
@@ -441,7 +513,7 @@ def closest_separable_candidate(state: SchmidtState) -> SeparableState:
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + _dagger(m))
 
 
 def _ordered_keys(*ops: GradedDensityOperator) -> list:
@@ -461,22 +533,25 @@ def _ordered_keys(*ops: GradedDensityOperator) -> list:
     return sorted(seen, key=sort_key)
 
 
-def _block_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """tr(rho log2 rho) - tr(rho log2 sigma) for one matched block."""
-    rvals = np.linalg.eigvalsh(_hermitize(rho))
-    rvals = rvals[rvals > _EIG_ZERO]
-    tr_r_log_r = float(np.sum(rvals * np.log2(rvals))) if rvals.size else 0.0
+def _block_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """tr(rho log2 rho) - tr(rho log2 sigma) for one matched block of each state.
 
+    The eigen-solves are stacked; the support check and the sum over the
+    eigenvalues kept run state by state, the sum as one ``np.dot``.
+    """
+    tr_r_log_r = _plogp(np.linalg.eigvalsh(_hermitize(rho)))
     svals, svecs = np.linalg.eigh(_hermitize(sigma))
-    overlap = np.einsum("ki,kl,li->i", svecs.conj(), rho, svecs).real
+    overlap = np.einsum("...ki,...kl,...li->...i", svecs.conj(), rho, svecs).real
     null = svals <= _EIG_ZERO
-    if float(np.sum(overlap[null])) > _SUPPORT_TOL:
-        raise SupportViolation(
-            "rho has weight outside sigma's support in a matched block"
-        )
     kept = ~null
-    logs = np.log2(np.clip(svals[kept], _EIG_CLAMP, None))
-    tr_r_log_s = float(np.dot(overlap[kept], logs))
+    logs = np.log2(np.maximum(svals, _EIG_CLAMP))
+    tr_r_log_s = np.zeros(overlap.shape[:-1])
+    for i in np.ndindex(tr_r_log_s.shape):
+        if float(overlap[i][null[i]].sum()) > _SUPPORT_TOL:
+            raise SupportViolation(
+                "rho has weight outside sigma's support in a matched block"
+            )
+        tr_r_log_s[i] = np.dot(overlap[i][kept[i]], logs[i][kept[i]])
     return tr_r_log_r - tr_r_log_s
 
 
@@ -490,42 +565,45 @@ def _joint_restriction(
     blocks in joint-layout order.
     """
     dim = sum(size for _, _, size in layout)
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((*op.stack, dim, dim), dtype=complex)
     for c, offset, size in layout:
         key = (c, c)
         if key in op.keys():
-            out[offset : offset + size, offset : offset + size] = op.block(key)
+            out[..., offset : offset + size, offset : offset + size] = op.block(key)
     return out
 
 
-def relative_entropy(rho: GradedDensityOperator, sigma: GradedDensityOperator) -> float:
+def relative_entropy(
+    rho: GradedDensityOperator, sigma: GradedDensityOperator
+) -> float | np.ndarray:
     """Quantum-trace relative entropy Tr~(rho log2 rho) - Tr~(rho log2 sigma).
 
     Supports matched subsystem operators, matched product-basis operators,
     and a joint (total-vacuum) rho against a product-basis sigma, in which
     case sigma is restricted to the vacuum channel (exact, since product
-    operators are block diagonal across fusion channels).
+    operators are block diagonal across fusion channels).  Stacks are
+    paired state by state and must have the same leading axes.
     """
     if rho.ranks != sigma.ranks:
         raise BlockMismatch(
             f"sector ranks differ: {rho.ranks!r} vs {sigma.ranks!r}"
         )
-    if rho.kind == sigma.kind and rho.kind in (KIND_SUBSYSTEM, KIND_PRODUCT, KIND_JOINT):
-        total = 0.0
+    if rho.stack != sigma.stack:
+        raise BlockMismatch(f"stacks differ: {rho.stack!r} vs {sigma.stack!r}")
+    if rho.kind == sigma.kind:
+        total = np.zeros(rho.stack)
         for key in _ordered_keys(rho, sigma):
-            r = rho.block(key) if key in rho.keys() else None
-            s = sigma.block(key) if key in sigma.keys() else None
-            if r is None:
+            if key not in rho.keys():
                 continue
-            if s is None:
-                s = np.zeros_like(r)
+            r = rho.block(key)
+            s = sigma.block(key) if key in sigma.keys() else np.zeros_like(r)
             total += rho.weight(key) * _block_relative_entropy(r, s)
-        return max(total, 0.0)
+        return _value(np.maximum(total, 0.0))
     if rho.kind == KIND_JOINT and sigma.kind == KIND_PRODUCT:
         layout = rho.joint_layout()
         sigma_joint = _joint_restriction(sigma, layout)
-        return max(
-            _block_relative_entropy(rho.block(VACUUM_BLOCK), sigma_joint), 0.0
+        return _value(
+            np.maximum(_block_relative_entropy(rho.block(VACUUM_BLOCK), sigma_joint), 0.0)
         )
     raise BlockMismatch(
         f"incompatible operator kinds {rho.kind!r} and {sigma.kind!r}"
@@ -581,22 +659,26 @@ def minimality_gradient(state: SchmidtState, direction: SeparableState) -> float
         amp = np.sqrt(lam)
         dk = np.outer(amp, amp) * _log_divided_difference(s[:, None], s[None, :])
         pairing = pairing + np.sum(dk * overlap, axis=(-2, -1)).real
-    gradient = (1.0 - pairing) / math.log(2.0)
-    return float(gradient) if weights.ndim == 1 else gradient
+    return _value((1.0 - pairing) / math.log(2.0))
 
 
-def pythagorean_residual(state: SchmidtState) -> float:
+def pythagorean_residual(states: SchmidtState | Sequence[SchmidtState]) -> float | np.ndarray:
     """AREE minus the two-step path through the Omega image; vanishes for states.
 
     Computes AREE - S(rho || Omega(rho)) - S(Omega(rho) || rho_0), with
     the AREE read from :func:`~fibanyon.measures.measure_report` and both
-    relative entropies computed through blocks.
+    relative entropies computed through blocks.  A float for one state;
+    for a stack, an array of one value per state.
     """
-    rho = embed(state)
-    omega = omega_project(state)
-    candidate = closest_separable_candidate(state).to_operator(state.ranks)
+    rho = embed(states)
+    omega = omega_project(states)
+    candidate = closest_separable_candidate(states).to_operator(rho.ranks)
+    if isinstance(states, SchmidtState):
+        aree = measure_report(states).aree
+    else:
+        aree = np.array([measure_report(s).aree for s in states])
     return (
-        measure_report(state).aree
+        aree
         - relative_entropy(rho, omega)
         - relative_entropy(omega, candidate)
     )

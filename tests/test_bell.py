@@ -440,11 +440,21 @@ def perturb_one_factor(monkeypatch, fault):
     directions (the right factor of the first term of the last direction); returns the
     messages that ``assert_state`` gives on each faulty factor."""
     real = oracle._check_states
+    real_draw = oracle.random_separable_directions
     messages = []
+    drawing = []
+
+    def draw(*args):
+        drawing.append(True)
+        try:
+            return real_draw(*args)
+        finally:
+            drawing.pop()
 
     def perturbing(blocks, weights):
-        # Other callers (operators, the candidate) have fewer axes; they see no fault.
-        if next(iter(blocks.values())).ndim != 5:
+        # Only the factor stacks of a draw see the fault: stacks of candidates have
+        # five axes too, and the one-operator check below runs inside the draw.
+        if not drawing or next(iter(blocks.values())).ndim != 5:
             return real(blocks, weights)
         factor = {c: stack[-1, 0, 1] for c, stack in blocks.items()}
         faulty = fault(factor)
@@ -457,6 +467,8 @@ def perturb_one_factor(monkeypatch, fault):
         real(blocks, weights)
 
     monkeypatch.setattr(oracle, "_check_states", perturbing)
+    monkeypatch.setattr(oracle, "random_separable_directions", draw)
+    monkeypatch.setattr(verify, "random_separable_directions", draw)
     return messages
 
 

@@ -537,6 +537,26 @@ class TestSharedParser:
         }
 
 
+def test_import_set():
+    """``import fibanyon.cli`` in a fresh interpreter loads these package modules
+    and none of the test-only libraries: start-up time moves with the import path."""
+    script = (
+        "import json, sys\n"
+        "import fibanyon.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('fibanyon', 'scipy', 'sympy', 'mpmath', 'hypothesis'))))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    modules = ["bell", "cli", "errors", "measures", "model", "multicopy", "oracle", "states",
+               "verify"]
+    assert json.loads(done.stdout) == ["fibanyon", *(f"fibanyon.{m}" for m in modules)]
+
+
 class TestModuleEntryPoint:
     @staticmethod
     def run_module(*argv):

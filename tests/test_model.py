@@ -78,8 +78,10 @@ class TestFusionSpaceDim:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_brute_force(self, n):
+        paths = _brute_force_paths(n)
+        assert set(paths) == set(CHARGE_ORDER)
         for c in CHARGE_ORDER:
-            assert fusion_space_dim(n, c) == _brute_force_paths(n, c)
+            assert fusion_space_dim(n, c) == paths[c]
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_total_dimension_identity_exact(self, n):

@@ -1,0 +1,167 @@
+"""Stacks of states through the dense oracle, against the route one state at a time."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dense_reference as reference
+from fibanyon import oracle, verify
+from fibanyon.errors import BlockMismatch, NotAState, SupportViolation, ValidationError
+from fibanyon.model import Charge
+from fibanyon.oracle import (
+    GradedDensityOperator,
+    anyonic_entropy,
+    closest_separable_candidate,
+    embed,
+    omega_project,
+    pythagorean_residual,
+    reduced_density,
+    relative_entropy,
+)
+from fibanyon.states import new_schmidt_state, random_schmidt_state
+
+TAU = Charge.TAU
+VAC = Charge.VACUUM
+
+#: The three per-state values of ``verify``'s dense checks: the stacked route
+#: (one call per stack) and the reference (one state at a time).
+CHECKS = [
+    pytest.param(pythagorean_residual, reference.pythagorean_residual, id="residual"),
+    pytest.param(verify._separable_gaps, reference.separable_gap, id="separable-gap"),
+    pytest.param(verify._aee_gaps, reference.aee_gap, id="aee-gap"),
+]
+
+
+def verify_states(seed, cases=100):
+    rng = np.random.default_rng(seed)
+    return [random_schmidt_state(rng) for _ in range(cases)]
+
+
+@pytest.mark.parametrize("stacked, one", CHECKS)
+@pytest.mark.parametrize("seed", [42, 7, 101, 1234567])
+def test_stacks_by_signature_match_the_reference(seed, stacked, one):
+    states = verify_states(seed)
+    values = verify._per_state(stacked, states)
+    assert values == [one(s) for s in states]
+
+
+@st.composite
+def signature_stacks(draw):
+    """One to five states sharing their sector ranks; coefficients are drawn from
+    a few levels, so equal coefficients are common, and one-sector states too."""
+    charges = draw(st.sampled_from([(VAC,), (TAU,), (VAC, TAU)]))
+    ranks = [draw(st.integers(1, 3)) for _ in charges]
+    stack = []
+    for _ in range(draw(st.integers(1, 5))):
+        levels = [draw(st.lists(st.integers(1, 3), min_size=k, max_size=k)) for k in ranks]
+        total = sum(map(sum, levels))
+        stack.append(
+            new_schmidt_state({c: [v / total for v in vs] for c, vs in zip(charges, levels)})
+        )
+    return stack
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(stack=signature_stacks())
+def test_drawn_stacks_match_the_reference(stack):
+    for stacked, one in (p.values for p in CHECKS):
+        assert list(stacked(stack)) == [one(s) for s in stack]
+
+
+@pytest.mark.parametrize("state", verify_states(5, 12))
+def test_stack_of_one_is_the_unstacked_call(state):
+    rho, omega = embed(state), omega_project(state)
+    candidate = closest_separable_candidate(state).to_operator(state.ranks)
+    one = [
+        pythagorean_residual(state),
+        relative_entropy(rho, omega),
+        relative_entropy(rho, candidate),
+        relative_entropy(omega, candidate),
+        anyonic_entropy(reduced_density(state)),
+    ]
+    rho, omega = embed([state]), omega_project([state])
+    candidate = closest_separable_candidate([state]).to_operator(state.ranks)
+    stacked = [
+        pythagorean_residual([state]),
+        relative_entropy(rho, omega),
+        relative_entropy(rho, candidate),
+        relative_entropy(omega, candidate),
+        anyonic_entropy(reduced_density([state])),
+    ]
+    assert all(isinstance(value, float) for value in one)
+    assert all(value.shape == (1,) for value in stacked)
+    assert [value[0] for value in stacked] == one
+    for build in (embed, omega_project, reduced_density):
+        single, stack = build(state), build([state])
+        assert (single.stack, stack.stack) == ((), (1,))
+        assert all(np.array_equal(stack.block(key)[0], single.block(key)) for key in single.keys())
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "build", [embed, omega_project, reduced_density, closest_separable_candidate,
+                  pythagorean_residual]
+    )
+    def test_states_of_different_ranks(self, build):
+        one = new_schmidt_state({TAU: [0.6, 0.4]})
+        other = new_schmidt_state({TAU: [0.5, 0.3, 0.2]})
+        with pytest.raises(BlockMismatch, match="sector ranks differ"):
+            build([one, one, other])
+
+    def test_stacks_of_different_shapes(self):
+        states = [new_schmidt_state({TAU: [0.6, 0.4]})] * 2
+        with pytest.raises(BlockMismatch, match="stacks differ"):
+            relative_entropy(embed(states), omega_project(states[0]))
+
+    def test_support_violation_in_a_later_state(self):
+        states = [new_schmidt_state({VAC: [0.5, 0.5]})] * 3
+        omega = omega_project(states)
+        narrow = omega.block((VAC, VAC)).copy()
+        # The third state's image keeps only the first paired basis vector.
+        narrow[2] = 0.0
+        narrow[2, 0, 0] = 1.0
+        sigma = GradedDensityOperator({(VAC, VAC): narrow}, ranks=omega.ranks)
+        with pytest.raises(SupportViolation, match="outside sigma's support"):
+            relative_entropy(embed(states), sigma)
+
+    @pytest.mark.parametrize(
+        "fault, text",
+        [
+            pytest.param(lambda m: m * 1.5, "quantum trace is", id="scaled"),
+            pytest.param(lambda m: m + 1e-3j * np.triu(np.ones_like(m), 1),
+                         "operator is not Hermitian", id="non-hermitian"),
+            pytest.param(lambda m: m - 0.5 * np.eye(m.shape[-1]),
+                         "is not positive semidefinite", id="negative-eigenvalue"),
+        ],
+    )
+    def test_non_state_in_a_later_state(self, fault, text):
+        states = [new_schmidt_state({VAC: [0.3], TAU: [0.4, 0.3]})] * 3
+        density = reduced_density(states)
+        blocks = {c: density.block(c).copy() for c in density.keys()}
+        blocks[TAU][1] = fault(blocks[TAU][1])
+        with pytest.raises(NotAState, match=text) as stacked:
+            anyonic_entropy(GradedDensityOperator(blocks))
+        with pytest.raises(NotAState) as alone:
+            anyonic_entropy(GradedDensityOperator({c: m[1] for c, m in blocks.items()}))
+        assert str(stacked.value) == str(alone.value)
+
+    def test_candidate_of_a_later_state_is_validated(self, monkeypatch):
+        states = [new_schmidt_state({TAU: [0.6, 0.4]})] * 3
+        real = oracle.SeparableState
+        seen = []
+
+        def scaled(weights, blocks):
+            blocks = {c: m.copy() for c, m in blocks.items()}
+            blocks[TAU][2, 1, 0] *= 1.5
+            seen.append(weights.shape)
+            return real(weights, blocks)
+
+        monkeypatch.setattr(oracle, "SeparableState", scaled)
+        with pytest.raises(NotAState, match="quantum trace is"):
+            closest_separable_candidate(states)
+        assert seen == [(3, 2)]
+
+    def test_mixed_stack_shapes_in_one_operator(self):
+        with pytest.raises(ValidationError, match="different shapes"):
+            GradedDensityOperator({TAU: np.zeros((2, 1, 1)), VAC: np.zeros((3, 1, 1))})
