@@ -23,16 +23,16 @@ candidate = oracle.closest_separable_candidate(state).to_operator(state.ranks)
 leg_charge = oracle.relative_entropy(rho, omega)
 leg_conventional = oracle.relative_entropy(omega, candidate)
 total = oracle.relative_entropy(rho, candidate)
+report = fa.measure_report(state)
 
 print("state:", state)
 print(f"  S(rho || Omega(rho))        = {leg_charge:.12f}   (ACE)")
 print(f"  S(Omega(rho) || separable)  = {leg_conventional:.12f}   (CE)")
 print(f"  S(rho || separable)         = {total:.12f}   (AREE)")
 print(f"  legs sum - total            = {leg_charge + leg_conventional - total:.2e}")
-print(f"  closed-form residual        = {oracle.pythagorean_residual(state):.2e}")
+print(f"  closed-form residual        = {oracle.pythagorean_residual(state, report.aree):.2e}")
 print()
 
-report = fa.measure_report(state)
 print("closed forms agree:")
 print(f"  AREE {report.aree:.12f} = ACE {report.ace:.12f} + CE {report.ce:.12f}")
 print()

@@ -184,18 +184,16 @@ def _round12(x: float) -> float:
 
 
 def _emit(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        try:
-            with open(out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-                if not text.endswith("\n"):
-                    handle.write("\n")
-        except OSError as exc:
-            raise ValidationError(f"cannot write output file {out!r}: {exc}") from exc
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {out!r}: {exc}") from exc
 
 
 def _json_line(payload: dict) -> str:

@@ -73,18 +73,18 @@ def _check_copies(state: SchmidtState, n: int) -> None:
 
 
 def _joint_rank(state: SchmidtState, n: int) -> int:
-    """Exact Schmidt rank of the joint n-copy, as a Python int, in O(n) steps.
+    """Exact Schmidt rank of the joint n-copy, as a Python int.
 
     The compositions with m tau letters carry C(n, m) r_tau^m r_1^(n-m)
     index vectors (r_c the sector ranks), each with the fusion paths of m
-    tau charges to either total charge: dim(m + 1, tau), the Fibonacci
-    number F_(m+1), stepped here alongside m.
+    tau charges to either total charge.  Python ints throughout: the rank
+    can pass int64, which the caller's guard tests.
     """
     r_vac, r_tau = state.rank(Charge.VACUUM), state.rank(Charge.TAU)
-    rank, paths, previous = 0, 1, 0
+    rank = 0
     for m in range(n + 1):
+        paths = _paths(m, Charge.VACUUM) + _paths(m, Charge.TAU)
         rank += math.comb(n, m) * r_tau**m * r_vac ** (n - m) * paths
-        paths, previous = paths + previous, paths
     return rank
 
 

@@ -5,8 +5,10 @@ certificates are computed in closed form from grouped Schmidt data
 elsewhere in the package.  This module is the one place that knows the
 dense block format; ``verify`` and the demos use it to rebuild those
 numbers numerically, and every public name here has a caller among
-them.  Checks of the oracle itself (random observables, operator
-expectations, the Tsirelson bound) live with the tests.
+them.  It reads no closed form: :func:`pythagorean_residual` takes the
+AREE it checks from its caller.  Checks of the oracle itself (random
+observables, operator expectations, the Tsirelson bound) live with the
+tests.
 
 Density-type operators carry a block per superselection sector together
 with a quantum-trace weight.  Three block layouts appear:
@@ -46,8 +48,9 @@ already absorbed into the Schmidt normalization)::
 
     <A B> = sum_c sum_{ik} sqrt(lambda_{c,i} lambda_{c,k}) A^c_{ik} B^c_{ik}
 
-Validation keeps ``np.allclose`` tolerances and answers but costs little:
-the Hermitian, involution and state tests go through :func:`_allclose`.
+The Hermitian, involution and state tests are ``np.allclose`` verdicts,
+formed with every floating-point warning silenced: a block with
+non-finite or huge entries fails its test with the package error alone.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ from .errors import (
     TargetRankError,
     ValidationError,
 )
-from .measures import measure_report
 from .model import CHARGE_ORDER, Charge, qdim_float
 from .states import SchmidtState
 
@@ -94,28 +96,41 @@ _MATERIALIZE_LIMIT = 2048
 _PRODUCT_CHUNK = 1 << 18
 
 
-def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
-    """Exactly ``bool(np.allclose(a, b, atol=atol))``, at a fraction of its cost.
-
-    ``np.isclose`` accepts an entry when ``|a - b| <= atol + 1e-5 |b|`` with
-    ``b`` finite, or when ``a == b``.  When the first test holds for every
-    entry the answer is True without more work; in every other case,
-    including each False answer and each non-finite entry, ``np.allclose``
-    itself decides.  ``b`` is cast to an inexact type first, as numpy does.
-    No floating-point warning escapes, whatever the entries.
-    """
-    b = np.asarray(b, dtype=np.result_type(b, 1.0))
-    with np.errstate(all="ignore"):
-        if ((abs(a - b) <= atol + 1e-5 * abs(b)) & np.isfinite(b)).all():
-            return True
-        return bool(np.allclose(a, b, atol=atol))
-
-
 # ---------------------------------------------------------------------------
 # Graded density operators
 # ---------------------------------------------------------------------------
 
 BlockKey = object  # Charge | tuple[Charge, Charge] | VACUUM_BLOCK
+
+#: Operator kind, by the number of charges its block keys name.
+_KINDS = (KIND_JOINT, KIND_SUBSYSTEM, KIND_PRODUCT)
+
+
+def _key_charges(key: BlockKey) -> tuple[Charge, ...]:
+    """The charges a block key names: () for ``VACUUM_BLOCK``, (X,) or (X, Y).
+
+    Their number gives the kind, their quantum dimensions the weight and
+    their values the order in which one operator's blocks are summed.
+    """
+    if key == VACUUM_BLOCK:
+        return ()
+    if isinstance(key, Charge):
+        return (key,)
+    if isinstance(key, tuple) and len(key) == 2 and all(isinstance(k, Charge) for k in key):
+        return key
+    raise ValidationError(f"unrecognized block key {key!r}")
+
+
+def _weight(key: BlockKey) -> float:
+    """Quantum-trace weight of a block: d_X, d_X * d_Y, or 1."""
+    return math.prod(map(qdim_float, _key_charges(key)), start=1.0)
+
+
+def _quantum_trace(blocks: Mapping[BlockKey, np.ndarray]) -> np.ndarray:
+    """sum_key weight(key) * tr(blocks[key]) in key order, one value per state of a stack."""
+    return np.asarray(
+        sum(_weight(key) * np.trace(m, axis1=-2, axis2=-1).real for key, m in blocks.items())
+    )
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -147,27 +162,23 @@ def _coefficient_stack(
     return {c: np.stack([s.coefficients(c) for s in states]) for c in ranks}, ranks
 
 
-def _check_states(
-    blocks: Mapping[BlockKey, np.ndarray], weights: Mapping[BlockKey, float]
-) -> None:
+def _check_states(blocks: Mapping[BlockKey, np.ndarray]) -> None:
     """Raise :class:`NotAState` unless every state of a stack is one, to 1e-10.
 
-    ``blocks[key]`` (..., k, k) holds block ``key`` of every state, with
-    quantum-trace weight ``weights[key]``.  In this order: Hermitian
-    (``np.allclose``, through the exact helper :func:`_allclose`),
-    positive semidefinite (one stacked ``eigvalsh`` per key) and of unit
-    quantum trace, summed in key order; the first failing check names the
-    error.
+    ``blocks[key]`` (..., k, k) holds block ``key`` of every state.  In
+    this order: Hermitian (``np.allclose``), positive semidefinite (one
+    stacked ``eigvalsh`` per key) and of unit quantum trace
+    (:func:`_quantum_trace`); the first failing check names the error.
+    No floating-point warning escapes, whatever the entries.
     """
-    if not all(_allclose(m, _dagger(m), _STATE_TOL) for m in blocks.values()):
-        raise NotAState("operator is not Hermitian")
-    for key, m in blocks.items():
-        if np.linalg.eigvalsh(m).min(initial=math.inf) < -_STATE_TOL:
-            raise NotAState(f"block {key!r} is not positive semidefinite")
-    trace = np.asarray(
-        sum(weights[key] * np.trace(m, axis1=-2, axis2=-1).real for key, m in blocks.items())
-    )
-    off = np.abs(trace - 1.0) > _STATE_TOL
+    with np.errstate(all="ignore"):
+        if not all(np.allclose(m, _dagger(m), atol=_STATE_TOL) for m in blocks.values()):
+            raise NotAState("operator is not Hermitian")
+        for key, m in blocks.items():
+            if np.linalg.eigvalsh(m).min(initial=math.inf) < -_STATE_TOL:
+                raise NotAState(f"block {key!r} is not positive semidefinite")
+        trace = _quantum_trace(blocks)
+        off = np.abs(trace - 1.0) > _STATE_TOL
     if off.any():
         raise NotAState(f"quantum trace is {float(trace[off][0])!r}, not 1")
 
@@ -196,18 +207,7 @@ class GradedDensityOperator:
                 raise ValidationError(f"block {key!r} is not a square matrix")
             m.setflags(write=False)
             stored[key] = m
-            if key == VACUUM_BLOCK:
-                kinds.add(KIND_JOINT)
-            elif isinstance(key, Charge):
-                kinds.add(KIND_SUBSYSTEM)
-            elif (
-                isinstance(key, tuple)
-                and len(key) == 2
-                and all(isinstance(k, Charge) for k in key)
-            ):
-                kinds.add(KIND_PRODUCT)
-            else:
-                raise ValidationError(f"unrecognized block key {key!r}")
+            kinds.add(_KINDS[len(_key_charges(key))])
         if len(kinds) != 1:
             raise ValidationError(f"mixed block-key kinds {sorted(kinds)}")
         stacks = {m.shape[:-2] for m in stored.values()}
@@ -225,13 +225,11 @@ class GradedDensityOperator:
 
     def _check_shapes(self, blocks: Mapping[BlockKey, np.ndarray]) -> None:
         for key, m in blocks.items():
-            if key == VACUUM_BLOCK:
-                expected = sum(k * k for k in self._ranks.values())
-            elif isinstance(key, Charge):
-                expected = self._ranks.get(key, 0)
+            charges = _key_charges(key)
+            if charges:
+                expected = math.prod(self._ranks.get(c, 0) for c in charges)
             else:
-                a, b = key
-                expected = self._ranks.get(a, 0) * self._ranks.get(b, 0)
+                expected = sum(k * k for k in self._ranks.values())
             if m.shape[-1] != expected:
                 raise ValidationError(
                     f"block {key!r} has dimension {m.shape[-1]}, expected {expected}"
@@ -258,14 +256,7 @@ class GradedDensityOperator:
     def block(self, key: BlockKey) -> np.ndarray:
         return self._blocks[key]
 
-    def weight(self, key: BlockKey) -> float:
-        """Quantum-trace weight of a block: d_X, d_X * d_Y, or 1."""
-        if key == VACUUM_BLOCK:
-            return 1.0
-        if isinstance(key, Charge):
-            return qdim_float(key)
-        a, b = key
-        return qdim_float(a) * qdim_float(b)
+    weight = staticmethod(_weight)
 
     def joint_layout(self) -> tuple[tuple[Charge, int, int], ...]:
         """Sector slices of the vacuum-channel basis: (charge, offset, size)."""
@@ -281,16 +272,11 @@ class GradedDensityOperator:
     # -- numerics ----------------------------------------------------------
 
     def quantum_trace(self) -> float | np.ndarray:
-        return _value(
-            sum(
-                self.weight(key) * np.trace(m, axis1=-2, axis2=-1).real
-                for key, m in self._blocks.items()
-            )
-        )
+        return _value(_quantum_trace(self._blocks))
 
     def assert_state(self) -> None:
         """Raise :class:`NotAState` unless a state, as :func:`_check_states` tests."""
-        _check_states(self._blocks, {key: self.weight(key) for key in self._blocks})
+        _check_states(self._blocks)
 
     def __repr__(self) -> str:
         keys = ", ".join(repr(getattr(k, "value", k)) for k in self._blocks)
@@ -404,9 +390,7 @@ def omega_project_operator(op: GradedDensityOperator) -> GradedDensityOperator:
     product-observable expectations.
     """
     if op.kind == KIND_PRODUCT:
-        return GradedDensityOperator(
-            {key: op.block(key) for key in op.keys()}, ranks=op.ranks
-        )
+        return op
     if op.kind != KIND_JOINT:
         raise BlockMismatch("omega projection applies to bipartite operators")
     matrix = op.block(VACUUM_BLOCK)
@@ -438,7 +422,7 @@ class SeparableState:
         negative = self.weights < 0.0
         if negative.any():
             raise ValidationError(f"negative mixture weight {float(self.weights[negative][0])!r}")
-        _check_states(self.blocks, {c: qdim_float(c) for c in self.blocks})
+        _check_states(self.blocks)
         total = np.asarray(sum(np.moveaxis(self.weights, -1, 0)))
         off = np.abs(total - 1.0) > 1e-12
         if off.any():
@@ -516,23 +500,6 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + _dagger(m))
 
 
-def _ordered_keys(*ops: GradedDensityOperator) -> list:
-    """Union of block keys in a canonical order (summation determinism)."""
-    def sort_key(key):
-        if key == VACUUM_BLOCK:
-            return (2, "", "")
-        if isinstance(key, Charge):
-            return (0, key.value, "")
-        return (1, key[0].value, key[1].value)
-
-    seen = []
-    for op in ops:
-        for key in op.keys():
-            if key not in seen:
-                seen.append(key)
-    return sorted(seen, key=sort_key)
-
-
 def _block_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """tr(rho log2 rho) - tr(rho log2 sigma) for one matched block of each state.
 
@@ -555,15 +522,14 @@ def _block_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return tr_r_log_r - tr_r_log_s
 
 
-def _joint_restriction(
-    op: GradedDensityOperator, layout: tuple[tuple[Charge, int, int], ...]
-) -> np.ndarray:
+def _joint_restriction(op: GradedDensityOperator) -> np.ndarray:
     """Vacuum-channel component of a product-basis operator.
 
     Product operators act identically on every fusion channel of a charge
     pair, so the restriction is the block-diagonal stack of the (c, c)
     blocks in joint-layout order.
     """
+    layout = op.joint_layout()
     dim = sum(size for _, _, size in layout)
     out = np.zeros((*op.stack, dim, dim), dtype=complex)
     for c, offset, size in layout:
@@ -592,16 +558,13 @@ def relative_entropy(
         raise BlockMismatch(f"stacks differ: {rho.stack!r} vs {sigma.stack!r}")
     if rho.kind == sigma.kind:
         total = np.zeros(rho.stack)
-        for key in _ordered_keys(rho, sigma):
-            if key not in rho.keys():
-                continue
+        for key in sorted(rho.keys(), key=lambda key: [c.value for c in _key_charges(key)]):
             r = rho.block(key)
             s = sigma.block(key) if key in sigma.keys() else np.zeros_like(r)
             total += rho.weight(key) * _block_relative_entropy(r, s)
         return _value(np.maximum(total, 0.0))
     if rho.kind == KIND_JOINT and sigma.kind == KIND_PRODUCT:
-        layout = rho.joint_layout()
-        sigma_joint = _joint_restriction(sigma, layout)
+        sigma_joint = _joint_restriction(sigma)
         return _value(
             np.maximum(_block_relative_entropy(rho.block(VACUUM_BLOCK), sigma_joint), 0.0)
         )
@@ -662,21 +625,20 @@ def minimality_gradient(state: SchmidtState, direction: SeparableState) -> float
     return _value((1.0 - pairing) / math.log(2.0))
 
 
-def pythagorean_residual(states: SchmidtState | Sequence[SchmidtState]) -> float | np.ndarray:
+def pythagorean_residual(
+    states: SchmidtState | Sequence[SchmidtState], aree: float | Sequence[float]
+) -> float | np.ndarray:
     """AREE minus the two-step path through the Omega image; vanishes for states.
 
     Computes AREE - S(rho || Omega(rho)) - S(Omega(rho) || rho_0), with
-    the AREE read from :func:`~fibanyon.measures.measure_report` and both
-    relative entropies computed through blocks.  A float for one state;
-    for a stack, an array of one value per state.
+    the AREE given by the caller (a float for one state, one value per
+    state for a stack) and both relative entropies computed through
+    blocks.  A float for one state; for a stack, an array of one value
+    per state.
     """
     rho = embed(states)
     omega = omega_project(states)
     candidate = closest_separable_candidate(states).to_operator(rho.ranks)
-    if isinstance(states, SchmidtState):
-        aree = measure_report(states).aree
-    else:
-        aree = np.array([measure_report(s).aree for s in states])
     return (
         aree
         - relative_entropy(rho, omega)
@@ -733,12 +695,14 @@ def _check_involutions(m: np.ndarray, label: str) -> None:
     Hermitian involution, entrywise to 1e-9.
 
     Both tests are ``np.allclose`` at ``atol`` 1e-9, against ``m^dagger``
-    and against the identity, evaluated by the exact helper :func:`_allclose`.
+    and, through ``m @ m``, against the identity.  No floating-point
+    warning escapes, whatever the entries.
     """
-    if not _allclose(m, _dagger(m), _INVOLUTION_TOL):
-        raise ValidationError(f"{label} is not Hermitian")
-    if not _allclose(m @ m, np.eye(m.shape[-1]), _INVOLUTION_TOL):
-        raise ValidationError(f"{label} is not an involution (eigenvalues +-1)")
+    with np.errstate(all="ignore"):
+        if not np.allclose(m, _dagger(m), atol=_INVOLUTION_TOL):
+            raise ValidationError(f"{label} is not Hermitian")
+        if not np.allclose(m @ m, np.eye(m.shape[-1]), atol=_INVOLUTION_TOL):
+            raise ValidationError(f"{label} is not an involution (eigenvalues +-1)")
 
 
 class Observable:

@@ -128,10 +128,14 @@ def _per_state(
     return values
 
 
+def _residuals(stack: list[SchmidtState]) -> np.ndarray:
+    return pythagorean_residual(stack, [measure_report(s).aree for s in stack])
+
+
 def check_decomposition_numeric(states: Sequence[SchmidtState]) -> list[CheckResult]:
     """AREE = ACE + CE through block relative entropies, on the first 100 states."""
     numeric_states = states[:100]
-    numeric = max(map(abs, _per_state(pythagorean_residual, numeric_states)))
+    numeric = max(map(abs, _per_state(_residuals, numeric_states)))
     detail = f"max numeric residual = {numeric:.3e} over {len(numeric_states)} states"
     return [CheckResult("decomposition-numeric", numeric < 1e-8, detail)]
 

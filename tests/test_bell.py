@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,19 @@ class TestObservables:
     def test_non_involution_rejected(self):
         with pytest.raises(ValidationError):
             Observable({TAU: np.array([[0.5]])})
+
+    @pytest.mark.parametrize(
+        "block",
+        [[[1e200, 0.0], [0.0, 1e200]], [[math.inf, 0.0], [0.0, 1.0]]],
+        ids=["overflow", "infinite"],
+    )
+    def test_square_out_of_range_is_rejected_without_warning(self, block):
+        """``m @ m`` overflows or meets inf * 0; the involution test says so, silently."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match="not an involution"):
+                Observable({TAU: block})
+        assert caught == []
 
     def test_random_involutions_are_involutions(self):
         rng = np.random.default_rng(3)
@@ -451,11 +465,11 @@ def perturb_one_factor(monkeypatch, fault):
         finally:
             drawing.pop()
 
-    def perturbing(blocks, weights):
+    def perturbing(blocks):
         # Only the factor stacks of a draw see the fault: stacks of candidates have
         # five axes too, and the one-operator check below runs inside the draw.
         if not drawing or next(iter(blocks.values())).ndim != 5:
-            return real(blocks, weights)
+            return real(blocks)
         factor = {c: stack[-1, 0, 1] for c, stack in blocks.items()}
         faulty = fault(factor)
         blocks = {c: stack.copy() for c, stack in blocks.items()}
@@ -464,7 +478,7 @@ def perturb_one_factor(monkeypatch, fault):
         with pytest.raises(NotAState) as today:
             GradedDensityOperator(faulty).assert_state()
         messages.append(str(today.value))
-        real(blocks, weights)
+        real(blocks)
 
     monkeypatch.setattr(oracle, "_check_states", perturbing)
     monkeypatch.setattr(oracle, "random_separable_directions", draw)

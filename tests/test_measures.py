@@ -451,18 +451,20 @@ class TestMinimalityGradient:
         assert np.all(minimality_gradient(state, directions) >= -1e-6)
 
 
+def residual(state):
+    return pythagorean_residual(state, measure_report(state).aree)
+
+
 class TestPythagoreanResidual:
     def test_single_tau(self):
-        assert abs(pythagorean_residual(new_schmidt_state({TAU: [1.0]}))) < 1e-8
+        assert abs(residual(new_schmidt_state({TAU: [1.0]}))) < 1e-8
 
     def test_product_state(self):
-        assert pythagorean_residual(new_schmidt_state({VAC: [1.0]})) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert residual(new_schmidt_state({VAC: [1.0]})) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("state", random_states(29, 30))
     def test_random_states(self, state):
-        assert abs(pythagorean_residual(state)) < 1e-8
+        assert abs(residual(state)) < 1e-8
 
 
 class TestContinuity:

@@ -97,6 +97,13 @@ def test_closed_form_module_stays_off_the_dense_route(module):
     assert not _bound_names(tree) & DENSE_NAMES
 
 
+def test_oracle_reads_no_closed_form():
+    """A check that needs a closed value (the AREE of ``pythagorean_residual``)
+    takes it from its caller: ``oracle`` imports no closed-form or CLI module."""
+    parts = {part for name in _imported_modules(_tree("oracle")) for part in name.split(".")}
+    assert not parts & {"measures", "multicopy", "cli"}
+
+
 @pytest.mark.parametrize(
     "module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "oracle")
 )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import dense_reference as reference
 from fibanyon import oracle, verify
 from fibanyon.errors import BlockMismatch, NotAState, SupportViolation, ValidationError
+from fibanyon.measures import measure_report
 from fibanyon.model import Charge
 from fibanyon.oracle import (
     GradedDensityOperator,
@@ -27,7 +28,7 @@ VAC = Charge.VACUUM
 #: The three per-state values of ``verify``'s dense checks: the stacked route
 #: (one call per stack) and the reference (one state at a time).
 CHECKS = [
-    pytest.param(pythagorean_residual, reference.pythagorean_residual, id="residual"),
+    pytest.param(verify._residuals, reference.pythagorean_residual, id="residual"),
     pytest.param(verify._separable_gaps, reference.separable_gap, id="separable-gap"),
     pytest.param(verify._aee_gaps, reference.aee_gap, id="aee-gap"),
 ]
@@ -73,8 +74,9 @@ def test_drawn_stacks_match_the_reference(stack):
 def test_stack_of_one_is_the_unstacked_call(state):
     rho, omega = embed(state), omega_project(state)
     candidate = closest_separable_candidate(state).to_operator(state.ranks)
+    aree = measure_report(state).aree
     one = [
-        pythagorean_residual(state),
+        pythagorean_residual(state, aree),
         relative_entropy(rho, omega),
         relative_entropy(rho, candidate),
         relative_entropy(omega, candidate),
@@ -83,7 +85,7 @@ def test_stack_of_one_is_the_unstacked_call(state):
     rho, omega = embed([state]), omega_project([state])
     candidate = closest_separable_candidate([state]).to_operator(state.ranks)
     stacked = [
-        pythagorean_residual([state]),
+        pythagorean_residual([state], [aree]),
         relative_entropy(rho, omega),
         relative_entropy(rho, candidate),
         relative_entropy(omega, candidate),
@@ -101,7 +103,7 @@ def test_stack_of_one_is_the_unstacked_call(state):
 class TestRefusals:
     @pytest.mark.parametrize(
         "build", [embed, omega_project, reduced_density, closest_separable_candidate,
-                  pythagorean_residual]
+                  pytest.param(verify._residuals, id="pythagorean_residual")]
     )
     def test_states_of_different_ranks(self, build):
         one = new_schmidt_state({TAU: [0.6, 0.4]})
