@@ -56,10 +56,7 @@ def _check_copies(state: SchmidtState, n: int) -> None:
     rank does not fit in int64.  Both sizes grow with n, so checking the
     largest copy count of a series covers every row.
     """
-    if n < 1:
-        raise DomainError(f"copy count must be positive, got {n}")
-    if n > N_MAX:
-        raise CopyLimitExceeded(f"n={n} exceeds the copy limit {N_MAX}")
+    _check_count(n)
     letters = sum(len(state.grouped(c)[0]) for c in state.charges)
     compositions = math.comb(n + letters - 1, letters - 1)
     if compositions > _COMPOSITION_BUDGET:
@@ -72,6 +69,14 @@ def _check_copies(state: SchmidtState, n: int) -> None:
         raise CopyLimitExceeded(f"n={n} copies have joint rank {rank}, more than 2**63 - 1")
 
 
+def _check_count(n: int) -> None:
+    """Refuse a copy count below 1 (:class:`DomainError`) or above ``N_MAX``."""
+    if n < 1:
+        raise DomainError(f"copy count must be positive, got {n}")
+    if n > N_MAX:
+        raise CopyLimitExceeded(f"n={n} exceeds the copy limit {N_MAX}")
+
+
 def _joint_rank(state: SchmidtState, n: int) -> int:
     """Exact Schmidt rank of the joint n-copy, as a Python int.
 
@@ -81,30 +86,27 @@ def _joint_rank(state: SchmidtState, n: int) -> int:
     can pass int64, which the caller's guard tests.
     """
     r_vac, r_tau = state.rank(Charge.VACUUM), state.rank(Charge.TAU)
+    vac, tau = _PATH_COUNTS[Charge.VACUUM], _PATH_COUNTS[Charge.TAU]
     rank = 0
+    binomial = 1  # C(n, m), stepped exactly
     for m in range(n + 1):
-        paths = _paths(m, Charge.VACUUM) + _paths(m, Charge.TAU)
-        rank += math.comb(n, m) * r_tau**m * r_vac ** (n - m) * paths
+        rank += binomial * r_tau**m * r_vac ** (n - m) * (vac[m] + tau[m])
+        binomial = binomial * (n - m) // (m + 1)
     return rank
 
 
-def _paths(m_tau: int, c: Charge) -> int:
-    """Fusion paths of m_tau tau charges (vacua ignored) to total charge c."""
-    if m_tau == 0:
-        return 1 if c is Charge.VACUUM else 0
-    return fusion_space_dim(m_tau, c)
-
-
-#: Exact tables over copy counts 0..N_MAX: binomials C(r, k), flat at index
-#: r * (N_MAX + 1) + k, fusion paths
-#: of m tau charges to each total charge, and PHI**m from Python's float
-#: pow, so that no coefficient depends on numpy's vectorised pow.
+#: Exact tables over copy counts 0..N_MAX: the fusion paths of m tau charges
+#: (vacua ignored) to each total charge, as Python ints and in int64, the one
+#: source of path counts; binomials C(r, k), flat at index r * (N_MAX + 1) + k;
+#: and PHI**m from Python's float pow, not numpy's vectorised pow.
+_PATH_COUNTS = {
+    c: [int(c is Charge.VACUUM)] + [fusion_space_dim(m, c) for m in range(1, N_MAX + 1)]
+    for c in CHARGE_ORDER
+}
 _BINOMIAL = np.array(
     [math.comb(r, k) for r in range(N_MAX + 1) for k in range(N_MAX + 1)], dtype=np.int64
 )
-_PATHS = {
-    c: np.array([_paths(m, c) for m in range(N_MAX + 1)], dtype=np.int64) for c in CHARGE_ORDER
-}
+_PATHS = {c: np.array(counts, dtype=np.int64) for c, counts in _PATH_COUNTS.items()}
 _PHI_POWERS = np.array([PHI**m for m in range(N_MAX + 1)])
 
 
@@ -200,19 +202,13 @@ def _ncopy_sector_probability(state: SchmidtState, n: int, c: Charge) -> float:
     """
     p_tau = state.p_tau
     p_vac = 1.0 - p_tau
+    paths, d_c = _PATH_COUNTS[c], qdim_float(c)
     total = 0.0
+    binomial = 1  # C(n, m), stepped exactly
     for m in range(n + 1):
-        paths = _paths(m, c)
-        if not paths:
-            continue
-        total += (
-            math.comb(n, m)
-            * p_tau**m
-            * p_vac ** (n - m)
-            * paths
-            * qdim_float(c)
-            / PHI**m
-        )
+        # A term with no path adds an exact zero, which keeps the sum's bits.
+        total += binomial * p_tau**m * p_vac ** (n - m) * paths[m] * d_c / PHI**m
+        binomial = binomial * (n - m) // (m + 1)
     return total
 
 
@@ -222,10 +218,9 @@ def e_aree_ncopy(state: SchmidtState, n: int) -> float:
     Equals ``n H({lambda}) + n p_tau log2(d_tau) + p_tau^(n) log2(d_tau)``
     where p_tau^(n) is the n-copy tau-sector probability; matches
     ``measure_report(n_copy(state, n)).aree`` whenever the construction is
-    feasible.
+    feasible; 1 <= n <= ``N_MAX``, the range of the path table, as for :func:`n_copy`.
     """
-    if n < 1:
-        raise DomainError(f"copy count must be positive, got {n}")
+    _check_count(n)
     h_single = _schmidt_entropy(state)
     p_tau_n = _ncopy_sector_probability(state, n, Charge.TAU)
     return n * h_single + n * state.p_tau * LOG2_PHI + p_tau_n * LOG2_PHI

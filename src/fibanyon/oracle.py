@@ -87,8 +87,9 @@ _EIG_CLAMP = 1e-300
 _SUPPORT_TOL = 1e-10
 _INVOLUTION_TOL = 1e-9
 
-#: Hard cap on the joint rank for which dense witness observables can be
-#: materialized at all (blocks are K x K dense matrices).
+#: Hard cap on dense matrix sizes, checked before anything is allocated: the
+#: joint rank K of witness observables (K x K blocks) and the vacuum-channel
+#: dimension sum_c k_c**2 of operators built from Schmidt data.
 _MATERIALIZE_LIMIT = 2048
 
 #: Matrix entries of the weighted Kronecker products that
@@ -149,16 +150,26 @@ def _coefficient_stack(
 
     One state gives arrays without leading axes.  A sequence gives one
     leading axis; its states must share their sector ranks, or
-    :class:`BlockMismatch` is raised.
+    :class:`BlockMismatch` is raised.  Every dense builder starts here, so
+    a vacuum-channel dimension sum_c k_c**2 above 2048 is refused, with
+    :class:`CopyLimitExceeded`, before anything is allocated.
     """
-    if isinstance(states, SchmidtState):
-        return {c: states.coefficients(c) for c in states.charges}, states.ranks
-    if not states:
+    one = isinstance(states, SchmidtState)
+    stack = [states] if one else states
+    if not stack:
         raise ValidationError("a stack needs at least one state")
-    ranks = states[0].ranks
-    for s in states:
+    ranks = stack[0].ranks
+    for s in stack:
         if s.ranks != ranks:
             raise BlockMismatch(f"sector ranks differ: {ranks!r} vs {s.ranks!r}")
+    dimension = sum(k * k for k in ranks.values())
+    if dimension > _MATERIALIZE_LIMIT:
+        raise CopyLimitExceeded(
+            f"vacuum-channel dimension {dimension} exceeds {_MATERIALIZE_LIMIT}; "
+            "dense operators would not fit"
+        )
+    if one:
+        return {c: states.coefficients(c) for c in ranks}, ranks
     return {c: np.stack([s.coefficients(c) for s in states]) for c in ranks}, ranks
 
 
@@ -673,14 +684,13 @@ def random_separable_directions(
         weights[d, :n] = rng.dirichlet(np.ones(n))
         normals[d, :n] = rng.normal(size=(n, 2, size))
     blocks = {}
-    norm = 0.0
     offset = 0
     for c, k in ranks.items():
         parts = normals[..., offset : offset + 2 * k * k].reshape(count, 3, 2, 2, k, k)
         offset += 2 * k * k
         g = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
         blocks[c] = g @ _dagger(g)
-        norm = norm + qdim_float(c) * np.trace(blocks[c], axis1=-2, axis2=-1).real
+    norm = _quantum_trace(blocks)
     blocks = {c: m / norm[..., None, None] for c, m in blocks.items()}
     return SeparableState(weights, blocks)
 

@@ -112,10 +112,9 @@ class SchmidtState:
 
 
 def _canonical(values: np.ndarray, mults: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One sector's nonnegative groups, values descending, zeros stripped, equal values merged."""
-    if values.size > 1:
-        order = np.argsort(values)[::-1]
-        values, mults = values[order], mults[order]
+    """One sector's groups sorted descending into new arrays, zeros stripped, equal ones merged."""
+    order = np.argsort(values)[::-1]
+    values, mults = values[order], mults[order]
     if values.size and values[-1] == 0.0:
         nonzero = np.count_nonzero(values)
         values, mults = values[:nonzero], mults[:nonzero]
@@ -124,11 +123,10 @@ def _canonical(values: np.ndarray, mults: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _merge_equal(values: np.ndarray, mults: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge runs of equal values in a sorted sector, summing int64 multiplicities exactly."""
-    if values.size > 1:
-        distinct = values[1:] != values[:-1]
-        if np.count_nonzero(distinct) < distinct.size:
-            starts = np.flatnonzero(np.concatenate(([True], distinct)))
-            values, mults = values[starts], np.add.reduceat(mults, starts)
+    distinct = values[1:] != values[:-1]
+    if np.count_nonzero(distinct) < distinct.size:
+        starts = np.flatnonzero(np.concatenate(([True], distinct)))
+        values, mults = values[starts], np.add.reduceat(mults, starts)
     return values, mults
 
 
@@ -156,10 +154,7 @@ def from_arrays(sectors: Mapping[Charge, tuple[np.ndarray, np.ndarray]]) -> Schm
             f"Schmidt coefficients sum to {total!r}, deviating from 1 by more than {_SUM_TOL}"
         )
     for c, (values, mults) in canonical.items():
-        if values.size > 1:
-            values /= total  # the sorted copy made by _canonical; never the caller's array
-        else:  # _canonical passes a one-group sector through: copy the caller's arrays
-            values, mults = values / total, mults.copy()
+        values /= total  # the sorted copy made by _canonical; never the caller's array
         values, mults = _merge_equal(values, mults)
         values.setflags(write=False)
         mults.setflags(write=False)

@@ -242,15 +242,17 @@ def _check_three_copies(tau_state: SchmidtState) -> list[CheckResult]:
 def _check_locality(joints: Sequence[tuple[SchmidtState, int]]) -> list[CheckResult]:
     """The closed-form terms exist iff the dense gap is below 1e-12 iff the
     CHSH verdict is local iff the joint state is of type A or B."""
-    rows = [
-        (
-            local_terms(s, n) is not None,
-            certificate_gap(n_copy(s, n)),
-            optimize_chsh(s, n).verdict == "local-bound-respected",
-            classify(n_copy(s, n)) is not StateClass.TYPE_C,
+    rows = []
+    for s, n in joints:
+        joint = n_copy(s, n)
+        rows.append(
+            (
+                local_terms(s, n) is not None,
+                certificate_gap(joint),
+                optimize_chsh(s, n).verdict == "local-bound-respected",
+                classify(joint) is not StateClass.TYPE_C,
+            )
         )
-        for s, n in joints
-    ]
     passed = all(
         local == (gap < 1e-12) == verdict == kind for local, gap, verdict, kind in rows
     )

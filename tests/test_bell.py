@@ -714,6 +714,18 @@ class TestLocalityCertificate:
         assert gap >= 1e-12
         assert peak < 50e6
 
+    def test_ten_copy_gap_refused_before_allocating(self):
+        # Ranks 34 and 55: a vacuum channel of 4181 rows, past 2048.
+        joint = n_copy(tau_line(), 10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CopyLimitExceeded, match="dimension 4181 exceeds 2048"):
+                certificate_gap(joint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
     # Dense Omega blocks grow as the fourth power of a sector's joint rank,
     # so the draws shrink as the copy count grows.
     @pytest.mark.parametrize("copies, max_rank", [(1, 3), (2, 2), (3, 1)])

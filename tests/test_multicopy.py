@@ -9,6 +9,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibanyon import multicopy
 from fibanyon.errors import CopyLimitExceeded
 from fibanyon.measures import measure_report
 from fibanyon.model import CHARGE_ORDER, LOG2_PHI, PHI, Charge, fusion_space_dim, qdim_float
@@ -281,6 +282,53 @@ class TestNCopy:
         joint = n_copy(tau_line(), 6)
         assert joint.rank(VAC) == 5  # paths of 6 taus to vacuum
         assert joint.rank(TAU) == 8
+
+
+def _loop_sector_probability(state, n, c):
+    """The n-copy sector probability as a loop over m with one path count per step."""
+    p_tau = state.p_tau
+    p_vac = 1.0 - p_tau
+    total = 0.0
+    for m in range(n + 1):
+        paths = _paths(m, c)
+        if not paths:
+            continue
+        total += math.comb(n, m) * p_tau**m * p_vac ** (n - m) * paths * qdim_float(c) / PHI**m
+    return total
+
+
+class TestPathTable:
+    """The copy guard and the closed forms read one exact path table, built at import."""
+
+    def test_no_path_count_is_computed_after_import(self, monkeypatch):
+        def refuse(n, c):
+            raise AssertionError(f"fusion_space_dim({n}, {c}) called after import")
+
+        monkeypatch.setattr(multicopy, "fusion_space_dim", refuse)
+        states = [
+            tau_line(),
+            new_schmidt_state({VAC: [0.7], TAU: [0.3]}),
+            new_schmidt_state({VAC: [0.3, 0.2], TAU: [0.5]}),
+        ]
+        for state in states:
+            _check_copies(state, N_MAX)
+            for n in range(1, N_MAX + 1):
+                e_aree_ncopy(state, n)
+        assert len(copy_series(tau_line(), N_MAX).rows) == N_MAX
+
+    def test_sector_probability_keeps_its_bits(self):
+        rng = np.random.default_rng(28)
+        states = [tau_line(), new_schmidt_state({VAC: [0.7], TAU: [0.3]})]
+        states += [random_schmidt_state(rng, max_rank=3) for _ in range(20)]
+        for state in states:
+            for n in range(1, N_MAX + 1):
+                for c in CHARGE_ORDER:
+                    expected = _loop_sector_probability(state, n, c)
+                    assert _ncopy_sector_probability(state, n, c) == expected
+
+    def test_closed_form_refuses_counts_past_the_table(self):
+        with pytest.raises(CopyLimitExceeded, match=f"exceeds the copy limit {N_MAX}"):
+            e_aree_ncopy(tau_line(), N_MAX + 1)
 
 
 class TestClosedForm:

@@ -7,12 +7,19 @@ from hypothesis import strategies as st
 
 import dense_reference as reference
 from fibanyon import oracle, verify
-from fibanyon.errors import BlockMismatch, NotAState, SupportViolation, ValidationError
+from fibanyon.errors import (
+    BlockMismatch,
+    CopyLimitExceeded,
+    NotAState,
+    SupportViolation,
+    ValidationError,
+)
 from fibanyon.measures import measure_report
 from fibanyon.model import Charge
 from fibanyon.oracle import (
     GradedDensityOperator,
     anyonic_entropy,
+    certificate_gap,
     closest_separable_candidate,
     embed,
     omega_project,
@@ -110,6 +117,24 @@ class TestRefusals:
         other = new_schmidt_state({TAU: [0.5, 0.3, 0.2]})
         with pytest.raises(BlockMismatch, match="sector ranks differ"):
             build([one, one, other])
+
+    @pytest.mark.parametrize(
+        "build", [embed, omega_project, reduced_density, closest_separable_candidate,
+                  certificate_gap]
+    )
+    def test_dense_dimension_past_the_limit(self, build):
+        # Ranks 32 and 33: a vacuum channel of 32**2 + 33**2 = 2113 rows.
+        wide = new_schmidt_state({VAC: [1 / 65] * 32, TAU: [1 / 65] * 33})
+        with pytest.raises(CopyLimitExceeded, match="dimension 2113 exceeds 2048"):
+            build(wide)
+        if build is not certificate_gap:
+            with pytest.raises(CopyLimitExceeded, match="dimension 2113 exceeds 2048"):
+                build([wide, wide])
+
+    def test_dense_dimension_at_the_limit(self):
+        # Ranks 32 and 32: 2048 rows, the largest vacuum channel accepted.
+        edge = new_schmidt_state({VAC: [1 / 64] * 32, TAU: [1 / 64] * 32})
+        assert closest_separable_candidate(edge).weights.shape == (64,)
 
     def test_stacks_of_different_shapes(self):
         states = [new_schmidt_state({TAU: [0.6, 0.4]})] * 2

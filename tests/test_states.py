@@ -22,6 +22,7 @@ from fibanyon.oracle import (
     reduced_density,
 )
 from fibanyon.states import (
+    _canonical,
     from_arrays,
     from_grouped,
     new_schmidt_state,
@@ -156,11 +157,29 @@ class TestConstruction:
         assert np.array_equal(vac, given_vac)
 
     def test_from_arrays_keeps_a_one_group_multiplicity_writeable(self):
-        mults = np.array([1])
-        state = from_arrays({TAU: (np.array([1.0]), mults)})
-        assert mults.flags.writeable
-        assert state.grouped(TAU)[1] is not mults
-        assert not state.grouped(TAU)[1].flags.writeable
+        """The caller's values and multiplicities, in sectors of one group and of
+        two, stay unchanged, writeable and apart from the state's read-only arrays."""
+        for sectors in (
+            {TAU: (np.array([1.0]), np.array([1]))},
+            {VAC: (np.array([0.2, 0.3]), np.array([1, 1])), TAU: (np.array([0.5]), np.array([1]))},
+            {TAU: (np.array([0.25, 0.25]), np.array([1, 3]))},  # two groups merge into one
+        ):
+            given = {c: (values.copy(), mults.copy()) for c, (values, mults) in sectors.items()}
+            state = from_arrays(sectors)
+            for c, arrays in sectors.items():
+                for mine, kept, stored in zip(arrays, given[c], state.grouped(c)):
+                    assert np.array_equal(mine, kept)
+                    assert mine.flags.writeable
+                    assert not stored.flags.writeable
+                    assert not np.shares_memory(mine, stored)
+
+    @pytest.mark.parametrize("values", [[0.5], [0.3, 0.2], [0.5, 0.0]])
+    def test_canonical_copies_every_sector(self, values):
+        values = np.array(values)
+        mults = np.ones(values.size, dtype=np.int64)
+        out_values, out_mults = _canonical(values, mults)
+        assert not np.shares_memory(out_values, values)
+        assert not np.shares_memory(out_mults, mults)
 
     def test_file_round_trip(self):
         payload = {"sectors": {"1": [0.25, 0.15], "tau": [0.6]}}
