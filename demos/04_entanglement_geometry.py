@@ -18,7 +18,7 @@ from fibanyon import oracle
 state = fa.new_schmidt_state({"1": [0.2, 0.1], "tau": [0.45, 0.25]})
 rho = oracle.embed(state)
 omega = oracle.omega_project(state)
-candidate = oracle.closest_separable_candidate(state).to_operator(state.ranks)
+candidate = oracle.closest_separable_candidate(state).to_operator()
 
 leg_charge = oracle.relative_entropy(rho, omega)
 leg_conventional = oracle.relative_entropy(omega, candidate)

@@ -38,7 +38,8 @@ class DecompositionViolation(FibanyonError, AssertionError):
 class CopyLimitExceeded(FibanyonError, ValueError):
     """A request too large to compute: a copy count past ``N_MAX``, an n-copy
     over the composition budget or past an int64 joint rank, or dense
-    witness observables or operators past 2048 rows."""
+    witness observables, operators or random separable directions past
+    2048 rows."""
 
 
 class DimensionMismatch(FibanyonError, ValueError):

@@ -143,6 +143,17 @@ def _value(x: np.ndarray) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _check_dimension(ranks: Mapping[Charge, int]) -> None:
+    """Refuse, with :class:`CopyLimitExceeded`, sector ranks whose vacuum-channel
+    dimension sum_c k_c**2 exceeds 2048."""
+    dimension = sum(k * k for k in ranks.values())
+    if dimension > _MATERIALIZE_LIMIT:
+        raise CopyLimitExceeded(
+            f"vacuum-channel dimension {dimension} exceeds {_MATERIALIZE_LIMIT}; "
+            "dense operators would not fit"
+        )
+
+
 def _coefficient_stack(
     states: SchmidtState | Sequence[SchmidtState],
 ) -> tuple[dict[Charge, np.ndarray], dict[Charge, int]]:
@@ -162,12 +173,7 @@ def _coefficient_stack(
     for s in stack:
         if s.ranks != ranks:
             raise BlockMismatch(f"sector ranks differ: {ranks!r} vs {s.ranks!r}")
-    dimension = sum(k * k for k in ranks.values())
-    if dimension > _MATERIALIZE_LIMIT:
-        raise CopyLimitExceeded(
-            f"vacuum-channel dimension {dimension} exceeds {_MATERIALIZE_LIMIT}; "
-            "dense operators would not fit"
-        )
+    _check_dimension(ranks)
     if one:
         return {c: states.coefficients(c) for c in ranks}, ranks
     return {c: np.stack([s.coefficients(c) for s in states]) for c in ranks}, ranks
@@ -445,17 +451,17 @@ class SeparableState:
         if sizes != ranks:
             raise BlockMismatch(f"factor sector ranks {sizes!r}, target ranks {ranks!r}")
 
-    def to_operator(self, ranks: Mapping[Charge, int]) -> GradedDensityOperator:
-        """Product-basis operator sum_t p_t rho_A^t (x) rho_B^t of each mixture; a
-        charge pair with no term supported on both sides gets a zero block.
+    def to_operator(self) -> GradedDensityOperator:
+        """Product-basis operator sum_t p_t rho_A^t (x) rho_B^t of each mixture, on
+        the factors' own sector ranks (empty sectors dropped); a charge pair
+        with no term supported on both sides gets a zero block.
 
         Each charge pair (a, b) sums only the terms whose left factor has
         support in a and right factor in b in some mixture of the stack, a
         bounded chunk of terms at a time; a skipped term would add exact
         zeros, which leave the sum's bits unchanged.
         """
-        ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
-        self._check_ranks(ranks)
+        ranks = {c: m.shape[-1] for c, m in self.blocks.items() if m.shape[-1] > 0}
         stack = self.weights.shape[:-1]
         support = {
             c: m.any(axis=(-2, -1)).reshape(-1, *m.shape[-4:-2]).any(axis=0)
@@ -649,7 +655,7 @@ def pythagorean_residual(
     """
     rho = embed(states)
     omega = omega_project(states)
-    candidate = closest_separable_candidate(states).to_operator(rho.ranks)
+    candidate = closest_separable_candidate(states).to_operator()
     return (
         aree
         - relative_entropy(rho, omega)
@@ -669,11 +675,14 @@ def random_separable_directions(
     factor's sector block is g g^dagger, scaled so the factor has unit
     quantum trace.  Each direction has three term slots; a slot past n
     has weight 0 and g = 1, the maximally mixed factor on both sides, so
-    it passes the same checks and adds nothing.
+    it passes the same checks and adds nothing.  Ranks whose vacuum-channel
+    dimension exceeds 2048 are refused, with :class:`CopyLimitExceeded`,
+    before ``rng`` is read.
     """
     ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
     if not ranks:
         raise ValidationError("operator needs at least one block")
+    _check_dimension(ranks)
     size = sum(2 * k * k for k in ranks.values())
     weights = np.zeros((count, 3))
     # A slot past n keeps these normals: g = 1 in every sector.
@@ -846,5 +855,5 @@ def certificate_gap(state: SchmidtState) -> float:
     :func:`fibanyon.bell.local_terms` gives in closed form.  A sector of
     rank >= 2 leaves its coherences in the Omega image, out of the mixture.
     """
-    mixture = closest_separable_candidate(state).to_operator(state.ranks)
+    mixture = closest_separable_candidate(state).to_operator()
     return max_block_gap(omega_project(state), mixture)

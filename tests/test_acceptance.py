@@ -14,6 +14,7 @@ import pytest
 
 from fibanyon.bell import TSIRELSON, optimize_chsh, type_c_bound
 from fibanyon.cli import main
+from fibanyon.measures import measure_report
 from fibanyon.model import PHI, Charge
 from fibanyon.multicopy import copy_series
 from fibanyon.oracle import chsh_value, witness
@@ -140,7 +141,8 @@ def test_criterion_3_copy_series_reproduction():
 def test_criterion_4_pythagorean_decomposition():
     rng = np.random.default_rng(42)
     states = [random_schmidt_state(rng) for _ in range(1000)]
-    results = check_decomposition_closed(states) + check_decomposition_numeric(states)
+    reports = [measure_report(s) for s in states]
+    results = check_decomposition_closed(reports) + check_decomposition_numeric(states, reports)
     report_checks(4, "pythagorean decomposition", results)
 
 
@@ -151,7 +153,7 @@ def test_criterion_5_separable_minimum_oracle():
     report_checks(
         5,
         "closest-separable oracle",
-        check_separable_value(value_states)
+        check_separable_value(value_states, [measure_report(s) for s in value_states])
         + check_separable_gradient(rng, gradient_states, 200),
     )
 

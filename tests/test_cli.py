@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fibanyon as fa
-from fibanyon import cli, errors, multicopy, oracle, verify
+from fibanyon import bell, cli, errors, multicopy, oracle, verify
 from fibanyon.cli import main
 from fibanyon.oracle import GradedDensityOperator
 
@@ -59,6 +60,27 @@ VERIFY_SEED42 = (
     "PASS  aee-dense: max |numeric - closed| = 4.441e-16 over 100 states\n"
     "PASS  aee-additivity: max |aee(n-copy) - n aee| = 3.553e-15\n"
     "PASS  multicopy-closed-form: max |closed - constructed| = 5.329e-15 for n <= 6\n"
+    "PASS  omega-from-joint: max |Omega(embed) - Omega| = 0.000e+00\n"
+    "PASS  copy-series-trends: aee drift 2.220e-16; CE zeros at n=1,2; ACE strictly decreasing\n"
+    "PASS  chsh-three-copies: n=3 optimum 2.632862 (target 2.632862); n<=2 stays local\n"
+    "PASS  locality-certificate: closed-form terms iff dense gap < 1e-12 iff local verdict "
+    "iff type A/B on 13 states; max local gap = 5.551e-17\n"
+    "14/14 checks passed\n"
+)
+
+#: ``verify --seed 7 --cases 150`` stdout: past 100 cases, the closed form
+#: reads every state while the dense checks read the first 100.
+VERIFY_SEED7_CASES150 = (
+    "PASS  golden-identity: d_tau**2 == d_tau + 1 in Q[sqrt(5)]\n"
+    "PASS  total-dimension: sum_c dim(n,c) d_c == d_tau**n for n <= 20\n"
+    "PASS  fusion-paths: dim matches brute-force enumeration for n <= 12\n"
+    "PASS  decomposition-closed-form: max |AREE - ACE - CE| = 5.551e-16 over 150 states\n"
+    "PASS  decomposition-numeric: max numeric residual = 1.332e-15 over 100 states\n"
+    "PASS  separable-oracle-value: max |numeric - closed| = 1.332e-15 over 100 states\n"
+    "PASS  separable-oracle-gradient: min gradient = -3.203e-16 over 10 states x 40 directions\n"
+    "PASS  aee-dense: max |numeric - closed| = 8.882e-16 over 100 states\n"
+    "PASS  aee-additivity: max |aee(n-copy) - n aee| = 2.665e-15\n"
+    "PASS  multicopy-closed-form: max |closed - constructed| = 7.105e-15 for n <= 6\n"
     "PASS  omega-from-joint: max |Omega(embed) - Omega| = 0.000e+00\n"
     "PASS  copy-series-trends: aee drift 2.220e-16; CE zeros at n=1,2; ACE strictly decreasing\n"
     "PASS  chsh-three-copies: n=3 optimum 2.632862 (target 2.632862); n<=2 stays local\n"
@@ -421,6 +443,61 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--seed", "42"])
         assert code == 0
         assert out == VERIFY_SEED42
+
+    def test_golden_transcript_past_100_cases(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--seed", "7", "--cases", "150"])
+        assert code == 0
+        assert out == VERIFY_SEED7_CASES150
+
+    def test_each_report_and_joint_is_derived_once(self, monkeypatch):
+        """Every drawn state reaches ``measure_report`` once, and each joint of
+        n >= 2 copies that the multi-copy and locality checks read is built once."""
+        made, reports, joints = [], Counter(), Counter()
+        real_draw, real_new = verify.random_schmidt_state, verify.new_schmidt_state
+        real_report, real_n_copy = verify.measure_report, verify.n_copy
+
+        def draw(rng):
+            made.append(real_draw(rng))
+            return made[-1]
+
+        def new(sectors):
+            made.append(real_new(sectors))
+            return made[-1]
+
+        def report(state):
+            reports[id(state)] += 1
+            return real_report(state)
+
+        def build(state, n):
+            joints[id(state), n] += n >= 2
+            return real_n_copy(state, n)
+
+        monkeypatch.setattr(verify, "random_schmidt_state", draw)
+        monkeypatch.setattr(verify, "new_schmidt_state", new)
+        for module in (verify, bell, multicopy):
+            monkeypatch.setattr(module, "n_copy", build)
+        for module in (verify, multicopy):
+            monkeypatch.setattr(module, "measure_report", report)
+        assert all(r.passed for r in verify.run_suite(seed=42, cases=3))
+        *drawn, tau = made
+        assert [reports[id(s)] for s in drawn] == [1, 1, 1]
+        assert [joints[id(s), n] for s in drawn for n in range(2, 7)] == [1] * 15
+        # The tau-pair at n = 2, 3: once each in the copy series, the
+        # three-copy CHSH check and the locality rows.
+        assert [joints[id(tau), n] for n in (2, 3)] == [3, 3]
+
+    def test_raising_closed_form_fails_the_groups_that_read_it(self, capsys, monkeypatch):
+        def raising(state):
+            raise errors.DecompositionViolation("reached")
+
+        monkeypatch.setattr(verify, "measure_report", raising)
+        code, out, err = run(capsys, ["verify", "--seed", "42", "--cases", "3"])
+        assert (code, err) == (2, "")
+        expected = VERIFY_SEED42_CASES3.splitlines()
+        for i in (3, 4, 5, 7, 8, 9):
+            expected[i] = f"FAIL  {expected[i].split()[1]} DecompositionViolation: reached"
+        expected[-1] = "8/14 checks passed"
+        assert out.splitlines() == expected
 
     def test_decomposition_violation_is_a_failed_check(self, capsys, monkeypatch):
         real = verify.measure_report

@@ -264,7 +264,7 @@ class TestSeparableCandidate:
 
     @pytest.mark.parametrize("state", random_states(25, 20))
     def test_operator_trace(self, state):
-        op = closest_separable_candidate(state).to_operator(state.ranks)
+        op = closest_separable_candidate(state).to_operator()
         assert op.quantum_trace() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -292,7 +292,7 @@ class TestSeparableOperator:
             (closest_separable_candidate(joint), joint.ranks),
         ]
         for sep, ranks in cases:
-            op = sep.to_operator(ranks)
+            op = sep.to_operator()
             for a in ranks:
                 for b in ranks:
                     assert np.array_equal(op.block((a, b)), dense_operator_block(sep, a, b))
@@ -347,13 +347,13 @@ class TestRelativeEntropy:
 
     def test_lemma_value_single_tau(self):
         state = new_schmidt_state({TAU: [1.0]})
-        candidate = closest_separable_candidate(state).to_operator(state.ranks)
+        candidate = closest_separable_candidate(state).to_operator()
         value = relative_entropy(embed(state), candidate)
         assert value == pytest.approx(TWO_LOG2_PHI, abs=1e-9)
 
     @pytest.mark.parametrize("state", random_states(26, 40))
     def test_matches_aree_closed_form(self, state):
-        candidate = closest_separable_candidate(state).to_operator(state.ranks)
+        candidate = closest_separable_candidate(state).to_operator()
         numeric = relative_entropy(embed(state), candidate)
         assert numeric == pytest.approx(measure_report(state).aree, abs=1e-8)
 
@@ -369,14 +369,14 @@ class TestRelativeEntropy:
         floor = measure_report(state).aree
         directions = random_separable_directions(rng, state.ranks, 5)
         for d in range(5):
-            sigma = _mixture(directions, d).to_operator(state.ranks)
+            sigma = _mixture(directions, d).to_operator()
             assert relative_entropy(rho, sigma) >= floor - 1e-6
 
     def test_support_violation(self):
         state = new_schmidt_state({VAC: [0.5, 0.5]})
         factor = np.array([[1.0, 0.0], [0.0, 0.0]])
         mixture = SeparableState(np.array([1.0]), {VAC: np.array([[factor, factor]])})
-        narrow = mixture.to_operator(state.ranks)
+        narrow = mixture.to_operator()
         with pytest.raises(SupportViolation):
             relative_entropy(embed(state), narrow)
 
@@ -403,9 +403,9 @@ def forward_difference(state, direction, h):
     base = closest_separable_candidate(state)
     weights = np.concatenate([(1.0 - h) * base.weights, h * direction.weights])
     blocks = {c: np.concatenate([base.blocks[c], direction.blocks[c]]) for c in base.blocks}
-    mixed = SeparableState(weights, blocks).to_operator(state.ranks)
+    mixed = SeparableState(weights, blocks).to_operator()
     rho = embed(state)
-    f0 = relative_entropy(rho, base.to_operator(state.ranks))
+    f0 = relative_entropy(rho, base.to_operator())
     return (relative_entropy(rho, mixed) - f0) / h
 
 

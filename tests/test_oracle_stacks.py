@@ -33,12 +33,17 @@ TAU = Charge.TAU
 VAC = Charge.VACUUM
 
 #: The three per-state values of ``verify``'s dense checks: the stacked route
-#: (one call per stack) and the reference (one state at a time).
+#: (one call per stack, given the closed values of the report field named
+#: third) and the reference (one state at a time).
 CHECKS = [
-    pytest.param(verify._residuals, reference.pythagorean_residual, id="residual"),
-    pytest.param(verify._separable_gaps, reference.separable_gap, id="separable-gap"),
-    pytest.param(verify._aee_gaps, reference.aee_gap, id="aee-gap"),
+    pytest.param(pythagorean_residual, reference.pythagorean_residual, "aree", id="residual"),
+    pytest.param(verify._separable_gaps, reference.separable_gap, "aree", id="separable-gap"),
+    pytest.param(verify._aee_gaps, reference.aee_gap, "aee", id="aee-gap"),
 ]
+
+
+def closed(states, field):
+    return [getattr(measure_report(s), field) for s in states]
 
 
 def verify_states(seed, cases=100):
@@ -46,11 +51,11 @@ def verify_states(seed, cases=100):
     return [random_schmidt_state(rng) for _ in range(cases)]
 
 
-@pytest.mark.parametrize("stacked, one", CHECKS)
+@pytest.mark.parametrize("stacked, one, field", CHECKS)
 @pytest.mark.parametrize("seed", [42, 7, 101, 1234567])
-def test_stacks_by_signature_match_the_reference(seed, stacked, one):
+def test_stacks_by_signature_match_the_reference(seed, stacked, one, field):
     states = verify_states(seed)
-    values = verify._per_state(stacked, states)
+    values = verify._per_state(stacked, states, closed(states, field))
     assert values == [one(s) for s in states]
 
 
@@ -73,14 +78,14 @@ def signature_stacks(draw):
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(stack=signature_stacks())
 def test_drawn_stacks_match_the_reference(stack):
-    for stacked, one in (p.values for p in CHECKS):
-        assert list(stacked(stack)) == [one(s) for s in stack]
+    for stacked, one, field in (p.values for p in CHECKS):
+        assert list(stacked(stack, closed(stack, field))) == [one(s) for s in stack]
 
 
 @pytest.mark.parametrize("state", verify_states(5, 12))
 def test_stack_of_one_is_the_unstacked_call(state):
     rho, omega = embed(state), omega_project(state)
-    candidate = closest_separable_candidate(state).to_operator(state.ranks)
+    candidate = closest_separable_candidate(state).to_operator()
     aree = measure_report(state).aree
     one = [
         pythagorean_residual(state, aree),
@@ -90,7 +95,7 @@ def test_stack_of_one_is_the_unstacked_call(state):
         anyonic_entropy(reduced_density(state)),
     ]
     rho, omega = embed([state]), omega_project([state])
-    candidate = closest_separable_candidate([state]).to_operator(state.ranks)
+    candidate = closest_separable_candidate([state]).to_operator()
     stacked = [
         pythagorean_residual([state], [aree]),
         relative_entropy(rho, omega),
@@ -110,7 +115,8 @@ def test_stack_of_one_is_the_unstacked_call(state):
 class TestRefusals:
     @pytest.mark.parametrize(
         "build", [embed, omega_project, reduced_density, closest_separable_candidate,
-                  pytest.param(verify._residuals, id="pythagorean_residual")]
+                  pytest.param(lambda stack: pythagorean_residual(stack, closed(stack, "aree")),
+                               id="pythagorean_residual")]
     )
     def test_states_of_different_ranks(self, build):
         one = new_schmidt_state({TAU: [0.6, 0.4]})
@@ -135,6 +141,16 @@ class TestRefusals:
         # Ranks 32 and 32: 2048 rows, the largest vacuum channel accepted.
         edge = new_schmidt_state({VAC: [1 / 64] * 32, TAU: [1 / 64] * 32})
         assert closest_separable_candidate(edge).weights.shape == (64,)
+
+    def test_separable_directions_past_the_limit(self):
+        # Refused before the generator is read; 2048 rows still draw.
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(CopyLimitExceeded, match="dimension 2113 exceeds 2048"):
+            oracle.random_separable_directions(rng, {VAC: 32, TAU: 33}, 40)
+        assert rng.bit_generator.state == before
+        edge = oracle.random_separable_directions(rng, {VAC: 32, TAU: 32}, 1)
+        assert edge.weights.shape == (1, 3)
 
     def test_stacks_of_different_shapes(self):
         states = [new_schmidt_state({TAU: [0.6, 0.4]})] * 2
