@@ -41,7 +41,7 @@ from .model import (
     qdim,
     qdim_float,
 )
-from .multicopy import N_MAX, CopySeries, copy_series, e_aree_ncopy, n_copy
+from .multicopy import CopySeries, copy_series, e_aree_ncopy, n_copy
 from .states import (
     SchmidtState,
     new_schmidt_state,
@@ -67,7 +67,6 @@ __all__ = [
     "FibanyonError",
     "LOG2_PHI",
     "MeasureReport",
-    "N_MAX",
     "NormalizationError",
     "NotAState",
     "PHI",

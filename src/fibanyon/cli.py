@@ -11,22 +11,24 @@ Commands::
 States are JSON files ``{"sectors": {"1": [...], "tau": [...]}}``.
 The ``chsh`` verdict is exact, ``violation`` when some joint sector has
 Schmidt rank >= 2, which is also when ``certify`` refuses; its value is a
-witnessed lower bound on the CHSH optimum.  Copy counts (``--copies``,
-``--max-n``) run from 1 to 24; a count whose
-joint state would take more than 200 000 compositions to build, or whose
-joint rank does not fit in int64, is refused with exit code 1.  The
+witnessed lower bound on the CHSH optimum, which prints as ``2.0``
+beside a ``violation`` when within 5e-13 of 2 (the tau-pair from 61
+copies on).  Copy counts (``--copies``, ``--max-n``) are positive
+integers; past 66 copies, or past 200 000 compositions or an int64
+joint rank for the state, a count is refused with exit code 1.  The
 ``verify`` seed is a non-negative integer and ``--cases`` runs from 1 to
 10 000.  Exit codes:
 
 * 0 -- success;
 * 1 -- any package error (:class:`~fibanyon.errors.FibanyonError`) other
-  than the one below: invalid input, or a copy count too costly for the state;
+  than the one below: invalid input, or a copy count past 66 or too costly;
 * 2 -- a verification-suite failure, such as a locality certificate that
   does not rebuild its Omega image, a numeric oracle that raises (each
   check of its group prints ``FAIL`` with the error), or a violated
   closed-form identity (:class:`~fibanyon.errors.DecompositionViolation`:
   between the measures, or between a series row and its closed form);
-* 64 -- usage error, including a count or seed out of range.
+* 64 -- usage error, including a count that is not a positive integer,
+  a ``--cases`` past 10 000 or a negative seed.
 
 Each error exit writes one ``error:`` line to stderr.  Numbers are
 emitted with fixed precision so identical inputs and seeds produce
@@ -49,7 +51,7 @@ from typing import Sequence
 from .bell import local_terms, optimize_chsh
 from .errors import DecompositionViolation, FibanyonError, ValidationError
 from .measures import measure_report
-from .multicopy import N_MAX, copy_series
+from .multicopy import copy_series
 from .states import SchmidtState, state_from_dict
 from .verify import run_suite
 
@@ -97,18 +99,18 @@ def build_parser() -> _Parser:
 
     series = sub.add_parser("series", help="per-copy measure series as CSV")
     _add_state(series)
-    series.add_argument("--max-n", type=_copy_count, default=12, help="largest copy count")
+    series.add_argument("--max-n", type=_positive_int, default=12, help="largest copy count")
     _add_out(series)
     series.add_argument("--format", choices=("csv", "json"), default="csv")
 
     chsh = sub.add_parser("chsh", help="closed-form CHSH value of the joint state")
     _add_state(chsh)
-    chsh.add_argument("--copies", type=_copy_count, default=1)
+    chsh.add_argument("--copies", type=_positive_int, default=1)
     _add_out(chsh)
 
     certify = sub.add_parser("certify", help="separable certificate of locality")
     _add_state(certify)
-    certify.add_argument("--copies", type=_copy_count, default=1)
+    certify.add_argument("--copies", type=_positive_int, default=1)
     _add_out(certify)
 
     verify = sub.add_parser("verify", help="run the invariant suite")
@@ -131,19 +133,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _at_most(limit: int, text: str) -> int:
-    value = _positive_int(text)
-    if value > limit:
-        raise argparse.ArgumentTypeError(f"must be at most {limit}, got {text!r}")
-    return value
-
-
-def _copy_count(text: str) -> int:
-    return _at_most(N_MAX, text)
-
-
 def _case_count(text: str) -> int:
-    return _at_most(_CASES_MAX, text)
+    value = _positive_int(text)
+    if value > _CASES_MAX:
+        raise argparse.ArgumentTypeError(f"must be at most {_CASES_MAX}, got {text!r}")
+    return value
 
 
 def _seed(text: str) -> int:

@@ -36,10 +36,10 @@ class DecompositionViolation(FibanyonError, AssertionError):
 
 
 class CopyLimitExceeded(FibanyonError, ValueError):
-    """A request too large to compute: a copy count past ``N_MAX``, an n-copy
-    over the composition budget or past an int64 joint rank, or dense
-    witness observables, operators or random separable directions past
-    2048 rows."""
+    """A request too large to compute: a copy count past 66, whose binomials
+    pass int64, an n-copy over the composition budget or past an int64 joint
+    rank, or dense witness observables, operators or random separable
+    directions past 2048 rows."""
 
 
 class DimensionMismatch(FibanyonError, ValueError):

@@ -33,10 +33,6 @@ from .measures import _schmidt_entropy, measure_report
 from .model import CHARGE_ORDER, LOG2_PHI, PHI, Charge, fusion_space_dim, qdim_float
 from .states import SchmidtState, from_arrays
 
-#: Cap on copy counts; grouped sector data stays in the
-#: hundred-thousand-entry range up to here.
-N_MAX = 24
-
 #: Cap on the compositions C(n + L - 1, L - 1) that :func:`n_copy` enumerates
 #: for L (value, multiplicity) groups; the joint state then holds up to a few
 #: hundred thousand groups, built in about a tenth of a second.
@@ -45,16 +41,21 @@ _COMPOSITION_BUDGET = 200_000
 #: Joint Schmidt ranks must fit the int64 multiplicities of a state.
 _RANK_MAX = 2**63 - 1
 
+#: Largest copy count, the last whose binomials fit the kernel's int64 table:
+#: C(66, 33) <= 2**63 - 1 < C(67, 33).
+_COPY_MAX = 66
+
 _CONSISTENCY_TOL = 1e-9
 
 
 def _check_copies(state: SchmidtState, n: int) -> None:
     """Refuse, before any work, a copy count out of range or too costly for ``state``.
 
-    Raises :class:`CopyLimitExceeded` when n exceeds ``N_MAX``, when the
-    n-copy needs more than 200 000 compositions, or when its exact joint
-    rank does not fit in int64.  Both sizes grow with n, so checking the
-    largest copy count of a series covers every row.
+    Raises :class:`CopyLimitExceeded` when n exceeds 66, the last count
+    whose binomials fit in int64, when the n-copy needs more than 200 000
+    compositions, or when its exact joint rank does not fit in int64.
+    Both sizes grow with n, so checking the largest copy count of a
+    series covers every row.
     """
     _check_count(n)
     letters = sum(len(state.grouped(c)[0]) for c in state.charges)
@@ -70,11 +71,13 @@ def _check_copies(state: SchmidtState, n: int) -> None:
 
 
 def _check_count(n: int) -> None:
-    """Refuse a copy count below 1 (:class:`DomainError`) or above ``N_MAX``."""
+    """Refuse a copy count below 1 (:class:`DomainError`) or above 66."""
     if n < 1:
         raise DomainError(f"copy count must be positive, got {n}")
-    if n > N_MAX:
-        raise CopyLimitExceeded(f"n={n} exceeds the copy limit {N_MAX}")
+    if n > _COPY_MAX:
+        raise CopyLimitExceeded(
+            f"n={n} exceeds the copy limit {_COPY_MAX}, past which C(n, k) overflows int64"
+        )
 
 
 def _joint_rank(state: SchmidtState, n: int) -> int:
@@ -95,26 +98,28 @@ def _joint_rank(state: SchmidtState, n: int) -> int:
     return rank
 
 
-#: Exact tables over copy counts 0..N_MAX: the fusion paths of m tau charges
+#: Exact tables over copy counts 0..66: the fusion paths of m tau charges
 #: (vacua ignored) to each total charge, as Python ints and in int64, the one
-#: source of path counts; binomials C(r, k), flat at index r * (N_MAX + 1) + k;
-#: and PHI**m from Python's float pow, not numpy's vectorised pow.
+#: source of path counts; binomials C(r, k), flat at index r * 67 + k; and
+#: PHI**m from Python's float pow, not numpy's vectorised pow.
 _PATH_COUNTS = {
-    c: [int(c is Charge.VACUUM)] + [fusion_space_dim(m, c) for m in range(1, N_MAX + 1)]
+    c: [int(c is Charge.VACUUM)] + [fusion_space_dim(m, c) for m in range(1, _COPY_MAX + 1)]
     for c in CHARGE_ORDER
 }
 _BINOMIAL = np.array(
-    [math.comb(r, k) for r in range(N_MAX + 1) for k in range(N_MAX + 1)], dtype=np.int64
+    [math.comb(r, k) for r in range(_COPY_MAX + 1) for k in range(_COPY_MAX + 1)],
+    dtype=np.int64,
 )
 _PATHS = {c: np.array(counts, dtype=np.int64) for c, counts in _PATH_COUNTS.items()}
-_PHI_POWERS = np.array([PHI**m for m in range(N_MAX + 1)])
+_PHI_POWERS = np.array([PHI**m for m in range(_COPY_MAX + 1)])
 
 
 def n_copy(state: SchmidtState, n: int) -> SchmidtState:
-    """Joint n-copy of a pure state, as a pure state in Schmidt form; 1 <= n <= ``N_MAX``.
+    """Joint n-copy of a pure state, as a pure state in Schmidt form; 1 <= n <= 66.
 
-    Copy counts that would need more than 200 000 compositions, or whose
-    joint rank does not fit in int64, are refused up front with
+    Copy counts past 66, whose binomials do not fit in int64, counts that
+    would need more than 200 000 compositions, and counts whose joint rank
+    does not fit in int64 are refused up front with
     :class:`CopyLimitExceeded`.
 
     The compositions of n over the L groups (letters) are expanded one
@@ -158,8 +163,8 @@ def n_copy(state: SchmidtState, n: int) -> SchmidtState:
             base = base.take(row)
             if m_tau is not None:
                 m_tau = m_tau.take(row)
-            # Flat index left * (N_MAX + 1) + k into the binomial table, in row's buffer.
-            np.multiply(left, N_MAX + 1, out=row)
+            # Flat index left * (_COPY_MAX + 1) + k into the binomial table, in row's buffer.
+            np.multiply(left, _COPY_MAX + 1, out=row)
             row += k
             ways *= _BINOMIAL.take(row)
             del row
@@ -218,7 +223,7 @@ def e_aree_ncopy(state: SchmidtState, n: int) -> float:
     Equals ``n H({lambda}) + n p_tau log2(d_tau) + p_tau^(n) log2(d_tau)``
     where p_tau^(n) is the n-copy tau-sector probability; matches
     ``measure_report(n_copy(state, n)).aree`` whenever the construction is
-    feasible; 1 <= n <= ``N_MAX``, the range of the path table, as for :func:`n_copy`.
+    feasible; 1 <= n <= 66, the range of the path table, as for :func:`n_copy`.
     """
     _check_count(n)
     h_single = _schmidt_entropy(state)

@@ -228,11 +228,11 @@ def _check_omega(states: Sequence[SchmidtState]) -> list[CheckResult]:
     ]
 
 
-def _check_three_copies(tau_state: SchmidtState) -> list[CheckResult]:
+def _check_three_copies(tau_joint: Callable[[int], SchmidtState]) -> list[CheckResult]:
     """The paper's 2.63286 at three copies of the tau-pair; local verdicts at one and two."""
     target = (4.0 * math.sqrt(2.0) * PHI + 2.0) / PHI**3
-    three = optimize_chsh(tau_state, copies=3)
-    low = [optimize_chsh(tau_state, copies=n) for n in (1, 2)]
+    three = optimize_chsh(tau_joint(3))
+    low = [optimize_chsh(tau_joint(n)) for n in (1, 2)]
     passed = (
         abs(three.value - target) < 1e-4
         and three.verdict == "violation"
@@ -242,12 +242,11 @@ def _check_three_copies(tau_state: SchmidtState) -> list[CheckResult]:
     return [CheckResult("chsh-three-copies", passed, detail)]
 
 
-def _check_locality(joints: Sequence[tuple[SchmidtState, int]]) -> list[CheckResult]:
+def _check_locality(joints: Sequence[SchmidtState]) -> list[CheckResult]:
     """The closed-form terms exist iff the dense gap is below 1e-12 iff the
     CHSH verdict is local iff the joint state is of type A or B."""
     rows = []
-    for s, n in joints:
-        joint = n_copy(s, n)
+    for joint in joints:
         rows.append(
             (
                 local_terms(joint) is not None,
@@ -277,15 +276,15 @@ def run_suite(seed: int = 42, cases: int = 100) -> list[CheckResult]:
     check runs apart from its numeric oracle, and the separable-oracle
     gradient apart from the value, so a raising value oracle neither
     fails the gradient check nor skips its draws.  Each drawn state's
-    report is computed on first use and kept unless it raises; the two
-    multi-copy checks share one group, as they read the same joints.
+    report and tau-pair joint is made on first use, kept unless it raises;
+    the multi-copy checks share one group, as they read the same joints.
     """
     rng = np.random.default_rng(seed)
     states = [random_schmidt_state(rng) for _ in range(cases)]
     n_grad_states = max(2, min(10, cases // 10))
     tau_state = new_schmidt_state({Charge.TAU: [1.0]})
-    joints = [(s, 1) for s in states[:10]] + [(tau_state, n) for n in (1, 2, 3)]
     report = functools.cache(lambda i: measure_report(states[i]))
+    tau_joint = functools.cache(lambda n: n_copy(tau_state, n))
 
     def reports(count: int) -> list[MeasureReport]:
         return [report(i) for i in range(min(count, cases))]
@@ -306,8 +305,11 @@ def run_suite(seed: int = 42, cases: int = 100) -> list[CheckResult]:
         ),
         (("omega-from-joint",), lambda: _check_omega(states[:20])),
         (("copy-series-trends",), lambda: check_copy_series_trends(copy_series(tau_state, 12))),
-        (("chsh-three-copies",), lambda: _check_three_copies(tau_state)),
-        (("locality-certificate",), lambda: _check_locality(joints)),
+        (("chsh-three-copies",), lambda: _check_three_copies(tau_joint)),
+        (
+            ("locality-certificate",),
+            lambda: _check_locality(states[:10] + [tau_joint(n) for n in (1, 2, 3)]),
+        ),
     ]
     results: list[CheckResult] = []
     for names, run in groups:

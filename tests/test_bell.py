@@ -610,8 +610,8 @@ class TestOptimizeChsh:
             assert result.value <= 2.0 + 1e-6
 
     def test_copy_limit(self):
-        with pytest.raises(CopyLimitExceeded):
-            optimize_chsh(tau_line(), copies=40)
+        with pytest.raises(CopyLimitExceeded, match="copy limit 66"):
+            optimize_chsh(tau_line(), copies=67)
 
     def test_dense_witness_limit(self):
         # 20 joint copies keep grouped Schmidt data tiny, so the value needs

@@ -159,11 +159,17 @@ NEAR_LOCAL_GOLDEN = {
             ("chsh", n): (
                 f'{{"value":{value},{_ANGLES_TOP_PAIR},"copies":{n},"verdict":"violation"}}\n'
             )
-            for n, value in ((18, "2.00000000177"), (19, "2.000000000547"), (24, "2.000000000002"))
+            for n, value in (
+                (18, "2.00000000177"),
+                (19, "2.000000000547"),
+                (24, "2.000000000002"),
+                # The top-pair bound is below 2 + 5e-13 and prints as 2.0.
+                (25, "2.0"),
+            )
         },
         **{
             ("certify", n): f'{{"local":false,"reason":"CE_POSITIVE","copies":{n}}}\n'
-            for n in (18, 19, 24)
+            for n in (18, 19, 24, 25)
         },
     },
     "tiny-pair": {
@@ -319,6 +325,14 @@ class TestSeries:
         code, out, _ = run(capsys, ["series", "--state", tau_file, "--max-n", "12"])
         assert code == 0
         assert out == SERIES_TAU_PAIR
+
+    def test_rows_to_the_copy_limit(self, capsys, tau_file):
+        """Row 66 is a 50-digit reference printed with 12 significant digits."""
+        code, out, err = run(capsys, ["series", "--state", tau_file, "--max-n", "66"])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 1 + 66
+        assert lines[-1] == "66,0.694241913631,0.701853401024,0.0281091812284,0.673744219796"
 
     def test_golden_mixed_state(self, capsys, mixed_file):
         code, out, _ = run(capsys, ["series", "--state", mixed_file, "--max-n", "6"])
@@ -482,9 +496,9 @@ class TestVerify:
         *drawn, tau = made
         assert [reports[id(s)] for s in drawn] == [1, 1, 1]
         assert [joints[id(s), n] for s in drawn for n in range(2, 7)] == [1] * 15
-        # The tau-pair at n = 2, 3: once each in the copy series, the
-        # three-copy CHSH check and the locality rows.
-        assert [joints[id(tau), n] for n in (2, 3)] == [3, 3]
+        # The tau-pair at n = 2, 3: once each in the copy series, and once
+        # for both the three-copy CHSH check and the locality rows.
+        assert [joints[id(tau), n] for n in (2, 3)] == [2, 2]
 
     def test_raising_closed_form_fails_the_groups_that_read_it(self, capsys, monkeypatch):
         def raising(state):
@@ -831,16 +845,29 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["chsh", "--copies", "30"],
-            ["certify", "--copies", "30"],
-            ["series", "--max-n", "30"],
+            ["chsh", "--copies", "67"],
+            ["certify", "--copies", "67"],
+            ["series", "--max-n", "67"],
         ],
     )
     def test_copy_count_above_limit_is_usage_error(self, capsys, tau_file, argv):
-        code, _, err = run(capsys, [argv[0], "--state", tau_file, *argv[1:]])
-        assert code == 64
-        assert err.startswith(f"usage: fibanyon {argv[0]}")
-        assert f"argument {argv[1]}: must be at most 24, got '30'" in err
+        """Not a usage error: the count parses, and the library's copy limit refuses it."""
+        code, out, err = run(capsys, [argv[0], "--state", tau_file, *argv[1:]])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: n=67 exceeds the copy limit 66, past which C(n, k) overflows int64\n"
+        )
+
+    def test_rank_guard_after_the_last_admitted_count(self, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"sectors": {"1": [0.7], "tau": [0.3]}}), encoding="utf-8")
+        code, out, _ = run(capsys, ["chsh", "--state", str(path), "--copies", "45"])
+        assert (code, json.loads(out)["copies"]) == (0, 45)
+        code, out, err = run(capsys, ["chsh", "--state", str(path), "--copies", "46"])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: n=46 copies have joint rank 12200160415121876738, more than 2**63 - 1\n"
+        )
 
     @pytest.mark.parametrize(
         "text, message",

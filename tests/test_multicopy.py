@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -14,7 +15,6 @@ from fibanyon.errors import CopyLimitExceeded
 from fibanyon.measures import measure_report
 from fibanyon.model import CHARGE_ORDER, LOG2_PHI, PHI, Charge, fusion_space_dim, qdim_float
 from fibanyon.multicopy import (
-    N_MAX,
     _check_copies,
     _joint_rank,
     _ncopy_sector_probability,
@@ -125,11 +125,15 @@ def grouped_states(draw):
 # expanded in place.  It builds fresh arrays at every step and indexes the
 # 2-D binomial table; n_copy must reproduce its groups bit for bit.
 
+#: The copy limit of n_copy: C(66, 33) fits in int64, C(67, 33) does not.
+COPY_LIMIT = 66
+
 _REF_BINOMIAL = np.array(
-    [[math.comb(r, k) for k in range(N_MAX + 1)] for r in range(N_MAX + 1)], dtype=np.int64
+    [[math.comb(r, k) for k in range(COPY_LIMIT + 1)] for r in range(COPY_LIMIT + 1)],
+    dtype=np.int64,
 )
-_REF_PATHS = {c: np.array([_paths(m, c) for m in range(N_MAX + 1)]) for c in CHARGE_ORDER}
-_REF_PHI_POWERS = np.array([PHI**m for m in range(N_MAX + 1)])
+_REF_PATHS = {c: np.array([_paths(m, c) for m in range(COPY_LIMIT + 1)]) for c in CHARGE_ORDER}
+_REF_PHI_POWERS = np.array([PHI**m for m in range(COPY_LIMIT + 1)])
 
 
 def gather_n_copy(state, n):
@@ -186,6 +190,10 @@ TAU_PAIR = {TAU: [1.0]}
 SEVEN_THREE = {VAC: [0.7], TAU: [0.3]}
 MIXED = {VAC: [0.3, 0.2], TAU: [0.5]}
 
+#: Each named state with the last copy count n_copy admits: the copy
+#: limit for the tau-pair, the int64 rank guard for the other two.
+LAST_ADMITTED = [(TAU_PAIR, COPY_LIMIT), (SEVEN_THREE, 45), (MIXED, 34)]
+
 
 @st.composite
 def small_states(draw, per_sector=4):
@@ -235,8 +243,12 @@ class TestNCopy:
             assert n_copy(state, n).total() == pytest.approx(1.0, abs=1e-9)
 
     def test_copy_limit(self):
-        with pytest.raises(CopyLimitExceeded):
-            n_copy(tau_line(), 25)
+        for sectors, last in LAST_ADMITTED + [({VAC: [1.0]}, COPY_LIMIT)]:
+            state = new_schmidt_state(sectors)
+            assert n_copy(state, last).total() == pytest.approx(1.0, abs=1e-9)
+            reason = "copy limit 66, past which" if last == COPY_LIMIT else "joint rank"
+            with pytest.raises(CopyLimitExceeded, match=reason):
+                n_copy(state, last + 1)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_exact_joint_rank_is_the_constructed_rank(self, n):
@@ -258,6 +270,8 @@ class TestNCopy:
             n_copy(wide, 8)
         with pytest.raises(CopyLimitExceeded, match="compositions"):
             copy_series(wide, 12)
+        with pytest.raises(CopyLimitExceeded, match="293930 compositions"):
+            n_copy(_ten_coefficient_state(), 12)
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(state=grouped_states(), n=st.integers(2, 6))
@@ -305,30 +319,27 @@ class TestPathTable:
             raise AssertionError(f"fusion_space_dim({n}, {c}) called after import")
 
         monkeypatch.setattr(multicopy, "fusion_space_dim", refuse)
-        states = [
-            tau_line(),
-            new_schmidt_state({VAC: [0.7], TAU: [0.3]}),
-            new_schmidt_state({VAC: [0.3, 0.2], TAU: [0.5]}),
-        ]
-        for state in states:
-            _check_copies(state, N_MAX)
-            for n in range(1, N_MAX + 1):
+        for sectors, last in LAST_ADMITTED:
+            state = new_schmidt_state(sectors)
+            _check_copies(state, last)
+            for n in range(1, last + 1):
                 e_aree_ncopy(state, n)
-        assert len(copy_series(tau_line(), N_MAX).rows) == N_MAX
+        assert len(copy_series(tau_line(), COPY_LIMIT).rows) == COPY_LIMIT
 
     def test_sector_probability_keeps_its_bits(self):
         rng = np.random.default_rng(28)
         states = [tau_line(), new_schmidt_state({VAC: [0.7], TAU: [0.3]})]
         states += [random_schmidt_state(rng, max_rank=3) for _ in range(20)]
         for state in states:
-            for n in range(1, N_MAX + 1):
+            for n in range(1, 25):
                 for c in CHARGE_ORDER:
                     expected = _loop_sector_probability(state, n, c)
                     assert _ncopy_sector_probability(state, n, c) == expected
 
     def test_closed_form_refuses_counts_past_the_table(self):
-        with pytest.raises(CopyLimitExceeded, match=f"exceeds the copy limit {N_MAX}"):
-            e_aree_ncopy(tau_line(), N_MAX + 1)
+        assert e_aree_ncopy(tau_line(), COPY_LIMIT) > 0.0
+        with pytest.raises(CopyLimitExceeded, match="exceeds the copy limit 66"):
+            e_aree_ncopy(tau_line(), COPY_LIMIT + 1)
 
 
 class TestClosedForm:
@@ -475,16 +486,82 @@ class TestCopySeries:
         assert "\r" not in text
 
     def test_series_limit(self):
-        with pytest.raises(CopyLimitExceeded):
-            copy_series(tau_line(), 25)
+        with pytest.raises(CopyLimitExceeded, match="copy limit 66"):
+            copy_series(tau_line(), COPY_LIMIT + 1)
+
+
+def mp_series_rows(state, n_max):
+    """Rows n, AEE/n, AREE/n, ACE/n, CE/n of the n-copy series at 50 digits.
+
+    Built from exact compositions: Python-int multiplicities, and mpf
+    coefficients from the state's canonical floats, normalised in mpf.
+    Each group of the joint state enters the entropies on its own, so no
+    coefficients are merged.  A sector holding a single coefficient gives
+    CE exactly 0: its probability is that coefficient, bit for bit.
+    """
+    with mpmath.workdps(50):
+        letters = [
+            (c, mpmath.mpf(float(v)), int(m))
+            for c in state.charges
+            for v, m in zip(*state.grouped(c))
+        ]
+        norm = mpmath.fsum(v * m for _, v, m in letters)
+        letters = [(c, v / norm, m) for c, v, m in letters]
+        phi = (1 + mpmath.sqrt(5)) / 2
+        log_phi = mpmath.log(phi, 2)
+        qdim = {VAC: mpmath.mpf(1), TAU: phi}
+        rows = []
+        for n in range(1, n_max + 1):
+            groups = {c: [] for c in CHARGE_ORDER}
+            for counts in _compositions(n, len(letters)):
+                ways = _multinomial(n, counts)
+                base, m_tau = mpmath.mpf(1), 0
+                for (c, value, mult), k in zip(letters, counts):
+                    ways *= mult**k
+                    base *= value**k
+                    m_tau += k if c is TAU else 0
+                for c in CHARGE_ORDER:
+                    paths = _paths(m_tau, c)
+                    if paths:
+                        groups[c].append((base * qdim[c] / phi**m_tau, ways * paths))
+            probs = {c: mpmath.fsum(v * m for v, m in g) for c, g in groups.items() if g}
+            h, ce = mpmath.mpf(0), mpmath.mpf(0)
+            for c, g in groups.items():
+                for v, m in g:
+                    h -= m * v * mpmath.log(v, 2)
+                    ce -= m * v * mpmath.log(v / probs[c], 2)
+            h_sectors = -mpmath.fsum(p * mpmath.log(p, 2) for p in probs.values())
+            p_tau = probs.get(TAU, 0)
+            measures = (
+                h + p_tau * log_phi,
+                h + 2 * p_tau * log_phi,
+                h_sectors + 2 * p_tau * log_phi,
+                ce,
+            )
+            rows.append((n, *(value / n for value in measures)))
+        return rows
+
+
+class TestSeriesPrecision:
+    """Every series row against a 50-digit reference, up to the last admitted count."""
+
+    @pytest.mark.parametrize("sectors, n_max", LAST_ADMITTED)
+    def test_rows_within_1e13_relative(self, sectors, n_max):
+        state = new_schmidt_state(sectors)
+        rows = copy_series(state, n_max).rows
+        for row, reference in zip(rows, mp_series_rows(state, n_max), strict=True):
+            assert row[0] == reference[0]
+            for value, exact in zip(row[1:], reference[1:]):
+                if exact == 0:
+                    assert value == 0.0
+                else:
+                    assert abs(value - exact) <= 1e-13 * abs(exact), (row, reference)
 
 
 class TestKernelBits:
     """The in-place kernel against the fresh-array gather kernel, bit for bit."""
 
-    @pytest.mark.parametrize(
-        "sectors, n_max", [(TAU_PAIR, 24), (SEVEN_THREE, 20), (MIXED, N_MAX)]
-    )
+    @pytest.mark.parametrize("sectors, n_max", LAST_ADMITTED)
     def test_named_states(self, sectors, n_max):
         state = new_schmidt_state(sectors)
         for n in range(2, n_max + 1):
