@@ -30,7 +30,8 @@ print(f"  S(rho || Omega(rho))        = {leg_charge:.12f}   (ACE)")
 print(f"  S(Omega(rho) || separable)  = {leg_conventional:.12f}   (CE)")
 print(f"  S(rho || separable)         = {total:.12f}   (AREE)")
 print(f"  legs sum - total            = {leg_charge + leg_conventional - total:.2e}")
-print(f"  closed-form residual        = {oracle.pythagorean_residual(state, report.aree):.2e}")
+residual = oracle.pythagorean_residual(rho, omega, candidate, report.aree)
+print(f"  closed-form residual        = {residual:.2e}")
 print()
 
 print("closed forms agree:")

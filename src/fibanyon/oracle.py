@@ -31,12 +31,13 @@ Every block, mixture array and value may carry leading axes that stack
 states sharing their sector ranks (a rank signature): :func:`embed`,
 :func:`omega_project`, :func:`reduced_density` and
 :func:`closest_separable_candidate` take one state or a sequence of
-them, and :func:`relative_entropy`, :func:`anyonic_entropy` and
-:func:`pythagorean_residual` return a float for one state and an array
-of one value per state for a stack.  One state is the stack without
-leading axes, on the same code; each eigen-solve is one stacked call,
-and only the ragged sums over the eigenvalues kept run state by state,
-so every value has the bits of the unstacked call.
+them, and :func:`relative_entropy`, :func:`anyonic_entropy`,
+:func:`pythagorean_residual` and :func:`max_block_gap` return a float
+for one state and an array of one value per state for a stack.  One
+state is the stack without leading axes, on the same code; each
+eigen-solve is one stacked call, and only the ragged sums over the
+eigenvalues kept run state by state, so every value has the bits of the
+unstacked call.
 
 Observables are party-local Hermitian involutions (eigenvalues +-1),
 block diagonal across charge sectors: superselection forbids coherences
@@ -300,14 +301,15 @@ class GradedDensityOperator:
         return f"GradedDensityOperator(kind={self._kind!r}, blocks=[{keys}])"
 
 
-def max_block_gap(x: GradedDensityOperator, y: GradedDensityOperator) -> float:
-    """Largest entrywise deviation between x and y; a block one lacks counts as 0."""
-    gap = 0.0
+def max_block_gap(x: GradedDensityOperator, y: GradedDensityOperator) -> float | np.ndarray:
+    """Largest entrywise deviation between x and y, or between each pair of
+    states of two stacks; a block one lacks counts as 0."""
+    gap = np.zeros(np.broadcast_shapes(x.stack, y.stack))
     for key in {*x.keys(), *y.keys()}:
         left = x.block(key) if key in x.keys() else 0.0
         right = y.block(key) if key in y.keys() else 0.0
-        gap = max(gap, float(np.max(np.abs(left - right))))
-    return gap
+        gap = np.maximum(gap, np.max(np.abs(left - right), axis=(-2, -1)))
+    return _value(gap)
 
 
 def reduced_density(states: SchmidtState | Sequence[SchmidtState]) -> GradedDensityOperator:
@@ -643,19 +645,20 @@ def minimality_gradient(state: SchmidtState, direction: SeparableState) -> float
 
 
 def pythagorean_residual(
-    states: SchmidtState | Sequence[SchmidtState], aree: float | Sequence[float]
+    rho: GradedDensityOperator,
+    omega: GradedDensityOperator,
+    candidate: GradedDensityOperator,
+    aree: float | Sequence[float],
 ) -> float | np.ndarray:
     """AREE minus the two-step path through the Omega image; vanishes for states.
 
-    Computes AREE - S(rho || Omega(rho)) - S(Omega(rho) || rho_0), with
-    the AREE given by the caller (a float for one state, one value per
-    state for a stack) and both relative entropies computed through
-    blocks.  A float for one state; for a stack, an array of one value
-    per state.
+    Computes AREE - S(rho || omega) - S(omega || candidate) for the
+    embedded state ``rho``, its Omega image and the operator of its
+    closest-separable candidate, with the AREE given by the caller (a
+    float for one state, one value per state for a stack) and both
+    relative entropies computed through blocks.  A float for one state;
+    for a stack, an array of one value per state.
     """
-    rho = embed(states)
-    omega = omega_project(states)
-    candidate = closest_separable_candidate(states).to_operator()
     return (
         aree
         - relative_entropy(rho, omega)

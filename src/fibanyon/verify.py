@@ -13,15 +13,21 @@ callers choose the seed and sample sizes.
 
 The numeric side of each comparison comes from :mod:`fibanyon.oracle`,
 and each closed-form report and joint state is derived once, for every
-check that reads it.  The numeric decomposition, the separable-oracle
-value and the dense AEE make one stacked pass per rank signature (the
-states' sector ranks): the oracle builds, validates and eigen-solves
-the dense operators of every state of the signature at once, and each
-state keeps the value it has on its own.  The separable-oracle gradient
-check, the only one that draws after the states, makes one pass per
-state: one draw of all the state's random separable directions as a
-stack of mixtures, which :class:`~fibanyon.oracle.SeparableState`
-validates, and one evaluation of every gradient.
+check that reads it.  Five checks read one dense pass over the first
+100 states, made once per rank signature (the states' sector ranks):
+the embedded states, their Omega images and their closest-separable
+candidates are built once per signature, as stacks that the oracle
+validates and eigen-solves at once, and the numeric decomposition
+(AREE - S(rho||Omega) - S(Omega||sigma)), the separable-oracle value,
+the dense AEE, the Omega image of the embedded state and the drawn
+states' locality certificates are all read from them.  Each state keeps
+the value it has on its own, and each check keeps its own error, so a
+check fails exactly when its own values or operators raise.  The
+separable-oracle gradient check, the only one that draws after the
+states, makes one pass per state: one draw of all the state's random
+separable directions as a stack of mixtures, which
+:class:`~fibanyon.oracle.SeparableState` validates, and one evaluation
+of every gradient.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -74,13 +81,17 @@ class CheckResult:
 
 
 def _brute_force_paths(n: int) -> dict[Charge, int]:
-    """Count fusion paths of n tau anyons to each total charge by explicit enumeration."""
-    with_tau = {c: fuse(c, Charge.TAU) for c in CHARGE_ORDER}
+    """Count fusion paths of n tau anyons to each total charge by explicit enumeration.
+
+    Each admissible charge sequence is extended level by level through
+    :func:`~fibanyon.model.fuse`, so every sequence enumerated is a path.
+    """
+    paths = [(Charge.TAU,)]
+    for _ in range(n - 1):
+        paths = [path + (c,) for path in paths for c in fuse(path[-1], Charge.TAU)]
     counts = dict.fromkeys(CHARGE_ORDER, 0)
-    for inner in itertools.product(CHARGE_ORDER, repeat=max(n - 1, 0)):
-        charges = (Charge.TAU,) + inner
-        if all(charges[i + 1] in with_tau[charges[i]] for i in range(n - 1)):
-            counts[charges[-1]] += 1
+    for path in paths:
+        counts[path[-1]] += 1
     return counts
 
 
@@ -92,7 +103,8 @@ def _total_dimension(n: int) -> QSqrt5:
 def check_model_identities() -> list[CheckResult]:
     """Golden identity, total-dimension identity and brute-force path counts."""
     golden = qdim(Charge.TAU) ** 2 == qdim(Charge.TAU) + 1
-    dims_ok = all(_total_dimension(n) == PHI_EXACT**n for n in range(1, 21))
+    powers = itertools.accumulate(itertools.repeat(PHI_EXACT, 20), operator.mul)
+    dims_ok = all(_total_dimension(n) == power for n, power in enumerate(powers, start=1))
     paths_ok = all(
         fusion_space_dim(n, c) == count
         for n in range(1, 13)
@@ -112,45 +124,115 @@ def check_decomposition_closed(reports: Sequence[MeasureReport]) -> list[CheckRe
     return [CheckResult("decomposition-closed-form", closed < 1e-9, detail)]
 
 
-def _per_state(
-    values_of: Callable[..., np.ndarray], states: Sequence[SchmidtState], closed: Sequence[float]
-) -> list[float]:
-    """values_of(stack, its closed values) for every state, in the order of ``states``.
+class _Operators:
+    """The dense operators of one stack of states sharing their sector ranks,
+    each built on first use and kept while the stack's values are taken."""
 
-    One call per rank signature, on the stack of the states that share
-    their sector ranks, in order of first appearance.
+    def __init__(self, stack: list[SchmidtState]):
+        self.stack = stack
+
+    @functools.cached_property
+    def rho(self):
+        return embed(self.stack)
+
+    @functools.cached_property
+    def omega(self):
+        return omega_project(self.stack)
+
+    @functools.cached_property
+    def sigma(self):
+        return closest_separable_candidate(self.stack).to_operator()
+
+
+#: The checks that read the dense pass: for each, the number of leading
+#: states it reads (inf: all), the report field it compares against (or
+#: None), and its value for every state of a stack, from the stack's
+#: operators and closed values.
+_DENSE_CHECKS: dict[str, tuple[float, str | None, Callable[[_Operators, list], np.ndarray]]] = {
+    "decomposition-numeric": (
+        math.inf,
+        "aree",
+        lambda ops, aree: pythagorean_residual(ops.rho, ops.omega, ops.sigma, aree),
+    ),
+    "separable-oracle-value": (
+        math.inf, "aree", lambda ops, aree: relative_entropy(ops.rho, ops.sigma) - aree
+    ),
+    "aee-dense": (
+        math.inf, "aee", lambda ops, aee: anyonic_entropy(reduced_density(ops.stack)) - aee
+    ),
+    "omega-from-joint": (
+        20, None, lambda ops, _: max_block_gap(ops.omega, omega_project_operator(ops.rho))
+    ),
+    "locality-certificate": (10, None, lambda ops, _: max_block_gap(ops.omega, ops.sigma)),
+}
+
+_DenseValues = dict[str, list[float] | FibanyonError]
+
+
+def _dense_pass(
+    states: Sequence[SchmidtState], report: Callable[[int], MeasureReport]
+) -> _DenseValues:
+    """Every dense check's value for each state it reads, in the order of ``states``.
+
+    One pass per rank signature (the states' sector ranks), in order of
+    first appearance: the stack of the states that share it is embedded,
+    projected and given its candidate once, for every check.  Only values
+    outlive the stack.  A check whose value or operator raises a package
+    error keeps the first such error in place of its values.
     """
     signatures: dict[tuple, list[int]] = {}
     for i, s in enumerate(states):
         signatures.setdefault(tuple(s.ranks.items()), []).append(i)
-    values = [0.0] * len(states)
+    values: _DenseValues = {
+        name: [0.0] * min(count, len(states)) for name, (count, _, _) in _DENSE_CHECKS.items()
+    }
     for rows in signatures.values():
-        for i, value in zip(rows, values_of([states[i] for i in rows], [closed[i] for i in rows])):
-            values[i] = float(value)
+        ops = _Operators([states[i] for i in rows])
+        for name, (count, field, value_of) in _DENSE_CHECKS.items():
+            if rows[0] >= count or isinstance(values[name], FibanyonError):
+                continue
+            try:
+                closed = [getattr(report(i), field) for i in rows] if field else None
+                for i, value in zip(rows, value_of(ops, closed)):
+                    if i < count:
+                        values[name][i] = float(value)
+            except FibanyonError as exc:
+                values[name] = exc
     return values
+
+
+def _read(values: _DenseValues, name: str) -> list[float]:
+    """One check's values from the dense pass; raises the error that stood in for them."""
+    if isinstance(values[name], FibanyonError):
+        raise values[name]
+    return values[name]
 
 
 def check_decomposition_numeric(
     states: Sequence[SchmidtState], reports: Sequence[MeasureReport]
 ) -> list[CheckResult]:
     """AREE = ACE + CE through block relative entropies, on the first 100 states."""
-    states, aree = states[:100], [r.aree for r in reports[:100]]
-    numeric = max(map(abs, _per_state(pythagorean_residual, states, aree)))
-    detail = f"max numeric residual = {numeric:.3e} over {len(states)} states"
+    return _decomposition_numeric(_dense_pass(states[:100], reports.__getitem__))
+
+
+def _decomposition_numeric(dense: _DenseValues) -> list[CheckResult]:
+    residuals = _read(dense, "decomposition-numeric")
+    numeric = max(map(abs, residuals))
+    detail = f"max numeric residual = {numeric:.3e} over {len(residuals)} states"
     return [CheckResult("decomposition-numeric", numeric < 1e-8, detail)]
-
-
-def _separable_gaps(stack: list[SchmidtState], aree: list[float]) -> np.ndarray:
-    candidate = closest_separable_candidate(stack).to_operator()
-    return relative_entropy(embed(stack), candidate) - aree
 
 
 def check_separable_value(
     states: Sequence[SchmidtState], reports: Sequence[MeasureReport]
 ) -> list[CheckResult]:
     """The relative entropy to the closest-separable candidate equals the AREE."""
-    worst = max([0.0, *map(abs, _per_state(_separable_gaps, states, [r.aree for r in reports]))])
-    detail = f"max |numeric - closed| = {worst:.3e} over {len(states)} states"
+    return _separable_value(_dense_pass(states, reports.__getitem__))
+
+
+def _separable_value(dense: _DenseValues) -> list[CheckResult]:
+    gaps = _read(dense, "separable-oracle-value")
+    worst = max([0.0, *map(abs, gaps)])
+    detail = f"max |numeric - closed| = {worst:.3e} over {len(gaps)} states"
     return [CheckResult("separable-oracle-value", worst < 1e-8, detail)]
 
 
@@ -184,16 +266,11 @@ def check_copy_series_trends(series: CopySeries) -> list[CheckResult]:
     return [CheckResult("copy-series-trends", passed, detail)]
 
 
-def _aee_gaps(stack: list[SchmidtState], aee: list[float]) -> np.ndarray:
-    return anyonic_entropy(reduced_density(stack)) - aee
-
-
-def _check_aee_dense(
-    states: Sequence[SchmidtState], reports: Sequence[MeasureReport]
-) -> list[CheckResult]:
+def _check_aee_dense(dense: _DenseValues) -> list[CheckResult]:
     """The AEE equals the anyonic entropy of the dense reduced state."""
-    worst = max(map(abs, _per_state(_aee_gaps, states, [r.aee for r in reports])))
-    detail = f"max |numeric - closed| = {worst:.3e} over {len(states)} states"
+    gaps = _read(dense, "aee-dense")
+    worst = max(map(abs, gaps))
+    detail = f"max |numeric - closed| = {worst:.3e} over {len(gaps)} states"
     return [CheckResult("aee-dense", worst < 1e-12, detail)]
 
 
@@ -216,11 +293,9 @@ def _check_multicopy(
     ]
 
 
-def _check_omega(states: Sequence[SchmidtState]) -> list[CheckResult]:
+def _check_omega(dense: _DenseValues) -> list[CheckResult]:
     """The closed-form Omega image equals Omega applied to the embedded state."""
-    worst = max(
-        max_block_gap(omega_project(s), omega_project_operator(embed(s))) for s in states
-    )
+    worst = max(_read(dense, "omega-from-joint"))
     return [
         CheckResult(
             "omega-from-joint", worst < 1e-12, f"max |Omega(embed) - Omega| = {worst:.3e}"
@@ -242,19 +317,19 @@ def _check_three_copies(tau_joint: Callable[[int], SchmidtState]) -> list[CheckR
     return [CheckResult("chsh-three-copies", passed, detail)]
 
 
-def _check_locality(joints: Sequence[SchmidtState]) -> list[CheckResult]:
+def _check_locality(joints: Sequence[SchmidtState], gaps: Sequence[float]) -> list[CheckResult]:
     """The closed-form terms exist iff the dense gap is below 1e-12 iff the
-    CHSH verdict is local iff the joint state is of type A or B."""
-    rows = []
-    for joint in joints:
-        rows.append(
-            (
-                local_terms(joint) is not None,
-                certificate_gap(joint),
-                optimize_chsh(joint).verdict == "local-bound-respected",
-                classify(joint) is not StateClass.TYPE_C,
-            )
+    CHSH verdict is local iff the joint state is of type A or B; ``gaps``
+    holds each joint's certificate gap, in the order of ``joints``."""
+    rows = [
+        (
+            local_terms(joint) is not None,
+            gap,
+            optimize_chsh(joint).verdict == "local-bound-respected",
+            classify(joint) is not StateClass.TYPE_C,
         )
+        for joint, gap in zip(joints, gaps)
+    ]
     passed = all(
         local == (gap < 1e-12) == verdict == kind for local, gap, verdict, kind in rows
     )
@@ -278,6 +353,8 @@ def run_suite(seed: int = 42, cases: int = 100) -> list[CheckResult]:
     fails the gradient check nor skips its draws.  Each drawn state's
     report and tau-pair joint is made on first use, kept unless it raises;
     the multi-copy checks share one group, as they read the same joints.
+    The dense pass is made once, by the first group that reads it, and
+    each of its five checks raises only its own stored error.
     """
     rng = np.random.default_rng(seed)
     states = [random_schmidt_state(rng) for _ in range(cases)]
@@ -285,6 +362,7 @@ def run_suite(seed: int = 42, cases: int = 100) -> list[CheckResult]:
     tau_state = new_schmidt_state({Charge.TAU: [1.0]})
     report = functools.cache(lambda i: measure_report(states[i]))
     tau_joint = functools.cache(lambda n: n_copy(tau_state, n))
+    dense = functools.cache(lambda: _dense_pass(states[:100], report))
 
     def reports(count: int) -> list[MeasureReport]:
         return [report(i) for i in range(min(count, cases))]
@@ -292,23 +370,27 @@ def run_suite(seed: int = 42, cases: int = 100) -> list[CheckResult]:
     groups: list[tuple[tuple[str, ...], Callable[[], list[CheckResult]]]] = [
         (("golden-identity", "total-dimension", "fusion-paths"), check_model_identities),
         (("decomposition-closed-form",), lambda: check_decomposition_closed(reports(cases))),
-        (("decomposition-numeric",), lambda: check_decomposition_numeric(states, reports(100))),
-        (("separable-oracle-value",), lambda: check_separable_value(states[:100], reports(100))),
+        (("decomposition-numeric",), lambda: _decomposition_numeric(dense())),
+        (("separable-oracle-value",), lambda: _separable_value(dense())),
         (
             ("separable-oracle-gradient",),
             lambda: check_separable_gradient(rng, states[:n_grad_states], 40),
         ),
-        (("aee-dense",), lambda: _check_aee_dense(states[:100], reports(100))),
+        (("aee-dense",), lambda: _check_aee_dense(dense())),
         (
             ("aee-additivity", "multicopy-closed-form"),
             lambda: _check_multicopy(states[:10], reports(10)),
         ),
-        (("omega-from-joint",), lambda: _check_omega(states[:20])),
+        (("omega-from-joint",), lambda: _check_omega(dense())),
         (("copy-series-trends",), lambda: check_copy_series_trends(copy_series(tau_state, 12))),
         (("chsh-three-copies",), lambda: _check_three_copies(tau_joint)),
         (
             ("locality-certificate",),
-            lambda: _check_locality(states[:10] + [tau_joint(n) for n in (1, 2, 3)]),
+            lambda: _check_locality(
+                states[:10] + [tau_joint(n) for n in (1, 2, 3)],
+                _read(dense(), "locality-certificate")
+                + [certificate_gap(tau_joint(n)) for n in (1, 2, 3)],
+            ),
         ),
     ]
     results: list[CheckResult] = []

@@ -114,6 +114,18 @@ def pythagorean_residual(state: SchmidtState) -> float:
     )
 
 
+def omega_gap(state: SchmidtState) -> float:
+    """Largest entrywise deviation of Omega applied to the embedded state from the Omega image."""
+    rho, omega = embed(state), omega_project(state)
+    gap, offset = 0.0, 0
+    for c in state.charges:
+        size, d = state.rank(c) ** 2, qdim_float(c)
+        sub = rho[offset : offset + size, offset : offset + size] / (d * d)
+        gap = max(gap, float(np.max(np.abs(sub - omega[(c, c)]))))
+        offset += size
+    return gap
+
+
 def separable_gap(state: SchmidtState) -> float:
     return joint_relative_entropy(state, candidate_operator(state)) - measure_report(state).aree
 

@@ -89,6 +89,46 @@ VERIFY_SEED7_CASES150 = (
     "14/14 checks passed\n"
 )
 
+#: ``verify --seed 101`` stdout at the default 100 cases.
+VERIFY_SEED101 = (
+    "PASS  golden-identity: d_tau**2 == d_tau + 1 in Q[sqrt(5)]\n"
+    "PASS  total-dimension: sum_c dim(n,c) d_c == d_tau**n for n <= 20\n"
+    "PASS  fusion-paths: dim matches brute-force enumeration for n <= 12\n"
+    "PASS  decomposition-closed-form: max |AREE - ACE - CE| = 6.661e-16 over 100 states\n"
+    "PASS  decomposition-numeric: max numeric residual = 1.332e-15 over 100 states\n"
+    "PASS  separable-oracle-value: max |numeric - closed| = 8.882e-16 over 100 states\n"
+    "PASS  separable-oracle-gradient: min gradient = -3.203e-16 over 10 states x 40 directions\n"
+    "PASS  aee-dense: max |numeric - closed| = 4.441e-16 over 100 states\n"
+    "PASS  aee-additivity: max |aee(n-copy) - n aee| = 3.553e-15\n"
+    "PASS  multicopy-closed-form: max |closed - constructed| = 1.776e-14 for n <= 6\n"
+    "PASS  omega-from-joint: max |Omega(embed) - Omega| = 0.000e+00\n"
+    "PASS  copy-series-trends: aee drift 2.220e-16; CE zeros at n=1,2; ACE strictly decreasing\n"
+    "PASS  chsh-three-copies: n=3 optimum 2.632862 (target 2.632862); n<=2 stays local\n"
+    "PASS  locality-certificate: closed-form terms iff dense gap < 1e-12 iff local verdict "
+    "iff type A/B on 13 states; max local gap = 1.110e-16\n"
+    "14/14 checks passed\n"
+)
+
+#: ``verify --seed 1234567`` stdout at the default 100 cases.
+VERIFY_SEED1234567 = (
+    "PASS  golden-identity: d_tau**2 == d_tau + 1 in Q[sqrt(5)]\n"
+    "PASS  total-dimension: sum_c dim(n,c) d_c == d_tau**n for n <= 20\n"
+    "PASS  fusion-paths: dim matches brute-force enumeration for n <= 12\n"
+    "PASS  decomposition-closed-form: max |AREE - ACE - CE| = 6.661e-16 over 100 states\n"
+    "PASS  decomposition-numeric: max numeric residual = 1.055e-15 over 100 states\n"
+    "PASS  separable-oracle-value: max |numeric - closed| = 8.882e-16 over 100 states\n"
+    "PASS  separable-oracle-gradient: min gradient = 0.000e+00 over 10 states x 40 directions\n"
+    "PASS  aee-dense: max |numeric - closed| = 4.441e-16 over 100 states\n"
+    "PASS  aee-additivity: max |aee(n-copy) - n aee| = 1.776e-15\n"
+    "PASS  multicopy-closed-form: max |closed - constructed| = 1.954e-14 for n <= 6\n"
+    "PASS  omega-from-joint: max |Omega(embed) - Omega| = 0.000e+00\n"
+    "PASS  copy-series-trends: aee drift 2.220e-16; CE zeros at n=1,2; ACE strictly decreasing\n"
+    "PASS  chsh-three-copies: n=3 optimum 2.632862 (target 2.632862); n<=2 stays local\n"
+    "PASS  locality-certificate: closed-form terms iff dense gap < 1e-12 iff local verdict "
+    "iff type A/B on 13 states; max local gap = 1.110e-16\n"
+    "14/14 checks passed\n"
+)
+
 #: ``chsh --copies n`` stdout on the tau-pair for n = 1, 2, 3.
 CHSH_TAU_PAIR = {
     1: '{"value":2.0,"angles":null,"copies":1,"verdict":"local-bound-respected"}\n',
@@ -463,6 +503,14 @@ class TestVerify:
         assert code == 0
         assert out == VERIFY_SEED7_CASES150
 
+    @pytest.mark.parametrize(
+        "seed, golden", [("101", VERIFY_SEED101), ("1234567", VERIFY_SEED1234567)]
+    )
+    def test_golden_transcript_other_seeds(self, capsys, seed, golden):
+        code, out, _ = run(capsys, ["verify", "--seed", seed])
+        assert code == 0
+        assert out == golden
+
     def test_each_report_and_joint_is_derived_once(self, monkeypatch):
         """Every drawn state reaches ``measure_report`` once, and each joint of
         n >= 2 copies that the multi-copy and locality checks read is built once."""
@@ -499,6 +547,40 @@ class TestVerify:
         # The tau-pair at n = 2, 3: once each in the copy series, and once
         # for both the three-copy CHSH check and the locality rows.
         assert [joints[id(tau), n] for n in (2, 3)] == [2, 2]
+
+    def test_each_dense_operator_is_built_once_per_signature(self, monkeypatch):
+        """The dense pass embeds, Omega-projects and builds the separable candidate
+        of each rank signature's stack once, for every dense check; only the three
+        tau-pair locality joints build their own image and candidate."""
+        drawn, calls = [], {"embed": [], "omega_project": [], "closest_separable_candidate": []}
+        real_draw = verify.random_schmidt_state
+
+        def draw(rng):
+            drawn.append(real_draw(rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(verify, "random_schmidt_state", draw)
+        for name, seen in calls.items():
+            real = getattr(oracle, name)
+
+            def counted(states, real=real, seen=seen):
+                seen.append(states)
+                return real(states)
+
+            for module in (verify, oracle):
+                monkeypatch.setattr(module, name, counted)
+        assert all(r.passed for r in verify.run_suite(seed=42))
+        signatures = {}
+        for s in drawn:
+            signatures.setdefault(tuple(s.ranks.items()), []).append(id(s))
+        stacks = list(signatures.values())
+        assert len(stacks) == 15
+        tau = fa.new_schmidt_state({"tau": [1.0]})
+        tau_ranks = [multicopy.n_copy(tau, n).ranks for n in (1, 2, 3)]
+        for name, seen in calls.items():
+            built = [[id(s) for s in stack] for stack in seen[: len(stacks)]]
+            assert built == stacks, name
+            assert [s.ranks for s in seen[len(stacks) :]] == ([] if name == "embed" else tau_ranks)
 
     def test_raising_closed_form_fails_the_groups_that_read_it(self, capsys, monkeypatch):
         def raising(state):
@@ -539,7 +621,8 @@ class TestVerify:
             blocks[first] = blocks[first] + 1e-6
             return GradedDensityOperator(blocks, ranks=omega.ranks)
 
-        monkeypatch.setattr(oracle, "omega_project", shifted)
+        for module in (verify, oracle):
+            monkeypatch.setattr(module, "omega_project", shifted)
         code, out, err = run(capsys, ["verify", "--seed", "42", "--cases", "3"])
         assert (code, err) == (2, "")
         lines = out.splitlines()
@@ -548,9 +631,11 @@ class TestVerify:
         # The closed form is its own group, so the numeric oracle's error
         # leaves it passing.
         assert lines[3:5] == [golden[3], f"FAIL  decomposition-numeric: {raised}"]
+        # The Omega check and the certificates read the same shifted image.
+        assert lines[10] == "FAIL  omega-from-joint: max |Omega(embed) - Omega| = 1.000e-06"
         assert lines[13].startswith("FAIL  locality-certificate: ")
         assert [line.split()[1] for line in lines[:-1]] == [line.split()[1] for line in golden[:-1]]
-        assert lines[-1] == "12/14 checks passed"
+        assert lines[-1] == "11/14 checks passed"
 
     def test_raising_value_oracle_keeps_later_draws(self, capsys, monkeypatch):
         """Only the raising check fails; the gradient draws and every later

@@ -452,7 +452,10 @@ class TestMinimalityGradient:
 
 
 def residual(state):
-    return pythagorean_residual(state, measure_report(state).aree)
+    candidate = closest_separable_candidate(state).to_operator()
+    return pythagorean_residual(
+        embed(state), omega_project(state), candidate, measure_report(state).aree
+    )
 
 
 class TestPythagoreanResidual:

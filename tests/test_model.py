@@ -1,5 +1,6 @@
 """Model data: fusion rules, exact quantum dimensions, fusion-space counts."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -75,6 +76,18 @@ class TestFusionSpaceDim:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             fusion_space_dim(0, Charge.TAU)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_path_enumeration_matches_exhaustive_filter(self, n):
+        """Every charge sequence of length n, kept when each step is a fusion
+        outcome: the exhaustive reference for the level-by-level enumeration."""
+        with_tau = {c: fuse(c, Charge.TAU) for c in CHARGE_ORDER}
+        counts = dict.fromkeys(CHARGE_ORDER, 0)
+        for inner in itertools.product(CHARGE_ORDER, repeat=n - 1):
+            charges = (Charge.TAU,) + inner
+            if all(charges[i + 1] in with_tau[charges[i]] for i in range(n - 1)):
+                counts[charges[-1]] += 1
+        assert _brute_force_paths(n) == counts
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_brute_force(self, n):

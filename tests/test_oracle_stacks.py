@@ -1,5 +1,7 @@
 """Stacks of states through the dense oracle, against the route one state at a time."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from fibanyon.oracle import (
     certificate_gap,
     closest_separable_candidate,
     embed,
+    max_block_gap,
     omega_project,
     pythagorean_residual,
     reduced_density,
@@ -32,13 +35,14 @@ from fibanyon.states import new_schmidt_state, random_schmidt_state
 TAU = Charge.TAU
 VAC = Charge.VACUUM
 
-#: The three per-state values of ``verify``'s dense checks: the stacked route
-#: (one call per stack, given the closed values of the report field named
-#: third) and the reference (one state at a time).
+#: The per-state values of ``verify``'s dense pass, by check, each with its
+#: reference: the same value one state at a time.
 CHECKS = [
-    pytest.param(pythagorean_residual, reference.pythagorean_residual, "aree", id="residual"),
-    pytest.param(verify._separable_gaps, reference.separable_gap, "aree", id="separable-gap"),
-    pytest.param(verify._aee_gaps, reference.aee_gap, "aee", id="aee-gap"),
+    pytest.param("decomposition-numeric", reference.pythagorean_residual, id="residual"),
+    pytest.param("separable-oracle-value", reference.separable_gap, id="separable-gap"),
+    pytest.param("aee-dense", reference.aee_gap, id="aee-gap"),
+    pytest.param("omega-from-joint", reference.omega_gap, id="omega-gap"),
+    pytest.param("locality-certificate", certificate_gap, id="certificate-gap"),
 ]
 
 
@@ -51,12 +55,25 @@ def verify_states(seed, cases=100):
     return [random_schmidt_state(rng) for _ in range(cases)]
 
 
-@pytest.mark.parametrize("stacked, one, field", CHECKS)
-@pytest.mark.parametrize("seed", [42, 7, 101, 1234567])
-def test_stacks_by_signature_match_the_reference(seed, stacked, one, field):
+def dense_pass(states):
+    return verify._dense_pass(states, lambda i: measure_report(states[i]))
+
+
+@functools.cache
+def verify_pass(seed):
     states = verify_states(seed)
-    values = verify._per_state(stacked, states, closed(states, field))
-    assert values == [one(s) for s in states]
+    return states, dense_pass(states)
+
+
+@pytest.mark.parametrize("name, one", CHECKS)
+@pytest.mark.parametrize("seed", [42, 7, 101, 1234567])
+def test_stacks_by_signature_match_the_reference(seed, name, one):
+    """The pass over ``verify``'s first 100 states: every state a check reads
+    (all 100, the first 20 for the Omega gap, the first 10 for the certificate
+    gap) has the value it has on its own, bit for bit."""
+    states, values = verify_pass(seed)
+    count = {"omega-from-joint": 20, "locality-certificate": 10}.get(name, 100)
+    assert values[name] == [one(s) for s in states[:count]]
 
 
 @st.composite
@@ -78,8 +95,9 @@ def signature_stacks(draw):
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(stack=signature_stacks())
 def test_drawn_stacks_match_the_reference(stack):
-    for stacked, one, field in (p.values for p in CHECKS):
-        assert list(stacked(stack, closed(stack, field))) == [one(s) for s in stack]
+    values = dense_pass(stack)
+    for name, one in (p.values for p in CHECKS):
+        assert values[name] == [one(s) for s in stack]
 
 
 @pytest.mark.parametrize("state", verify_states(5, 12))
@@ -88,20 +106,22 @@ def test_stack_of_one_is_the_unstacked_call(state):
     candidate = closest_separable_candidate(state).to_operator()
     aree = measure_report(state).aree
     one = [
-        pythagorean_residual(state, aree),
+        pythagorean_residual(rho, omega, candidate, aree),
         relative_entropy(rho, omega),
         relative_entropy(rho, candidate),
         relative_entropy(omega, candidate),
         anyonic_entropy(reduced_density(state)),
+        max_block_gap(omega, candidate),
     ]
     rho, omega = embed([state]), omega_project([state])
     candidate = closest_separable_candidate([state]).to_operator()
     stacked = [
-        pythagorean_residual([state], [aree]),
+        pythagorean_residual(rho, omega, candidate, [aree]),
         relative_entropy(rho, omega),
         relative_entropy(rho, candidate),
         relative_entropy(omega, candidate),
         anyonic_entropy(reduced_density([state])),
+        max_block_gap(omega, candidate),
     ]
     assert all(isinstance(value, float) for value in one)
     assert all(value.shape == (1,) for value in stacked)
@@ -112,11 +132,17 @@ def test_stack_of_one_is_the_unstacked_call(state):
         assert all(np.array_equal(stack.block(key)[0], single.block(key)) for key in single.keys())
 
 
+def residual_of(stack):
+    """The numeric decomposition of a stack, through the operators built from it."""
+    candidate = closest_separable_candidate(stack).to_operator()
+    aree = closed(stack, "aree")
+    return pythagorean_residual(embed(stack), omega_project(stack), candidate, aree)
+
+
 class TestRefusals:
     @pytest.mark.parametrize(
         "build", [embed, omega_project, reduced_density, closest_separable_candidate,
-                  pytest.param(lambda stack: pythagorean_residual(stack, closed(stack, "aree")),
-                               id="pythagorean_residual")]
+                  pytest.param(residual_of, id="pythagorean_residual")]
     )
     def test_states_of_different_ranks(self, build):
         one = new_schmidt_state({TAU: [0.6, 0.4]})
