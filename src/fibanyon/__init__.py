@@ -14,26 +14,13 @@ safe to share across concurrent workers.
 """
 
 from .bell import TSIRELSON, CHSHResult, local_terms, optimize_chsh, type_c_bound
-from .errors import (
-    BlockMismatch,
-    CopyLimitExceeded,
-    DecompositionViolation,
-    DimensionMismatch,
-    DomainError,
-    FibanyonError,
-    NormalizationError,
-    NotAState,
-    SupportViolation,
-    TargetRankError,
-    ValidationError,
-)
-from .measures import MeasureReport, StateClass, classify, measure_report, shannon_entropy
+from .errors import CopyLimitExceeded, DecompositionViolation, FibanyonError, ValidationError
+from .measures import MeasureReport, StateClass, classify, measure_report
 from .model import (
     CHARGE_ORDER,
     LOG2_PHI,
     PHI,
     PHI_EXACT,
-    TOTAL_DIMENSION,
     Charge,
     QSqrt5,
     fuse,
@@ -42,42 +29,27 @@ from .model import (
     qdim_float,
 )
 from .multicopy import CopySeries, copy_series, e_aree_ncopy, n_copy
-from .states import (
-    SchmidtState,
-    new_schmidt_state,
-    random_schmidt_state,
-    state_from_dict,
-    state_to_dict,
-)
-from .verify import CheckResult, run_suite
+from .states import SchmidtState, new_schmidt_state, random_schmidt_state, state_from_dict
+from .verify import run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockMismatch",
     "CHARGE_ORDER",
     "CHSHResult",
     "Charge",
-    "CheckResult",
     "CopyLimitExceeded",
     "CopySeries",
     "DecompositionViolation",
-    "DimensionMismatch",
-    "DomainError",
     "FibanyonError",
     "LOG2_PHI",
     "MeasureReport",
-    "NormalizationError",
-    "NotAState",
     "PHI",
     "PHI_EXACT",
     "QSqrt5",
     "SchmidtState",
     "StateClass",
-    "SupportViolation",
-    "TOTAL_DIMENSION",
     "TSIRELSON",
-    "TargetRankError",
     "ValidationError",
     "classify",
     "copy_series",
@@ -93,8 +65,6 @@ __all__ = [
     "qdim_float",
     "random_schmidt_state",
     "run_suite",
-    "shannon_entropy",
     "state_from_dict",
-    "state_to_dict",
     "type_c_bound",
 ]

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .model import Charge
 from .multicopy import n_copy
 from .states import SchmidtState
@@ -48,9 +48,9 @@ def type_c_bound(l1: float, l2: float) -> tuple[float, tuple[float, float, float
     arctan(2 sqrt(l1 l2) / p).  Exceeds 2 whenever l1, l2 > 0.
     """
     if l1 <= 0.0 or l2 <= 0.0:
-        raise DomainError(f"plane coefficients must be positive, got {l1!r}, {l2!r}")
+        raise ValidationError(f"plane coefficients must be positive, got {l1!r}, {l2!r}")
     if l1 + l2 > 1.0 + 1e-9:
-        raise DomainError(f"plane coefficients sum to {l1 + l2!r}, more than 1")
+        raise ValidationError(f"plane coefficients sum to {l1 + l2!r}, more than 1")
     p = l1 + l2
     q = 2.0 * math.sqrt(l1 * l2)
     value = 2.0 * math.sqrt(p * p + q * q) + 2.0 * (1.0 - p)

@@ -11,23 +11,16 @@ class FibanyonError(Exception):
 
 
 class ValidationError(FibanyonError, ValueError):
-    """Input data violates a structural requirement."""
+    """An input or argument the package cannot accept.
 
-
-class NormalizationError(ValidationError):
-    """Coefficients deviate from unit total beyond the accepted tolerance."""
-
-
-class NotAState(FibanyonError, ValueError):
-    """Operator fails positivity or unit quantum trace."""
-
-
-class SupportViolation(FibanyonError, ValueError):
-    """Relative entropy undefined: rho carries weight outside sigma's support."""
-
-
-class BlockMismatch(FibanyonError, ValueError):
-    """Graded operators disagree on block keys, ranks, or representation."""
+    That covers malformed or unnormalised Schmidt data, an argument outside
+    a formula's domain (a copy count below 1, a negative power), and, in
+    the dense oracle, an operator that is not a state, graded operators
+    whose blocks, ranks or stacks disagree, a relative entropy with weight
+    outside the reference's support, and observables whose blocks miss the
+    state's sector ranks or target a sector of too low a rank.  The message
+    names which check failed.
+    """
 
 
 class DecompositionViolation(FibanyonError, AssertionError):
@@ -40,15 +33,3 @@ class CopyLimitExceeded(FibanyonError, ValueError):
     pass int64, an n-copy over the composition budget or past an int64 joint
     rank, or dense witness observables, operators or random separable
     directions past 2048 rows."""
-
-
-class DimensionMismatch(FibanyonError, ValueError):
-    """Observable blocks do not match the state's sector ranks."""
-
-
-class TargetRankError(FibanyonError, ValueError):
-    """Rotation observable targets a sector of insufficient rank."""
-
-
-class DomainError(FibanyonError, ValueError):
-    """Arguments lie outside the mathematical domain of a formula."""

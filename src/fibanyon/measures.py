@@ -10,9 +10,9 @@ Four measures are computed, all in bits:
   with tensor-product structure);
 * CE   -- conventional entanglement, the AREE of the Omega image.
 
-Each is a closed form in the grouped Schmidt data, built from
-:func:`shannon_entropy`.  :func:`measure_report` is the one route to all
-four; for pure states AREE = ACE + CE holds exactly, and it asserts that.
+Each is a closed form in the grouped Schmidt data, built from Shannon
+entropies.  :func:`measure_report` is the one route to all four; for
+pure states AREE = ACE + CE holds exactly, and it asserts that.
 :func:`classify` sorts states into types A, B and C exactly by the
 sector ranks, the predicate that also decides the CHSH verdict.
 The numeric route through block relative entropies, which rebuilds these
@@ -35,7 +35,7 @@ from .states import SchmidtState
 _DECOMP_TOL = 1e-9
 
 
-def shannon_entropy(
+def _shannon_entropy(
     values: Sequence[float] | np.ndarray, mults: Sequence[int] | np.ndarray | None = None
 ) -> float:
     """Shannon entropy in bits; zero-probability entries contribute 0.
@@ -91,7 +91,9 @@ def measure_report(state: SchmidtState) -> MeasureReport:
     With H = H({lambda_{c,i}}) and p_c the sector probabilities:
     AEE = H + p_tau log2(d_tau), AREE = H + 2 p_tau log2(d_tau),
     ACE = H({p_c}) + 2 p_tau log2(d_tau) and CE = sum_c p_c H({lambda_{c,i} / p_c}).
-    :class:`MeasureReport` asserts AREE = ACE + CE before it is returned.
+    With one sector H({p_c}) is exactly +0.0, not the rounding of a p_c
+    one ulp off 1.  :class:`MeasureReport` asserts AREE = ACE + CE before
+    it is returned.
     """
     h = _schmidt_entropy(state)
     probs = {c: state.sector_probability(c) for c in state.charges}
@@ -99,11 +101,12 @@ def measure_report(state: SchmidtState) -> MeasureReport:
     ce = 0.0
     for c, p in probs.items():
         values, mults = state.grouped(c)
-        ce += p * shannon_entropy(values / p, mults)
+        ce += p * _shannon_entropy(values / p, mults)
+    charge_entropy = _shannon_entropy(list(probs.values())) if len(probs) > 1 else 0.0
     return MeasureReport(
         aee=h + p_tau * LOG2_PHI,
         aree=h + 2.0 * p_tau * LOG2_PHI,
-        ace=shannon_entropy(list(probs.values())) + 2.0 * p_tau * LOG2_PHI,
+        ace=charge_entropy + 2.0 * p_tau * LOG2_PHI,
         ce=ce,
     )
 

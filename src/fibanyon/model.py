@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import ValidationError
 
 _SQRT5 = math.sqrt(5.0)
 
@@ -84,7 +84,7 @@ class QSqrt5:
 
     def __pow__(self, n: int) -> QSqrt5:
         if n < 0:
-            raise DomainError("negative powers not supported")
+            raise ValidationError("negative powers not supported")
         out = QSqrt5.from_int(1)
         base = self
         while n:
@@ -113,9 +113,6 @@ PHI = float(PHI_EXACT)
 #: of the two-anyon vacuum-channel state.
 LOG2_PHI = math.log2(PHI)
 
-#: Total quantum dimension D = sqrt(d_1**2 + d_tau**2).
-TOTAL_DIMENSION = math.sqrt(1.0 + PHI * PHI)
-
 
 def qdim(a: Charge) -> QSqrt5:
     """Exact quantum dimension of a charge."""
@@ -134,7 +131,7 @@ def fusion_space_dim(n: int, c: Charge) -> int:
     recurrence dim(n+1, 1) = dim(n, tau), dim(n+1, tau) = dim(n, 1) + dim(n, tau).
     """
     if n < 1:
-        raise DomainError(f"need at least one anyon, got n={n}")
+        raise ValidationError(f"need at least one anyon, got n={n}")
     dim_vac, dim_tau = 0, 1  # one tau anyon
     for _ in range(n - 1):
         dim_vac, dim_tau = dim_tau, dim_vac + dim_tau

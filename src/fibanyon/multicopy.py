@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CopyLimitExceeded, DecompositionViolation, DomainError
+from .errors import CopyLimitExceeded, DecompositionViolation, ValidationError
 from .measures import _schmidt_entropy, measure_report
 from .model import CHARGE_ORDER, LOG2_PHI, PHI, Charge, fusion_space_dim, qdim_float
 from .states import SchmidtState, from_arrays
@@ -71,9 +71,9 @@ def _check_copies(state: SchmidtState, n: int) -> None:
 
 
 def _check_count(n: int) -> None:
-    """Refuse a copy count below 1 (:class:`DomainError`) or above 66."""
+    """Refuse a copy count below 1 (:class:`ValidationError`) or above 66."""
     if n < 1:
-        raise DomainError(f"copy count must be positive, got {n}")
+        raise ValidationError(f"copy count must be positive, got {n}")
     if n > _COPY_MAX:
         raise CopyLimitExceeded(
             f"n={n} exceeds the copy limit {_COPY_MAX}, past which C(n, k) overflows int64"

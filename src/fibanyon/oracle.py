@@ -63,15 +63,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bell import CHSHResult
-from .errors import (
-    BlockMismatch,
-    CopyLimitExceeded,
-    DimensionMismatch,
-    NotAState,
-    SupportViolation,
-    TargetRankError,
-    ValidationError,
-)
+from .errors import CopyLimitExceeded, ValidationError
 from .model import CHARGE_ORDER, Charge, qdim_float
 from .states import SchmidtState
 
@@ -162,7 +154,7 @@ def _coefficient_stack(
 
     One state gives arrays without leading axes.  A sequence gives one
     leading axis; its states must share their sector ranks, or
-    :class:`BlockMismatch` is raised.  Every dense builder starts here, so
+    :class:`ValidationError` is raised.  Every dense builder starts here, so
     a vacuum-channel dimension sum_c k_c**2 above 2048 is refused, with
     :class:`CopyLimitExceeded`, before anything is allocated.
     """
@@ -173,7 +165,7 @@ def _coefficient_stack(
     ranks = stack[0].ranks
     for s in stack:
         if s.ranks != ranks:
-            raise BlockMismatch(f"sector ranks differ: {ranks!r} vs {s.ranks!r}")
+            raise ValidationError(f"sector ranks differ: {ranks!r} vs {s.ranks!r}")
     _check_dimension(ranks)
     if one:
         return {c: states.coefficients(c) for c in ranks}, ranks
@@ -181,7 +173,7 @@ def _coefficient_stack(
 
 
 def _check_states(blocks: Mapping[BlockKey, np.ndarray]) -> None:
-    """Raise :class:`NotAState` unless every state of a stack is one, to 1e-10.
+    """Raise :class:`ValidationError` unless every state of a stack is one, to 1e-10.
 
     ``blocks[key]`` (..., k, k) holds block ``key`` of every state.  In
     this order: Hermitian (``np.allclose``), positive semidefinite (one
@@ -191,14 +183,14 @@ def _check_states(blocks: Mapping[BlockKey, np.ndarray]) -> None:
     """
     with np.errstate(all="ignore"):
         if not all(np.allclose(m, _dagger(m), atol=_STATE_TOL) for m in blocks.values()):
-            raise NotAState("operator is not Hermitian")
+            raise ValidationError("operator is not Hermitian")
         for key, m in blocks.items():
             if np.linalg.eigvalsh(m).min(initial=math.inf) < -_STATE_TOL:
-                raise NotAState(f"block {key!r} is not positive semidefinite")
+                raise ValidationError(f"block {key!r} is not positive semidefinite")
         trace = _quantum_trace(blocks)
         off = np.abs(trace - 1.0) > _STATE_TOL
     if off.any():
-        raise NotAState(f"quantum trace is {float(trace[off][0])!r}, not 1")
+        raise ValidationError(f"quantum trace is {float(trace[off][0])!r}, not 1")
 
 
 class GradedDensityOperator:
@@ -293,7 +285,7 @@ class GradedDensityOperator:
         return _value(_quantum_trace(self._blocks))
 
     def assert_state(self) -> None:
-        """Raise :class:`NotAState` unless a state, as :func:`_check_states` tests."""
+        """Raise :class:`ValidationError` unless a state, as :func:`_check_states` tests."""
         _check_states(self._blocks)
 
     def __repr__(self) -> str:
@@ -411,7 +403,7 @@ def omega_project_operator(op: GradedDensityOperator) -> GradedDensityOperator:
     if op.kind == KIND_PRODUCT:
         return op
     if op.kind != KIND_JOINT:
-        raise BlockMismatch("omega projection applies to bipartite operators")
+        raise ValidationError("omega projection applies to bipartite operators")
     matrix = op.block(VACUUM_BLOCK)
     blocks: dict = {}
     for c, offset, size in op.joint_layout():
@@ -448,10 +440,10 @@ class SeparableState:
             raise ValidationError(f"mixture weights sum to {float(total[off][0])!r}, not 1")
 
     def _check_ranks(self, ranks: Mapping[Charge, int]) -> None:
-        """Raise :class:`BlockMismatch` unless the factors have exactly the target sector ranks."""
+        """Raise :class:`ValidationError` unless the factors have exactly the target ranks."""
         sizes = {c: m.shape[-1] for c, m in self.blocks.items()}
         if sizes != ranks:
-            raise BlockMismatch(f"factor sector ranks {sizes!r}, target ranks {ranks!r}")
+            raise ValidationError(f"factor sector ranks {sizes!r}, target ranks {ranks!r}")
 
     def to_operator(self) -> GradedDensityOperator:
         """Product-basis operator sum_t p_t rho_A^t (x) rho_B^t of each mixture, on
@@ -534,7 +526,7 @@ def _block_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     tr_r_log_s = np.zeros(overlap.shape[:-1])
     for i in np.ndindex(tr_r_log_s.shape):
         if float(overlap[i][null[i]].sum()) > _SUPPORT_TOL:
-            raise SupportViolation(
+            raise ValidationError(
                 "rho has weight outside sigma's support in a matched block"
             )
         tr_r_log_s[i] = np.dot(overlap[i][kept[i]], logs[i][kept[i]])
@@ -570,11 +562,11 @@ def relative_entropy(
     paired state by state and must have the same leading axes.
     """
     if rho.ranks != sigma.ranks:
-        raise BlockMismatch(
+        raise ValidationError(
             f"sector ranks differ: {rho.ranks!r} vs {sigma.ranks!r}"
         )
     if rho.stack != sigma.stack:
-        raise BlockMismatch(f"stacks differ: {rho.stack!r} vs {sigma.stack!r}")
+        raise ValidationError(f"stacks differ: {rho.stack!r} vs {sigma.stack!r}")
     if rho.kind == sigma.kind:
         total = np.zeros(rho.stack)
         for key in sorted(rho.keys(), key=lambda key: [c.value for c in _key_charges(key)]):
@@ -587,7 +579,7 @@ def relative_entropy(
         return _value(
             np.maximum(_block_relative_entropy(rho.block(VACUUM_BLOCK), sigma_joint), 0.0)
         )
-    raise BlockMismatch(
+    raise ValidationError(
         f"incompatible operator kinds {rho.kind!r} and {sigma.kind!r}"
     )
 
@@ -768,7 +760,7 @@ def rotation_observable(
     ranks = {c: int(k) for c, k in ranks.items() if int(k) > 0}
     k_target = ranks.get(target, 0)
     if k_target < 2:
-        raise TargetRankError(
+        raise ValidationError(
             f"sector {target.value!r} has rank {k_target}, cannot host a rotation plane"
         )
     blocks = {c: np.eye(k) for c, k in ranks.items()}
@@ -811,7 +803,7 @@ def _check_blocks(state: SchmidtState, obs: Observable, label: str) -> None:
     for c in state.charges:
         k = state.rank(c)
         if c not in obs.charges() or obs.block(c).shape[0] != k:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"observable {label} lacks a rank-{k} block for sector {c.value!r}"
             )
 

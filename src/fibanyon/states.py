@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NormalizationError, ValidationError
+from .errors import ValidationError
 from .model import CHARGE_ORDER, Charge
 
 _SUM_TOL = 1e-9
@@ -150,7 +150,7 @@ def from_arrays(sectors: Mapping[Charge, tuple[np.ndarray, np.ndarray]]) -> Schm
         raise ValidationError("state needs at least one positive Schmidt coefficient")
     total = SchmidtState(canonical).total()
     if abs(total - 1.0) > _SUM_TOL:
-        raise NormalizationError(
+        raise ValidationError(
             f"Schmidt coefficients sum to {total!r}, deviating from 1 by more than {_SUM_TOL}"
         )
     for c, (values, mults) in canonical.items():
@@ -200,7 +200,7 @@ def from_grouped(
                     raise ValidationError(
                         f"non-finite Schmidt coefficient {v!r} in sector {c.value!r}"
                     )
-                raise NormalizationError(
+                raise ValidationError(
                     f"Schmidt coefficient {v!r} in sector {c.value!r} exceeds 1"
                 )
             if isinstance(mult, bool) or not isinstance(mult, (int, np.integer)):
@@ -254,12 +254,6 @@ def state_from_dict(payload: Mapping) -> SchmidtState:
     return new_schmidt_state(sectors)
 
 
-def state_to_dict(state: SchmidtState) -> dict:
-    return {
-        "sectors": {c.value: [float(v) for v in state.coefficients(c)] for c in state.charges}
-    }
-
-
 def random_schmidt_state(
     rng: np.random.Generator,
     max_rank: int = 3,
@@ -270,11 +264,11 @@ def random_schmidt_state(
     Sector ranks are uniform on 0..max_rank (at least one sector kept
     nonempty).  With ``require_rank2`` some sector is forced to rank >= 2.
     A ``max_rank`` below 1, or below 2 with ``require_rank2``, admits no
-    state and raises :class:`DomainError` before ``rng`` is read.
+    state and raises :class:`ValidationError` before ``rng`` is read.
     """
     lowest = 2 if require_rank2 else 1
     if max_rank < lowest:
-        raise DomainError(f"max_rank {max_rank!r} is below {lowest}; no state can be drawn")
+        raise ValidationError(f"max_rank {max_rank!r} is below {lowest}; no state can be drawn")
     while True:
         k_vac = int(rng.integers(0, max_rank + 1))
         k_tau = int(rng.integers(0, max_rank + 1))

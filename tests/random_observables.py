@@ -13,7 +13,7 @@ import numpy as np
 
 from fibanyon import oracle
 from fibanyon.bell import TSIRELSON
-from fibanyon.errors import DimensionMismatch
+from fibanyon.errors import ValidationError
 from fibanyon.model import Charge
 from fibanyon.oracle import (
     KIND_JOINT,
@@ -80,7 +80,7 @@ def expectation_operator(op: GradedDensityOperator, a: Observable, b: Observable
                 a.block(c), b.block(c)
             )
         return float(np.trace(op.block(VACUUM_BLOCK) @ product).real)
-    raise DimensionMismatch("expectation requires a bipartite operator")
+    raise ValidationError("expectation requires a bipartite operator")
 
 
 def chsh_value_operator(

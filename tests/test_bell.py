@@ -11,14 +11,7 @@ import pytest
 from fibanyon import oracle, verify
 from fibanyon.bell import TSIRELSON, local_terms, optimize_chsh, type_c_bound
 from fibanyon.cli import main
-from fibanyon.errors import (
-    CopyLimitExceeded,
-    DimensionMismatch,
-    DomainError,
-    NotAState,
-    TargetRankError,
-    ValidationError,
-)
+from fibanyon.errors import CopyLimitExceeded, ValidationError
 from fibanyon.measures import StateClass, classify, measure_report
 from fibanyon.model import PHI, Charge, qdim_float
 from fibanyon.multicopy import n_copy
@@ -81,7 +74,7 @@ class TestObservables:
         np.testing.assert_allclose(block @ block, np.eye(3), atol=1e-12)
 
     def test_target_rank_error(self):
-        with pytest.raises(TargetRankError):
+        with pytest.raises(ValidationError, match="rank 1, cannot host a rotation plane"):
             rotation_observable({VAC: 1, TAU: 1}, 0.3, target=TAU)
 
     def test_non_involution_rejected(self):
@@ -130,7 +123,7 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         state = new_schmidt_state({TAU: [0.6, 0.4]})
         wrong = identity_observable({TAU: 3})
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="lacks a rank-2 block for sector 'tau'"):
             expectation(state, wrong, wrong)
 
 
@@ -447,6 +440,8 @@ FAULTS = [
     pytest.param(_non_hermitian, "operator is not Hermitian", id="non-hermitian"),
     pytest.param(_negative_eigenvalue, "is not positive semidefinite", id="negative-eigenvalue"),
 ]
+#: Any of the three state-check messages above.
+STATE_CHECK_MESSAGES = "quantum trace is|operator is not Hermitian|is not positive semidefinite"
 
 
 def perturb_one_factor(monkeypatch, fault):
@@ -475,7 +470,7 @@ def perturb_one_factor(monkeypatch, fault):
         blocks = {c: stack.copy() for c, stack in blocks.items()}
         for c in blocks:
             blocks[c][-1, 0, 1] = faulty[c]
-        with pytest.raises(NotAState) as today:
+        with pytest.raises(ValidationError, match=STATE_CHECK_MESSAGES) as today:
             GradedDensityOperator(faulty).assert_state()
         messages.append(str(today.value))
         real(blocks)
@@ -492,7 +487,7 @@ class TestStackedSeparableValidation:
     def test_faulty_factor_is_rejected(self, monkeypatch, fault, text, count):
         messages = perturb_one_factor(monkeypatch, fault)
         state = new_schmidt_state({VAC: [0.2, 0.1], TAU: [0.3, 0.3, 0.1]})
-        with pytest.raises(NotAState) as raised:
+        with pytest.raises(ValidationError, match=text) as raised:
             oracle.random_separable_directions(np.random.default_rng(13), state.ranks, count)
         assert text in str(raised.value)
         assert str(raised.value) == messages[0]
@@ -504,7 +499,7 @@ class TestStackedSeparableValidation:
         lines = capsys.readouterr().out.splitlines()
         assert code == 2
         assert text in messages[0]
-        assert lines[6] == f"FAIL  separable-oracle-gradient: NotAState: {messages[0]}"
+        assert lines[6] == f"FAIL  separable-oracle-gradient: ValidationError: {messages[0]}"
         assert lines[-1] == "13/14 checks passed"
 
     @pytest.mark.parametrize(
@@ -559,11 +554,11 @@ class TestTypeCBound:
             assert chsh_value(state, *obs) == pytest.approx(value, abs=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="plane coefficients must be positive"):
             type_c_bound(0.0, 0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="plane coefficients must be positive"):
             type_c_bound(0.5, -0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="plane coefficients sum to"):
             type_c_bound(0.6, 0.5)
 
 

@@ -626,7 +626,7 @@ class TestVerify:
         code, out, err = run(capsys, ["verify", "--seed", "42", "--cases", "3"])
         assert (code, err) == (2, "")
         lines = out.splitlines()
-        raised = "SupportViolation: rho has weight outside sigma's support in a matched block"
+        raised = "ValidationError: rho has weight outside sigma's support in a matched block"
         golden = VERIFY_SEED42_CASES3.splitlines()
         # The closed form is its own group, so the numeric oracle's error
         # leaves it passing.
@@ -642,13 +642,13 @@ class TestVerify:
         group read the generator as in a healthy run."""
 
         def raising(rho, sigma):
-            raise errors.SupportViolation("reached")
+            raise errors.ValidationError("reached")
 
         monkeypatch.setattr(verify, "relative_entropy", raising)
         code, out, err = run(capsys, ["verify", "--seed", "42", "--cases", "3"])
         assert (code, err) == (2, "")
         expected = VERIFY_SEED42_CASES3.splitlines()
-        expected[5] = "FAIL  separable-oracle-value: SupportViolation: reached"
+        expected[5] = "FAIL  separable-oracle-value: ValidationError: reached"
         expected[-1] = "13/14 checks passed"
         assert out.splitlines() == expected
 

@@ -13,8 +13,8 @@ import fibanyon
 import fibanyon.measures
 import fibanyon.states
 from fibanyon.cli import main
-from fibanyon.errors import BlockMismatch, DecompositionViolation, NotAState, SupportViolation
-from fibanyon.measures import MeasureReport, _schmidt_entropy, measure_report, shannon_entropy
+from fibanyon.errors import DecompositionViolation, ValidationError
+from fibanyon.measures import MeasureReport, _schmidt_entropy, _shannon_entropy, measure_report
 from fibanyon.model import CHARGE_ORDER, LOG2_PHI, PHI, Charge
 from fibanyon.multicopy import n_copy
 from fibanyon.oracle import (
@@ -124,7 +124,11 @@ def reference_schmidt_entropy(state):
 
 
 def reference_report(state):
-    """(AEE, AREE, ACE, CE) from the reference entropy and per-sector sums."""
+    """(AEE, AREE, ACE, CE) from the reference entropy and per-sector sums.
+
+    With one sector the charge distribution is {1}, whose entropy is exactly
+    0, whatever rounding leaves in that sector's probability.
+    """
     h = reference_schmidt_entropy(state)
     p_tau = state.p_tau
     probs = [state.sector_probability(c) for c in state.charges]
@@ -132,11 +136,11 @@ def reference_report(state):
     for c in state.charges:
         values, mults = state.grouped(c)
         p = float(np.dot(values, mults))
-        ce += p * shannon_entropy(values / p, mults)
+        ce += p * _shannon_entropy(values / p, mults)
     return (
         h + p_tau * LOG2_PHI,
         h + 2.0 * p_tau * LOG2_PHI,
-        shannon_entropy(probs) + 2.0 * p_tau * LOG2_PHI,
+        (_shannon_entropy(probs) if len(probs) > 1 else 0.0) + 2.0 * p_tau * LOG2_PHI,
         ce,
     )
 
@@ -168,6 +172,22 @@ SINGLE_GROUP = [
 ]
 
 
+#: One sector whose probability sums to 1 - 1 ulp in canonical order: H({p_c}) of
+#: that p_c rounds to +-1.6e-16, where the charge entropy of one sector is 0.
+ONE_SECTOR_OFF_BY_AN_ULP = pytest.param(
+    {VAC: [0.539091232339121, 0.25092733105615445, 0.1358320210550232, 0.07414941554970149]},
+    id="1-off-by-an-ulp",
+)
+
+
+def _printed_values(out, fmt):
+    """Every number ``measures`` or ``series`` printed, in either format."""
+    if fmt == "csv":
+        return [float(v) for line in out.splitlines()[1:] for v in line.split(",")]
+    payload = json.loads(out)
+    return [float(v) for row in payload.get("rows", [payload]) for v in row.values()]
+
+
 class TestSchmidtEntropyKernel:
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(state=small_states(), n=st.integers(1, 6))
@@ -188,16 +208,23 @@ class TestSchmidtEntropyKernel:
         for value in (_schmidt_entropy(state), *report.as_dict().values()):
             assert math.copysign(1.0, value) == 1.0
 
-    @pytest.mark.parametrize("sectors", [{TAU: [1.0]}, {VAC: [1.0]}, *SINGLE_GROUP])
+    @pytest.mark.parametrize(
+        "sectors", [{TAU: [1.0]}, {VAC: [1.0]}, *SINGLE_GROUP, ONE_SECTOR_OFF_BY_AN_ULP]
+    )
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_cli_prints_no_negative_zero(self, tmp_path, capsys, sectors, fmt):
+        """No printed measure is negative, -0.0 included, in ``measures`` or in
+        every ``series`` row."""
         path = tmp_path / "state.json"
         path.write_text(
             json.dumps({"sectors": {c.value: v for c, v in sectors.items()}}), encoding="utf-8"
         )
-        assert main(["measures", "--state", str(path), "--format", fmt]) == 0
-        out = capsys.readouterr().out
-        assert "-0" not in out
+        for command in (["measures"], ["series", "--max-n", "3"]):
+            assert main([*command, "--state", str(path), "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert "-0" not in out
+            for value in _printed_values(out, fmt):
+                assert math.copysign(1.0, value) == 1.0, (command, out)
 
 
 class TestOmega:
@@ -324,14 +351,14 @@ class TestSeparableValidation:
         ],
     )
     def test_invalid_factor_is_rejected(self, layout):
-        with pytest.raises(NotAState):
+        with pytest.raises(ValidationError, match="quantum trace is"):
             _separable(layout(_factor(1.0), _factor(1.5)))
 
     def test_first_check_kind_names_the_error(self):
         # Every factor is checked before the weights are summed, and every factor's
         # Hermitian test before any trace: the later term's fault names the error.
         non_hermitian = _factor(1.0) + 1e-3j
-        with pytest.raises(NotAState, match="operator is not Hermitian"):
+        with pytest.raises(ValidationError, match="operator is not Hermitian"):
             _separable(((0.5, _factor(1.5), _factor(1.0)), (0.6, _factor(1.0), non_hermitian)))
 
     def test_shared_valid_factor_is_accepted(self):
@@ -377,19 +404,19 @@ class TestRelativeEntropy:
         factor = np.array([[1.0, 0.0], [0.0, 0.0]])
         mixture = SeparableState(np.array([1.0]), {VAC: np.array([[factor, factor]])})
         narrow = mixture.to_operator()
-        with pytest.raises(SupportViolation):
+        with pytest.raises(ValidationError, match="outside sigma's support"):
             relative_entropy(embed(state), narrow)
 
     def test_block_mismatch(self):
         state = new_schmidt_state({TAU: [1.0]})
         subsystem = GradedDensityOperator({TAU: np.array([[1.0 / PHI]])})
-        with pytest.raises(BlockMismatch):
+        with pytest.raises(ValidationError, match="incompatible operator kinds"):
             relative_entropy(embed(state), subsystem)
 
     def test_rank_mismatch(self):
         one = new_schmidt_state({TAU: [1.0]})
         two = new_schmidt_state({TAU: [0.6, 0.4]})
-        with pytest.raises(BlockMismatch):
+        with pytest.raises(ValidationError, match="sector ranks differ"):
             relative_entropy(embed(one), omega_project(two))
 
 
@@ -494,7 +521,7 @@ class TestDomainChecks:
         other = new_schmidt_state({TAU: [1.0]})
         rng = np.random.default_rng(0)
         direction = random_separable_directions(rng, other.ranks, 1)
-        with pytest.raises(BlockMismatch):
+        with pytest.raises(ValidationError, match="factor sector ranks"):
             minimality_gradient(state, direction)
 
 
@@ -507,8 +534,9 @@ class TestPackageSurface:
         assert not hasattr(fibanyon.measures, name)
 
     def test_shannon_entropy_lives_in_measures(self):
-        assert fibanyon.shannon_entropy is fibanyon.measures.shannon_entropy
-        assert not hasattr(fibanyon.states, "shannon_entropy")
+        assert callable(fibanyon.measures._shannon_entropy)
+        assert not hasattr(fibanyon, "shannon_entropy")
+        assert not hasattr(fibanyon.states, "_shannon_entropy")
 
     def test_all_lists_exactly_the_public_names(self):
         assert all(hasattr(fibanyon, name) for name in fibanyon.__all__)

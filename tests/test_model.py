@@ -10,7 +10,6 @@ from fibanyon.model import (
     CHARGE_ORDER,
     PHI,
     PHI_EXACT,
-    TOTAL_DIMENSION,
     Charge,
     QSqrt5,
     fuse,
@@ -46,10 +45,6 @@ class TestQuantumDimensions:
         assert qdim_float(Charge.TAU) == pytest.approx(1.6180339887, abs=1e-9)
         assert qdim_float(Charge.VACUUM) == 1.0
         assert PHI == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-15)
-
-    def test_total_dimension(self):
-        assert TOTAL_DIMENSION == pytest.approx(1.9021130326, abs=1e-9)
-        assert TOTAL_DIMENSION**2 == pytest.approx(1.0 + PHI**2, abs=1e-12)
 
     def test_exact_powers(self):
         assert PHI_EXACT**5 == PHI_EXACT * PHI_EXACT * PHI_EXACT * PHI_EXACT * PHI_EXACT

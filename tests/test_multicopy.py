@@ -558,6 +558,51 @@ class TestSeriesPrecision:
                     assert abs(value - exact) <= 1e-13 * abs(exact), (row, reference)
 
 
+#: Bound on each single-state measure against the 50-digit reference: 1e-13
+#: relative, with a 1e-15 absolute floor.  Near a pure state the reference,
+#: renormalised in mpf, and the float route part by up to 3e-3 relative on
+#: values near 1e-15, but never by more than 3e-16 absolute.
+_MEASURE_RELATIVE, _MEASURE_FLOOR = 1e-13, 1e-15
+
+#: Near-pure layouts: the second coefficient is 10**-e.
+_NEAR_PURE = [
+    lambda t: {VAC: [1.0 - t, t]},
+    lambda t: {TAU: [1.0 - t, t]},
+    lambda t: {VAC: [1.0 - t], TAU: [t]},
+    lambda t: {VAC: [t], TAU: [1.0 - t]},
+]
+
+
+def assert_measures_match_reference(state):
+    """``measure_report`` within the bound of the reference's n = 1 row, and an
+    exact +0.0 where one sector makes ACE (vacuum only) or CE (rank 1) zero."""
+    report = measure_report(state)
+    values = (report.aee, report.aree, report.ace, report.ce)
+    for value, exact in zip(values, mp_series_rows(state, 1)[0][1:], strict=True):
+        assert abs(value - exact) <= _MEASURE_RELATIVE * abs(exact) + _MEASURE_FLOOR, (
+            state,
+            values,
+        )
+    zeros = [report.ace] if state.charges == (VAC,) else []
+    zeros += [report.ce] if state.max_rank == 1 else []
+    for value in zeros:
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0, (state, values)
+
+
+class TestMeasurePrecision:
+    """Every closed-form measure of one state against the 50-digit reference."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(state=small_states())
+    def test_drawn_states(self, state):
+        assert_measures_match_reference(state)
+
+    @pytest.mark.parametrize("e", [1, 3, 6, 9, 12, 16])
+    @pytest.mark.parametrize("layout", _NEAR_PURE)
+    def test_near_pure_states(self, layout, e):
+        assert_measures_match_reference(new_schmidt_state(layout(10.0**-e)))
+
+
 class TestKernelBits:
     """The in-place kernel against the fresh-array gather kernel, bit for bit."""
 

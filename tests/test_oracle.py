@@ -1,9 +1,12 @@
-"""The dense-operator route lives in ``fibanyon.oracle`` and nowhere else."""
+"""The dense-operator route lives in ``fibanyon.oracle`` and nowhere else, and
+every public name, of ``oracle`` and of the package, has a product caller."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import fibanyon
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fibanyon"
@@ -61,19 +64,38 @@ def _imported_modules(tree):
     return modules
 
 
-def _oracle_reads(tree):
-    """Names a module reads from ``oracle``: imported from it or read as ``oracle.<name>``."""
+def _reads(tree, module):
+    """Names a tree reads from ``module`` or from the package namespace: imported
+    from either, or read as ``<module>.<name>`` or ``<package alias>.<name>``."""
+    owners = {module} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "fibanyon"
+    }
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "oracle":
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in {
+            module,
+            "fibanyon",
+        }:
             names.update(alias.name for alias in node.names)
         elif (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
-            and node.value.id == "oracle"
+            and node.value.id in owners
         ):
             names.add(node.attr)
     return names
+
+
+def _read_elsewhere(module):
+    """Names read from ``module`` by another ``src`` module or by a demo.  The
+    package ``__init__``, which re-exports names, is no caller."""
+    readers = [_tree(p.stem) for p in SRC.glob("*.py") if p.stem not in (module, "__init__")]
+    readers += [ast.parse(p.read_text(encoding="utf-8")) for p in (ROOT / "demos").glob("*.py")]
+    return set().union(*(_reads(tree, module) for tree in readers))
 
 
 def _referenced_names(tree):
@@ -126,13 +148,28 @@ def test_every_public_oracle_name_has_a_caller():
     """Each public top-level name of ``oracle`` is read by another ``src`` module,
     by a demo, or by ``oracle`` itself outside its own definition.  A name that
     only the tests read belongs with the tests."""
-    readers = [_tree(p.stem) for p in SRC.glob("*.py") if p.stem != "oracle"]
-    readers += [ast.parse(p.read_text(encoding="utf-8")) for p in (ROOT / "demos").glob("*.py")]
-    read = set().union(*map(_oracle_reads, readers))
+    read = _read_elsewhere("oracle")
     body = _tree("oracle").body
     used = [{n.id for n in ast.walk(node) if isinstance(n, ast.Name)} for node in body]
     unread = set()
     for i, node in enumerate(body):
         elsewhere = read.union(*used[:i], *used[i + 1 :])
         unread |= {n for n in _defined_by(node) if not n.startswith("_") and n not in elsewhere}
+    assert not unread
+
+
+#: The module each name of ``fibanyon.__all__`` is imported from.
+EXPORTED_FROM = {
+    alias.name: node.module
+    for node in _tree("__init__").body
+    if isinstance(node, ast.ImportFrom)
+    for alias in node.names
+}
+
+
+def test_every_exported_name_has_a_caller():
+    """Each name of ``fibanyon.__all__`` is read by a ``src`` module other than
+    the one that defines it, or by a demo."""
+    assert set(fibanyon.__all__) <= EXPORTED_FROM.keys()
+    unread = {n for n in fibanyon.__all__ if n not in _read_elsewhere(EXPORTED_FROM[n])}
     assert not unread
