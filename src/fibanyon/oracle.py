@@ -5,10 +5,10 @@ certificates are computed in closed form from grouped Schmidt data
 elsewhere in the package.  This module is the one place that knows the
 dense block format; ``verify`` and the demos use it to rebuild those
 numbers numerically, and every public name here has a caller among
-them.  It reads no closed form: :func:`pythagorean_residual` takes the
-AREE it checks from its caller.  Checks of the oracle itself (random
-observables, operator expectations, the Tsirelson bound) live with the
-tests.
+them.  It reads no closed form and takes none: it computes the numeric
+values, and ``verify`` compares them with the closed forms.  Checks of
+the oracle itself (random observables, operator expectations, the
+Tsirelson bound) live with the tests.
 
 Density-type operators carry a block per superselection sector together
 with a quantum-trace weight.  Three block layouts appear:
@@ -31,13 +31,12 @@ Every block, mixture array and value may carry leading axes that stack
 states sharing their sector ranks (a rank signature): :func:`embed`,
 :func:`omega_project`, :func:`reduced_density` and
 :func:`closest_separable_candidate` take one state or a sequence of
-them, and :func:`relative_entropy`, :func:`anyonic_entropy`,
-:func:`pythagorean_residual` and :func:`max_block_gap` return a float
-for one state and an array of one value per state for a stack.  One
-state is the stack without leading axes, on the same code; each
-eigen-solve is one stacked call, and only the ragged sums over the
-eigenvalues kept run state by state, so every value has the bits of the
-unstacked call.
+them, and :func:`relative_entropy`, :func:`anyonic_entropy` and
+:func:`max_block_gap` return a float for one state and an array of one
+value per state for a stack.  One state is the stack without leading
+axes, on the same code; each eigen-solve is one stacked call, and only
+the ragged sums over the eigenvalues kept run state by state, so every
+value has the bits of the unstacked call.
 
 Observables are party-local Hermitian involutions (eigenvalues +-1),
 block diagonal across charge sectors: superselection forbids coherences
@@ -634,28 +633,6 @@ def minimality_gradient(state: SchmidtState, direction: SeparableState) -> float
         dk = np.outer(amp, amp) * _log_divided_difference(s[:, None], s[None, :])
         pairing = pairing + np.sum(dk * overlap, axis=(-2, -1)).real
     return _value((1.0 - pairing) / math.log(2.0))
-
-
-def pythagorean_residual(
-    rho: GradedDensityOperator,
-    omega: GradedDensityOperator,
-    candidate: GradedDensityOperator,
-    aree: float | Sequence[float],
-) -> float | np.ndarray:
-    """AREE minus the two-step path through the Omega image; vanishes for states.
-
-    Computes AREE - S(rho || omega) - S(omega || candidate) for the
-    embedded state ``rho``, its Omega image and the operator of its
-    closest-separable candidate, with the AREE given by the caller (a
-    float for one state, one value per state for a stack) and both
-    relative entropies computed through blocks.  A float for one state;
-    for a stack, an array of one value per state.
-    """
-    return (
-        aree
-        - relative_entropy(rho, omega)
-        - relative_entropy(omega, candidate)
-    )
 
 
 def random_separable_directions(

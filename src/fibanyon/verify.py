@@ -9,7 +9,10 @@ checks read, the three-copy CHSH optimum, and the locality certificates
 against the CHSH verdict and the state classes.  Each group of checks is
 a module-level function returning :class:`CheckResult` values; the
 public ``check_*`` ones, which the acceptance tests also run, let
-callers choose the seed and sample sizes.
+callers choose the seed and sample sizes.  Seven checks report the
+largest |value| against a bound; ``_WORST_LINES`` holds each one's bound
+and detail, once, and :func:`_worst_line` builds all seven lines.  Every
+reduction lets a NaN through, so a NaN value fails its check.
 
 The numeric side of each comparison comes from :mod:`fibanyon.oracle`,
 and each closed-form report and joint state is derived once, for every
@@ -65,7 +68,6 @@ from .oracle import (
     minimality_gradient,
     omega_project,
     omega_project_operator,
-    pythagorean_residual,
     random_separable_directions,
     reduced_density,
     relative_entropy,
@@ -117,11 +119,31 @@ def check_model_identities() -> list[CheckResult]:
     ]
 
 
+#: The checks that report the largest |value| against a bound: for each,
+#: the bound and the detail template, formatted with ``worst`` and ``count``.
+_WORST_LINES: dict[str, tuple[float, str]] = {
+    "decomposition-closed-form": (1e-9, "max |AREE - ACE - CE| = {worst:.3e} over {count} states"),
+    "decomposition-numeric": (1e-8, "max numeric residual = {worst:.3e} over {count} states"),
+    "separable-oracle-value": (1e-8, "max |numeric - closed| = {worst:.3e} over {count} states"),
+    "aee-dense": (1e-12, "max |numeric - closed| = {worst:.3e} over {count} states"),
+    "aee-additivity": (1e-9, "max |aee(n-copy) - n aee| = {worst:.3e}"),
+    "multicopy-closed-form": (1e-9, "max |closed - constructed| = {worst:.3e} for n <= 6"),
+    "omega-from-joint": (1e-12, "max |Omega(embed) - Omega| = {worst:.3e}"),
+}
+
+
+def _worst_line(name: str, values: Sequence[float]) -> CheckResult:
+    """The line of a ``_WORST_LINES`` check: passed when the largest |value|
+    is below its bound.  A NaN among the values is the largest and fails;
+    no values give 0."""
+    bound, template = _WORST_LINES[name]
+    worst = float(np.max(np.abs(values), initial=0.0))
+    return CheckResult(name, worst < bound, template.format(worst=worst, count=len(values)))
+
+
 def check_decomposition_closed(reports: Sequence[MeasureReport]) -> list[CheckResult]:
     """AREE = ACE + CE in closed form, over every state's report."""
-    closed = max(abs(r.aree - r.ace - r.ce) for r in reports)
-    detail = f"max |AREE - ACE - CE| = {closed:.3e} over {len(reports)} states"
-    return [CheckResult("decomposition-closed-form", closed < 1e-9, detail)]
+    return [_worst_line("decomposition-closed-form", [r.aree - r.ace - r.ce for r in reports])]
 
 
 class _Operators:
@@ -152,7 +174,9 @@ _DENSE_CHECKS: dict[str, tuple[float, str | None, Callable[[_Operators, list], n
     "decomposition-numeric": (
         math.inf,
         "aree",
-        lambda ops, aree: pythagorean_residual(ops.rho, ops.omega, ops.sigma, aree),
+        lambda ops, aree: (
+            aree - relative_entropy(ops.rho, ops.omega) - relative_entropy(ops.omega, ops.sigma)
+        ),
     ),
     "separable-oracle-value": (
         math.inf, "aree", lambda ops, aree: relative_entropy(ops.rho, ops.sigma) - aree
@@ -208,32 +232,23 @@ def _read(values: _DenseValues, name: str) -> list[float]:
     return values[name]
 
 
+def _dense_line(values: _DenseValues, name: str) -> list[CheckResult]:
+    """The ``_WORST_LINES`` line of one dense check."""
+    return [_worst_line(name, _read(values, name))]
+
+
 def check_decomposition_numeric(
     states: Sequence[SchmidtState], reports: Sequence[MeasureReport]
 ) -> list[CheckResult]:
     """AREE = ACE + CE through block relative entropies, on the first 100 states."""
-    return _decomposition_numeric(_dense_pass(states[:100], reports.__getitem__))
-
-
-def _decomposition_numeric(dense: _DenseValues) -> list[CheckResult]:
-    residuals = _read(dense, "decomposition-numeric")
-    numeric = max(map(abs, residuals))
-    detail = f"max numeric residual = {numeric:.3e} over {len(residuals)} states"
-    return [CheckResult("decomposition-numeric", numeric < 1e-8, detail)]
+    return _dense_line(_dense_pass(states[:100], reports.__getitem__), "decomposition-numeric")
 
 
 def check_separable_value(
     states: Sequence[SchmidtState], reports: Sequence[MeasureReport]
 ) -> list[CheckResult]:
     """The relative entropy to the closest-separable candidate equals the AREE."""
-    return _separable_value(_dense_pass(states, reports.__getitem__))
-
-
-def _separable_value(dense: _DenseValues) -> list[CheckResult]:
-    gaps = _read(dense, "separable-oracle-value")
-    worst = max([0.0, *map(abs, gaps)])
-    detail = f"max |numeric - closed| = {worst:.3e} over {len(gaps)} states"
-    return [CheckResult("separable-oracle-value", worst < 1e-8, detail)]
+    return _dense_line(_dense_pass(states, reports.__getitem__), "separable-oracle-value")
 
 
 def check_separable_gradient(
@@ -243,12 +258,14 @@ def check_separable_gradient(
 
     One pass per state: :func:`~fibanyon.oracle.random_separable_directions`
     draws the state's directions as one validated stack, and
-    :func:`~fibanyon.oracle.minimality_gradient` evaluates all of them.
+    :func:`~fibanyon.oracle.minimality_gradient` evaluates all of them.  A
+    NaN gradient is the lowest and fails.
     """
-    lowest = math.inf
-    for s in states:
-        gradients = minimality_gradient(s, random_separable_directions(rng, s.ranks, directions))
-        lowest = min(lowest, float(gradients.min(initial=math.inf)))
+    gradients = [
+        minimality_gradient(s, random_separable_directions(rng, s.ranks, directions))
+        for s in states
+    ]
+    lowest = float(np.min(gradients, initial=math.inf))
     detail = f"min gradient = {lowest:.3e} over {len(states)} states x {directions} directions"
     return [CheckResult("separable-oracle-gradient", lowest >= -1e-6, detail)]
 
@@ -256,7 +273,7 @@ def check_separable_gradient(
 def check_copy_series_trends(series: CopySeries) -> list[CheckResult]:
     """Tau-pair series: AEE constant, CE zero then positive, ACE falling, AREE -> log2(phi)."""
     rows = series.rows
-    aee_const = max(abs(row[1] - LOG2_PHI) for row in rows)
+    aee_const = float(np.max(np.abs([row[1] - LOG2_PHI for row in rows]), initial=0.0))
     ce_zero = all(rows[n - 1][4] == 0.0 for n in (1, 2))
     ce_positive = all(row[4] > 0.0 for row in rows[2:])
     ace_decreasing = all(rows[i][3] > rows[i + 1][3] for i in range(len(rows) - 1))
@@ -264,14 +281,6 @@ def check_copy_series_trends(series: CopySeries) -> list[CheckResult]:
     passed = aee_const < 1e-9 and ce_zero and ce_positive and ace_decreasing and aree_bound
     detail = f"aee drift {aee_const:.3e}; CE zeros at n=1,2; ACE strictly decreasing"
     return [CheckResult("copy-series-trends", passed, detail)]
-
-
-def _check_aee_dense(dense: _DenseValues) -> list[CheckResult]:
-    """The AEE equals the anyonic entropy of the dense reduced state."""
-    gaps = _read(dense, "aee-dense")
-    worst = max(map(abs, gaps))
-    detail = f"max |numeric - closed| = {worst:.3e} over {len(gaps)} states"
-    return [CheckResult("aee-dense", worst < 1e-12, detail)]
 
 
 def _check_multicopy(
@@ -283,23 +292,11 @@ def _check_multicopy(
         for n in range(2, 7):
             joint = measure_report(n_copy(s, n))
             if n <= 3:
-                additivity.append(abs(joint.aee - n * report.aee))
-            closed_form.append(abs(e_aree_ncopy(s, n) - joint.aree))
-    worst, closed = max(additivity), max(closed_form)
-    detail = f"max |closed - constructed| = {closed:.3e} for n <= 6"
+                additivity.append(joint.aee - n * report.aee)
+            closed_form.append(e_aree_ncopy(s, n) - joint.aree)
     return [
-        CheckResult("aee-additivity", worst < 1e-9, f"max |aee(n-copy) - n aee| = {worst:.3e}"),
-        CheckResult("multicopy-closed-form", closed < 1e-9, detail),
-    ]
-
-
-def _check_omega(dense: _DenseValues) -> list[CheckResult]:
-    """The closed-form Omega image equals Omega applied to the embedded state."""
-    worst = max(_read(dense, "omega-from-joint"))
-    return [
-        CheckResult(
-            "omega-from-joint", worst < 1e-12, f"max |Omega(embed) - Omega| = {worst:.3e}"
-        )
+        _worst_line("aee-additivity", additivity),
+        _worst_line("multicopy-closed-form", closed_form),
     ]
 
 
@@ -370,18 +367,18 @@ def run_suite(seed: int = 42, cases: int = 100) -> list[CheckResult]:
     groups: list[tuple[tuple[str, ...], Callable[[], list[CheckResult]]]] = [
         (("golden-identity", "total-dimension", "fusion-paths"), check_model_identities),
         (("decomposition-closed-form",), lambda: check_decomposition_closed(reports(cases))),
-        (("decomposition-numeric",), lambda: _decomposition_numeric(dense())),
-        (("separable-oracle-value",), lambda: _separable_value(dense())),
+        (("decomposition-numeric",), lambda: _dense_line(dense(), "decomposition-numeric")),
+        (("separable-oracle-value",), lambda: _dense_line(dense(), "separable-oracle-value")),
         (
             ("separable-oracle-gradient",),
             lambda: check_separable_gradient(rng, states[:n_grad_states], 40),
         ),
-        (("aee-dense",), lambda: _check_aee_dense(dense())),
+        (("aee-dense",), lambda: _dense_line(dense(), "aee-dense")),
         (
             ("aee-additivity", "multicopy-closed-form"),
             lambda: _check_multicopy(states[:10], reports(10)),
         ),
-        (("omega-from-joint",), lambda: _check_omega(dense())),
+        (("omega-from-joint",), lambda: _dense_line(dense(), "omega-from-joint")),
         (("copy-series-trends",), lambda: check_copy_series_trends(copy_series(tau_state, 12))),
         (("chsh-three-copies",), lambda: _check_three_copies(tau_joint)),
         (

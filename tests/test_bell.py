@@ -604,6 +604,19 @@ class TestOptimizeChsh:
             result = optimize_chsh(state)
             assert result.value <= 2.0 + 1e-6
 
+    def test_tau_pair_law(self):
+        """value <= 2 sqrt 2 - (2 sqrt 2 - 2) phi**(-3 floor(n / 3)) for every
+        copy count, with equality at n <= 3 (2, 2, 2.632862); local at n = 1, 2
+        and a violation from n = 3 on."""
+        for n in range(1, 67):
+            result = optimize_chsh(tau_line(), n)
+            law = TSIRELSON - (TSIRELSON - 2.0) * PHI ** (-3 * (n // 3))
+            assert result.value <= law + 1e-12
+            if n <= 3:
+                assert abs(result.value - law) <= 1e-12
+            assert result.verdict == ("local-bound-respected" if n <= 2 else "violation")
+        assert round(optimize_chsh(tau_line(), 3).value, 6) == 2.632862
+
     def test_copy_limit(self):
         with pytest.raises(CopyLimitExceeded, match="copy limit 66"):
             optimize_chsh(tau_line(), copies=67)

@@ -638,8 +638,9 @@ class TestVerify:
         assert lines[-1] == "11/14 checks passed"
 
     def test_raising_value_oracle_keeps_later_draws(self, capsys, monkeypatch):
-        """Only the raising check fails; the gradient draws and every later
-        group read the generator as in a healthy run."""
+        """Only the checks that read the raising oracle fail (the numeric
+        decomposition and the separable value); the gradient draws and every
+        later group read the generator as in a healthy run."""
 
         def raising(rho, sigma):
             raise errors.ValidationError("reached")
@@ -648,9 +649,50 @@ class TestVerify:
         code, out, err = run(capsys, ["verify", "--seed", "42", "--cases", "3"])
         assert (code, err) == (2, "")
         expected = VERIFY_SEED42_CASES3.splitlines()
+        expected[4] = "FAIL  decomposition-numeric: ValidationError: reached"
         expected[5] = "FAIL  separable-oracle-value: ValidationError: reached"
-        expected[-1] = "13/14 checks passed"
+        expected[-1] = "12/14 checks passed"
         assert out.splitlines() == expected
+
+    def test_nan_dense_value_fails(self, monkeypatch):
+        """A NaN for the second state of each stack fails both checks that read
+        the relative entropy, though it is neither the first value nor the last."""
+        real = verify.relative_entropy
+
+        def second_nan(rho, sigma):
+            value = real(rho, sigma)
+            if np.ndim(value) and len(value) > 1:
+                value = value.copy()
+                value[1] = np.nan
+            return value
+
+        monkeypatch.setattr(verify, "relative_entropy", second_nan)
+        failed = {r.name: r.detail for r in verify.run_suite(seed=42) if not r.passed}
+        assert failed == {
+            "decomposition-numeric": "max numeric residual = nan over 100 states",
+            "separable-oracle-value": "max |numeric - closed| = nan over 100 states",
+        }
+
+    def test_nan_gradient_fails(self, monkeypatch):
+        real = verify.minimality_gradient
+
+        def one_nan(state, directions):
+            gradients = real(state, directions).copy()
+            gradients[1] = np.nan
+            return gradients
+
+        monkeypatch.setattr(verify, "minimality_gradient", one_nan)
+        failed = {r.name: r.detail for r in verify.run_suite(seed=42) if not r.passed}
+        assert failed == {
+            "separable-oracle-gradient": "min gradient = nan over 10 states x 40 directions"
+        }
+
+    def test_nan_aee_drift_fails(self):
+        rows = multicopy.copy_series(fa.new_schmidt_state({"tau": [1.0]}), 12).rows
+        rows = rows[:5] + ((6, math.nan, *rows[5][2:]),) + rows[6:]
+        (result,) = verify.check_copy_series_trends(multicopy.CopySeries(rows))
+        assert not result.passed
+        assert result.detail.startswith("aee drift nan;")
 
 
 class TestSharedParser:

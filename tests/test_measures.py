@@ -26,7 +26,6 @@ from fibanyon.oracle import (
     minimality_gradient,
     omega_project,
     omega_project_operator,
-    pythagorean_residual,
     random_separable_directions,
     relative_entropy,
 )
@@ -479,9 +478,13 @@ class TestMinimalityGradient:
 
 
 def residual(state):
+    """AREE - S(rho||Omega) - S(Omega||sigma): the two legs through the Omega image."""
+    rho, omega = embed(state), omega_project(state)
     candidate = closest_separable_candidate(state).to_operator()
-    return pythagorean_residual(
-        embed(state), omega_project(state), candidate, measure_report(state).aree
+    return (
+        measure_report(state).aree
+        - relative_entropy(rho, omega)
+        - relative_entropy(omega, candidate)
     )
 
 

@@ -426,6 +426,19 @@ class TestAsymptotes:
         assert offset == pytest.approx(-1.3528478, abs=1e-7)
         assert abs(n * (ce_pc - aee_pc) - offset) <= 1e-9
 
+    def test_tau_pair_ce_law(self):
+        """n CE = sum_c p_c log2 dim(n, c), with p_c = dim(n, c) d_c / phi**n: the
+        joint sector c is dim(n, c) equal coefficients.  Exactly 0 at n = 1, 2."""
+        for n, _, _, _, ce_pc in copy_series(tau_line(), 66).rows:
+            law = sum(
+                fusion_space_dim(n, c) * qdim_float(c) / PHI**n * math.log2(fusion_space_dim(n, c))
+                for c in CHARGE_ORDER
+                if fusion_space_dim(n, c)
+            )
+            if n <= 2:
+                assert (ce_pc, law) == (0.0, 0.0)
+            assert abs(n * ce_pc - law) <= 1e-13 * law
+
 
 class TestAdditivity:
     def test_three_copies_of_tau_line(self):

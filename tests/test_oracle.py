@@ -120,10 +120,22 @@ def test_closed_form_module_stays_off_the_dense_route(module):
 
 
 def test_oracle_reads_no_closed_form():
-    """A check that needs a closed value (the AREE of ``pythagorean_residual``)
-    takes it from its caller: ``oracle`` imports no closed-form or CLI module."""
+    """``oracle`` only computes numeric values; ``verify`` compares them with
+    the closed forms, so ``oracle`` imports no closed-form or CLI module."""
     parts = {part for name in _imported_modules(_tree("oracle")) for part in name.split(".")}
     assert not parts & {"measures", "multicopy", "cli"}
+
+
+def test_oracle_takes_no_closed_value():
+    """No function of ``oracle`` takes a closed measure to compare with:
+    the comparison belongs to ``verify``."""
+    params = set()
+    for node in ast.walk(_tree("oracle")):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            every = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            params.update(arg.arg for arg in every if arg is not None)
+    assert not params & {"aee", "aree", "ace", "ce"}
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from fibanyon.oracle import (
     embed,
     max_block_gap,
     omega_project,
-    pythagorean_residual,
     reduced_density,
     relative_entropy,
 )
@@ -98,9 +97,7 @@ def test_drawn_stacks_match_the_reference(stack):
 def test_stack_of_one_is_the_unstacked_call(state):
     rho, omega = embed(state), omega_project(state)
     candidate = closest_separable_candidate(state).to_operator()
-    aree = measure_report(state).aree
     one = [
-        pythagorean_residual(rho, omega, candidate, aree),
         relative_entropy(rho, omega),
         relative_entropy(rho, candidate),
         relative_entropy(omega, candidate),
@@ -110,7 +107,6 @@ def test_stack_of_one_is_the_unstacked_call(state):
     rho, omega = embed([state]), omega_project([state])
     candidate = closest_separable_candidate([state]).to_operator()
     stacked = [
-        pythagorean_residual(rho, omega, candidate, [aree]),
         relative_entropy(rho, omega),
         relative_entropy(rho, candidate),
         relative_entropy(omega, candidate),
@@ -127,10 +123,12 @@ def test_stack_of_one_is_the_unstacked_call(state):
 
 
 def residual_of(stack):
-    """The numeric decomposition of a stack, through the operators built from it."""
+    """The numeric decomposition of a stack, AREE - S(rho||Omega) - S(Omega||sigma),
+    through the operators built from it."""
+    rho, omega = embed(stack), omega_project(stack)
     candidate = closest_separable_candidate(stack).to_operator()
     aree = closed(stack, "aree")
-    return pythagorean_residual(embed(stack), omega_project(stack), candidate, aree)
+    return aree - relative_entropy(rho, omega) - relative_entropy(omega, candidate)
 
 
 class TestRefusals:
