@@ -2,11 +2,11 @@
 
 A pure bipartite state of total vacuum charge is stored in Schmidt form:
 per charge sector ``c`` a list of nonnegative coefficients ``lambda_{c,i}``
-with ``sum_{c,i} lambda_{c,i} = 1``.  Coefficients are grouped as
+with ``sum_{c,i} lambda_{c,i} = 1``.  Coefficients are stored grouped as
 ``(value, multiplicity)`` pairs so that multi-copy states with heavily
 repeated coefficients stay compact.  This module parses and validates
-that data (:func:`from_grouped` makes every check of a coefficient) and
-keeps it canonical; the measures computed from it live in
+that data (:func:`new_schmidt_state` makes every check of a coefficient)
+and keeps it canonical; the measures computed from it live in
 :mod:`fibanyon.measures`, and the dense graded operators built from it
 in :mod:`fibanyon.oracle`.
 """
@@ -14,6 +14,7 @@ in :mod:`fibanyon.oracle`.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,8 +25,6 @@ from .model import CHARGE_ORDER, Charge
 _SUM_TOL = 1e-9
 #: No single coefficient of a state can exceed 1 by more than the sum tolerance.
 _COEFF_MAX = 1.0 + _SUM_TOL
-#: Multiplicities are stored as int64.
-_MULT_MAX = 2**63 - 1
 
 
 def _as_charge(key: Charge | str) -> Charge:
@@ -43,7 +42,7 @@ class SchmidtState:
     __slots__ = ("_sectors",)
 
     def __init__(self, sectors: Mapping[Charge, tuple[np.ndarray, np.ndarray]]):
-        # Internal constructor; use new_schmidt_state / from_grouped / from_arrays.
+        # Internal constructor; use new_schmidt_state / from_arrays.
         self._sectors = dict(sectors)
 
     # -- accessors ---------------------------------------------------------
@@ -133,8 +132,8 @@ def _merge_equal(values: np.ndarray, mults: np.ndarray) -> tuple[np.ndarray, np.
 def from_arrays(sectors: Mapping[Charge, tuple[np.ndarray, np.ndarray]]) -> SchmidtState:
     """Canonical state from valid per-sector float64 values and int64 multiplicities.
 
-    The one canonicalisation of Schmidt data, for :func:`from_grouped` and
-    :func:`fibanyon.multicopy.n_copy`: zeros stripped, equal values
+    The one canonicalisation of Schmidt data, for :func:`new_schmidt_state`
+    and :func:`fibanyon.multicopy.n_copy`: zeros stripped, equal values
     merged, sectors sorted descending, arrays read-only.  The total may
     deviate from 1 by at most 1e-9; values are then divided by it and
     equal ones merged again (division by a positive total keeps the order
@@ -162,31 +161,33 @@ def from_arrays(sectors: Mapping[Charge, tuple[np.ndarray, np.ndarray]]) -> Schm
     return SchmidtState(canonical)
 
 
-def from_grouped(
-    grouped: Mapping[Charge | str, Sequence[tuple[float, int]]],
-) -> SchmidtState:
-    """Validate ``(value, multiplicity)`` groups and build the canonical state.
+def new_schmidt_state(sectors: Mapping[Charge | str, Sequence[float]]) -> SchmidtState:
+    """Validate sector-indexed Schmidt coefficients and build the canonical state.
 
-    The one check of Schmidt data from outside the package.  Each value
-    must convert to a float that is nonnegative, finite and at most
-    1 + 1e-9, and each multiplicity must be a Python or numpy integer
-    (not a bool) from 0 to 2**63 - 1, and each sector's multiplicities
-    must total at most 2**63 - 1; the first faulty group, in input order,
-    names the error.  At least one value must be positive, and the
-    total may deviate from 1 by at most 1e-9 (the state is then
-    renormalized exactly).  Zeros are stripped; within each
-    sector the values are sorted descending.
+    The one check of Schmidt data from outside the package, for state
+    files and callers alike.  Each sector must be a list, tuple or 1-D
+    array with a known charge label, and each coefficient a real number
+    (not a bool) that is nonnegative, finite and at most 1 + 1e-9.  The
+    sectors are checked in input order, each one's container first, then
+    its label, then its coefficients, and the first fault names the error.
+    At least one coefficient must be positive, and the total may deviate
+    from 1 by at most 1e-9 (the state is then renormalized exactly).
+    Zeros are stripped; within each sector the values are sorted
+    descending, and equal ones share a group.
     """
-    sectors = {}
-    for key, entries in grouped.items():
+    arrays = {}
+    for key, values in sectors.items():
+        if not isinstance(values, (list, tuple, np.ndarray)) or getattr(values, "ndim", 1) != 1:
+            label = getattr(key, "value", key)
+            raise ValidationError(f"sector {label!r} must be an array of numbers, got {values!r}")
         c = _as_charge(key)
-        values: list[float] = []
-        mults: list[int] = []
-        rank = 0
-        for i, (value, mult) in enumerate(entries):
+        floats: list[float] = []
+        for i, value in enumerate(values):
             try:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise TypeError
                 v = float(value)
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, OverflowError):
                 raise ValidationError(
                     f"Schmidt coefficient {value!r} at sector {c.value!r} index {i} "
                     "is not a number"
@@ -200,57 +201,24 @@ def from_grouped(
                     raise ValidationError(
                         f"non-finite Schmidt coefficient {v!r} in sector {c.value!r}"
                     )
-                raise ValidationError(
-                    f"Schmidt coefficient {v!r} in sector {c.value!r} exceeds 1"
-                )
-            if isinstance(mult, bool) or not isinstance(mult, (int, np.integer)):
-                raise ValidationError(
-                    f"multiplicity {mult!r} at sector {c.value!r} index {i} is not an integer"
-                )
-            if not 0 <= mult <= _MULT_MAX:
-                if mult < 0:
-                    raise ValidationError(
-                        f"negative multiplicity {mult!r} at sector {c.value!r} index {i}"
-                    )
-                raise ValidationError(
-                    f"multiplicity {mult!r} at sector {c.value!r} index {i} exceeds 2**63 - 1"
-                )
-            rank += int(mult)
-            if rank > _MULT_MAX:
-                raise ValidationError(
-                    f"multiplicities of sector {c.value!r} total past 2**63 - 1 at index {i}"
-                )
-            values.append(v)
-            mults.append(mult)
-        sectors[c] = (np.array(values, dtype=float), np.array(mults, dtype=np.int64))
-    return from_arrays(sectors)
-
-
-def new_schmidt_state(sectors: Mapping[Charge | str, Sequence[float]]) -> SchmidtState:
-    """Sector-indexed Schmidt coefficients, each a group of one; see :func:`from_grouped`."""
-    return from_grouped({key: [(value, 1) for value in values] for key, values in sectors.items()})
+                raise ValidationError(f"Schmidt coefficient {v!r} in sector {c.value!r} exceeds 1")
+            floats.append(v)
+        arrays[c] = (np.array(floats, dtype=float), np.ones(len(floats), dtype=np.int64))
+    return from_arrays(arrays)
 
 
 def state_from_dict(payload: Mapping) -> SchmidtState:
     """Parse the on-disk state format ``{"sectors": {"1": [...], "tau": [...]}}``.
 
-    Each sector must be an array of JSON numbers; booleans, strings and
-    nested containers are rejected with :class:`ValidationError`.
+    Checks the document alone, an object whose ``"sectors"`` maps charge
+    labels to coefficient arrays, and hands those to
+    :func:`new_schmidt_state`, which checks every sector and coefficient.
     """
     if not isinstance(payload, Mapping) or "sectors" not in payload:
         raise ValidationError('state file must be an object with a "sectors" key')
     sectors = payload["sectors"]
     if not isinstance(sectors, Mapping):
         raise ValidationError('"sectors" must map charge labels to coefficient arrays')
-    for label, values in sectors.items():
-        if not isinstance(values, list):
-            raise ValidationError(f"sector {label!r} must be an array of numbers, got {values!r}")
-        for i, value in enumerate(values):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(
-                    f"Schmidt coefficient {value!r} at sector {label!r} index {i} "
-                    "is not a number"
-                )
     return new_schmidt_state(sectors)
 
 

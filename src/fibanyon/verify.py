@@ -237,20 +237,6 @@ def _dense_line(values: _DenseValues, name: str) -> list[CheckResult]:
     return [_worst_line(name, _read(values, name))]
 
 
-def check_decomposition_numeric(
-    states: Sequence[SchmidtState], reports: Sequence[MeasureReport]
-) -> list[CheckResult]:
-    """AREE = ACE + CE through block relative entropies, on the first 100 states."""
-    return _dense_line(_dense_pass(states[:100], reports.__getitem__), "decomposition-numeric")
-
-
-def check_separable_value(
-    states: Sequence[SchmidtState], reports: Sequence[MeasureReport]
-) -> list[CheckResult]:
-    """The relative entropy to the closest-separable candidate equals the AREE."""
-    return _dense_line(_dense_pass(states, reports.__getitem__), "separable-oracle-value")
-
-
 def check_separable_gradient(
     rng: np.random.Generator, states: Sequence[SchmidtState], directions: int
 ) -> list[CheckResult]:

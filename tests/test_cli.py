@@ -1027,6 +1027,18 @@ class TestExitCodes:
             pytest.param(
                 '{"sectors":{"tau":[1' + "0" * 400 + "]}}", "is not a number", id="huge-int"
             ),
+            # Two faults each: the first in input order, a sector's label
+            # before its coefficients, names the error.
+            pytest.param(
+                '{"sectors":{"bogus":["x"]}}',
+                "error: unknown charge label 'bogus'; expected '1' or 'tau'\n",
+                id="label-then-coefficient",
+            ),
+            pytest.param(
+                '{"sectors":{"tau":[-1],"1":["x"]}}',
+                "error: negative Schmidt coefficient -1 at sector 'tau' index 0\n",
+                id="first-sector-first",
+            ),
             pytest.param(
                 '{"sectors":{"tau":' + "[" * 100_000 + "]" * 100_000 + "}}",
                 "is nested too deeply to parse",

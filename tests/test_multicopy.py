@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibanyon import multicopy
+from fibanyon.bell import optimize_chsh
 from fibanyon.errors import CopyLimitExceeded
 from fibanyon.measures import measure_report
 from fibanyon.model import CHARGE_ORDER, LOG2_PHI, PHI, Charge, fusion_space_dim, qdim_float
@@ -22,7 +23,7 @@ from fibanyon.multicopy import (
     e_aree_ncopy,
     n_copy,
 )
-from fibanyon.states import from_arrays, from_grouped, new_schmidt_state, random_schmidt_state
+from fibanyon.states import from_arrays, new_schmidt_state, random_schmidt_state
 
 TAU = Charge.TAU
 VAC = Charge.VACUUM
@@ -105,7 +106,7 @@ _TIED_WEIGHTS = (0.05, 0.1, 0.125, 0.2, 0.3)
 
 @st.composite
 def grouped_states(draw):
-    """1-6 (value, multiplicity) groups over both sectors, multiplicities 1-3, with ties."""
+    """1-6 groups of equal coefficients over both sectors, 1-3 per group, with ties."""
     groups = [
         (
             draw(st.sampled_from(CHARGE_ORDER)),
@@ -115,10 +116,10 @@ def grouped_states(draw):
         for _ in range(draw(st.integers(1, 6)))
     ]
     total = sum(weight * mult for _, weight, mult in groups)
-    grouped = {}
+    sectors = {}
     for c, weight, mult in groups:
-        grouped.setdefault(c, []).append((weight / total, mult))
-    return from_grouped(grouped)
+        sectors.setdefault(c, []).extend([weight / total] * mult)
+    return new_schmidt_state(sectors)
 
 
 # Reference kernel: the letter-by-letter gather that n_copy used before it
@@ -438,6 +439,70 @@ class TestAsymptotes:
             if n <= 2:
                 assert (ce_pc, law) == (0.0, 0.0)
             assert abs(n * ce_pc - law) <= 1e-13 * law
+
+
+#: phi and 1/phi = phi - 1 in Q(sqrt 5): powers of 1/phi expand to a + b sqrt(5),
+#: so sympy decides equality of the expanded forms exactly.
+_PHI_EXACT = (1 + sp.sqrt(5)) / 2
+_PHI_INV_EXACT = (sp.sqrt(5) - 1) / 2
+_QDIM_EXACT = {VAC: sp.Integer(1), TAU: _PHI_EXACT}
+
+
+def _tau_pair_dims(n):
+    """dim(n, 1) = F(n - 1) and dim(n, tau) = F(n): sympy's Fibonacci numbers."""
+    return {VAC: sp.fibonacci(n - 1), TAU: sp.fibonacci(n)}
+
+
+class TestTauPairLawExact:
+    """The tau-pair's superactivation law, exactly in Q(sqrt 2, sqrt 5), for n <= 12.
+
+    Joint sector c holds dim(n, c) equal coefficients d_c / phi**n, so
+    p_c = dim(n, c) d_c / phi**n, n CE = sum_c p_c log2 dim(n, c), and the
+    sorted pairing leaves one coefficient of each odd sector unpaired: the
+    leftover mass L(n) = sum_{c: dim(n, c) odd} d_c / phi**n sets the CHSH
+    deficit, CHSH = 2 sqrt 2 - (2 sqrt 2 - 2) L(n).
+    """
+
+    def test_inverse_of_phi(self):
+        assert sp.expand(_PHI_EXACT * _PHI_INV_EXACT) == 1
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sector_probabilities_sum_to_one(self, n):
+        dims = _tau_pair_dims(n)
+        joint = n_copy(tau_line(), n)
+        probabilities = {c: sp.expand(dims[c] * _QDIM_EXACT[c] * _PHI_INV_EXACT**n) for c in dims}
+        assert sp.expand(sum(probabilities.values())) == 1
+        for c, dim in dims.items():
+            assert dim == fusion_space_dim(n, c)
+            assert joint.rank(c) == dim
+            assert abs(joint.sector_probability(c) - float(probabilities[c])) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_ce_law_to_40_digits(self, n):
+        _, _, _, _, ce_pc = copy_series(tau_line(), 12).rows[n - 1]
+        dims = _tau_pair_dims(n)
+        law = sum(
+            dim * _QDIM_EXACT[c] * _PHI_INV_EXACT**n * sp.log(dim, 2)
+            for c, dim in dims.items()
+            if dim
+        )
+        if n <= 2:
+            assert (ce_pc, law) == (0.0, 0)
+        else:
+            reference = sp.N(law, 40)
+            assert abs(sp.Float(n * ce_pc, 40) - reference) <= 1e-14 * reference
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_odd_leftover_mass_is_a_power_of_phi(self, n):
+        dims = _tau_pair_dims(n)
+        leftover = sum(_QDIM_EXACT[c] * _PHI_INV_EXACT**n for c, dim in dims.items() if dim % 2)
+        assert sp.expand(leftover) == sp.expand(_PHI_INV_EXACT ** (3 * (n // 3)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_chsh_law_matches_the_optimum(self, n):
+        leftover = _PHI_INV_EXACT ** (3 * (n // 3))
+        law = 2 * sp.sqrt(2) - (2 * sp.sqrt(2) - 2) * leftover
+        assert abs(optimize_chsh(tau_line(), n).value - float(sp.N(law, 40))) <= 1e-15
 
 
 class TestAdditivity:

@@ -1,5 +1,5 @@
 """The dense-operator route lives in ``fibanyon.oracle`` and nowhere else, and
-every public name, of ``oracle`` and of the package, has a product caller."""
+every public name, of each module and of the package, has a product caller."""
 
 import ast
 from pathlib import Path
@@ -156,18 +156,33 @@ def test_private_oracle_names_stay_in_oracle(module):
     assert not private
 
 
-def test_every_public_oracle_name_has_a_caller():
-    """Each public top-level name of ``oracle`` is read by another ``src`` module,
-    by a demo, or by ``oracle`` itself outside its own definition.  A name that
-    only the tests read belongs with the tests."""
-    read = _read_elsewhere("oracle")
-    body = _tree("oracle").body
+def _unread_public_names(module):
+    """Public top-level names of a ``src`` module read neither by another ``src``
+    module or a demo nor by the module itself outside their own definition."""
+    read = _read_elsewhere(module)
+    body = _tree(module).body
     used = [{n.id for n in ast.walk(node) if isinstance(n, ast.Name)} for node in body]
     unread = set()
     for i, node in enumerate(body):
         elsewhere = read.union(*used[:i], *used[i + 1 :])
         unread |= {n for n in _defined_by(node) if not n.startswith("_") and n not in elsewhere}
-    assert not unread
+    return unread
+
+
+def test_every_public_oracle_name_has_a_caller():
+    """Each public top-level name of ``oracle`` is read by another ``src`` module,
+    by a demo, or by ``oracle`` itself outside its own definition.  A name that
+    only the tests read belongs with the tests."""
+    assert not _unread_public_names("oracle")
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.stem for p in SRC.glob("*.py") if p.stem not in ("__init__", "__main__", "oracle")),
+)
+def test_every_public_name_has_a_caller(module):
+    """The oracle's caller rule, for every other ``src`` module."""
+    assert not _unread_public_names(module)
 
 
 #: The module each name of ``fibanyon.__all__`` is imported from.

@@ -2,9 +2,12 @@
 
 import math
 import os
+import reprlib
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,6 @@ from fibanyon.oracle import (
 from fibanyon.states import (
     _canonical,
     from_arrays,
-    from_grouped,
     new_schmidt_state,
     random_schmidt_state,
     state_from_dict,
@@ -37,6 +39,31 @@ VAC = Charge.VACUUM
 def random_states(seed, count, **kwargs):
     rng = np.random.default_rng(seed)
     return [random_schmidt_state(rng, **kwargs) for _ in range(count)]
+
+
+#: A coefficient and the verdict that both ways in (in-process and from a
+#: state file) give it: the error message, or None for the state of
+#: ``{"tau": [1.0]}``.
+COEFFICIENT_VERDICTS = [
+    (True, "Schmidt coefficient True at sector 'tau' index 0 is not a number"),
+    (np.True_, "Schmidt coefficient np.True_ at sector 'tau' index 0 is not a number"),
+    ("1", "Schmidt coefficient '1' at sector 'tau' index 0 is not a number"),
+    (b"1", "Schmidt coefficient b'1' at sector 'tau' index 0 is not a number"),
+    (None, "Schmidt coefficient None at sector 'tau' index 0 is not a number"),
+    ([0.5], "Schmidt coefficient [0.5] at sector 'tau' index 0 is not a number"),
+    (Fraction(1, 2), "Schmidt coefficients sum to 0.5, deviating from 1 by more than 1e-09"),
+    (
+        Decimal("0.5"),
+        "Schmidt coefficient Decimal('0.5') at sector 'tau' index 0 is not a number",
+    ),
+    (np.float32(1.0), None),
+    (np.int64(1), None),
+    (math.nan, "non-finite Schmidt coefficient nan in sector 'tau'"),
+    (math.inf, "non-finite Schmidt coefficient inf in sector 'tau'"),
+    (-0.1, "negative Schmidt coefficient -0.1 at sector 'tau' index 0"),
+    (1.1, "Schmidt coefficient 1.1 in sector 'tau' exceeds 1"),
+    (10**400, f"Schmidt coefficient {10**400} at sector 'tau' index 0 is not a number"),
+]
 
 
 class TestConstruction:
@@ -60,51 +87,38 @@ class TestConstruction:
             new_schmidt_state({TAU: [-0.1, 1.1]})
 
     @pytest.mark.parametrize(
-        "mult, text",
-        [
-            (1.5, "multiplicity 1.5 at sector 'tau' index 1 is not an integer"),
-            (1.0, "multiplicity 1.0 at sector 'tau' index 1 is not an integer"),
-            (True, "multiplicity True at sector 'tau' index 1 is not an integer"),
-            ("2", "multiplicity '2' at sector 'tau' index 1 is not an integer"),
-            (-1, "negative multiplicity -1 at sector 'tau' index 1"),
-            (np.int8(-1), "negative multiplicity np.int8(-1) at sector 'tau' index 1"),
-            (2**70, f"multiplicity {2**70} at sector 'tau' index 1 exceeds 2**63 - 1"),
-            (2**63, f"multiplicity {2**63} at sector 'tau' index 1 exceeds 2**63 - 1"),
-            (np.uint64(2**63), f"multiplicity np.uint64({2**63}) at sector 'tau' index 1 exceeds"),
-        ],
+        "value, outcome",
+        COEFFICIENT_VERDICTS,
+        ids=[reprlib.repr(v) for v, _ in COEFFICIENT_VERDICTS],
     )
-    def test_bad_multiplicity_rejected(self, mult, text):
-        with pytest.raises(ValidationError) as raised:
-            from_grouped({TAU: [(0.25, 2), (0.5, mult)]})
-        assert str(raised.value).startswith(text)
+    def test_one_verdict_per_coefficient_whatever_the_route(self, value, outcome):
+        """A coefficient gets the same verdict, in-process and from a state file:
+        the same state (``None``: the state of ``{"tau": [1.0]}``) or the same error."""
+
+        def verdict(build):
+            try:
+                return build()
+            except ValidationError as exc:
+                assert type(exc) is ValidationError
+                return str(exc)
+
+        direct = verdict(lambda: new_schmidt_state({"tau": [value]}))
+        from_file = verdict(lambda: state_from_dict({"sectors": {"tau": [value]}}))
+        expected = new_schmidt_state({TAU: [1.0]}) if outcome is None else outcome
+        assert direct == from_file == expected
 
     @pytest.mark.parametrize(
-        "mult", [0, 2**63 - 1, np.int64(2**63 - 1), np.uint64(0), np.int32(0)]
+        "sector", [5, "1", {"1": 1.0}, None, np.float64(1.0), np.array([[1.0]])], ids=repr
     )
-    def test_int64_multiplicities_accepted(self, mult):
-        state = from_grouped({VAC: [(1.0, 1)], TAU: [(0.0, mult)]})
-        assert state.ranks == {VAC: 1}
-        assert from_grouped({TAU: [(0.5, np.int16(2))]}).ranks == {TAU: 2}
+    def test_sector_that_is_no_array_rejected(self, sector):
+        for key in ("tau", TAU):
+            with pytest.raises(ValidationError) as raised:
+                new_schmidt_state({key: sector})
+            assert str(raised.value) == f"sector 'tau' must be an array of numbers, got {sector!r}"
 
-    @pytest.mark.parametrize(
-        "groups",
-        [
-            # Each total would wrap int64: to a negative sum, or to rank -2**63.
-            [(0.5 / 2**62, 2**62), (0.5 / 2**62, 2**62)],
-            [(0.6 / 2**62, 2**62), (0.4 / 2**62, 2**62)],
-        ],
-        ids=["equal-values", "distinct-values"],
-    )
-    def test_multiplicity_total_past_int64_rejected(self, groups):
-        with pytest.raises(ValidationError) as raised:
-            from_grouped({TAU: groups})
-        assert type(raised.value) is ValidationError
-        message = "multiplicities of sector 'tau' total past 2**63 - 1 at index 1"
-        assert str(raised.value) == message
-
-    def test_multiplicity_total_at_int64_accepted(self):
-        state = from_grouped({TAU: [(0.5 / 2**62, 2**62), (0.5 / (2**62 - 1), 2**62 - 1)]})
-        assert state.rank(TAU) == 2**63 - 1
+    @pytest.mark.parametrize("sector", [[0.5, 0.5], (0.5, 0.5), np.array([0.5, 0.5])], ids=repr)
+    def test_list_tuple_and_1d_array_accepted(self, sector):
+        assert new_schmidt_state({TAU: sector}) == new_schmidt_state({TAU: [0.5, 0.5]})
 
     def test_bad_sum_rejected(self):
         with pytest.raises(ValidationError, match="Schmidt coefficients sum to 0.9"):
